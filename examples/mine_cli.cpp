@@ -4,7 +4,7 @@
 //   $ ./mine_cli DATA.utd MIN_SUP [PFCT=0.8]
 //                [--algo=NAME]   (any AlgorithmName; see --algo=help)
 //                [--request=FILE]   (key=value request wire file)
-//                [--sweep=min_sup:A,B,C]   (MiningSession threshold sweep)
+//                [--sweep=min_sup:A,B,C]   (MiningSession threshold batch)
 //                [--threads=N] [--progress] [--top-k=K]
 //                [--epsilon=0.1] [--delta=0.1] [--csv=OUT.csv]
 //                [--tidset=adaptive|sparse|dense] [--stats-json]
@@ -12,14 +12,20 @@
 //                [--max-samples=N] [--snapshot=FILE] [--resume=FILE]
 //                [--max-inflight=N]
 //
-// With no positional arguments, writes the paper's Table II database to a
-// temp file and mines it, as a self-demonstration (flags still apply).
+// With no positional arguments, mines the paper's Table II database as a
+// self-demonstration (flags still apply).
 //
 // --request loads a serialized MiningRequest (the shared key=value wire
 // format of src/core/request_io.h — the same dialect the oracle's
 // `.request` repro sidecars use, whose `check` line is ignored). The
 // file is applied as a base: explicit positionals and flags override its
 // fields, and MIN_SUP becomes optional when the file provides one.
+//
+// --sweep serves one request per threshold as a single MineBatch on one
+// MiningSession (the batch runs lowest threshold first and later steps
+// reuse its DP tail tables) and prints each threshold's result count.
+// It writes no CSV and binds no snapshot, so it cannot be combined with
+// --csv, --snapshot or --resume.
 //
 // --snapshot writes a crash-consistent resume snapshot when the run stops
 // early (deadline/budget); --resume continues a suspended run from such a
@@ -32,7 +38,8 @@
 // exhausted, 4 deadline exceeded, 5 cancelled, 6 rejected by admission
 // control (1 stays the generic usage/I-O error). Invalid requests caught
 // before the run — e.g. a --sweep list with duplicate or non-ascending
-// thresholds — also exit 2.
+// thresholds, or --sweep combined with --csv/--snapshot/--resume — also
+// exit 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,6 +152,7 @@ int main(int argc, char** argv) {
   std::string path;
   MiningRequest request;
   request.params.pfct = 0.8;
+  std::vector<std::size_t> sweep_thresholds;
   bool show_progress = false;
   bool stats_json = false;
   std::string csv_path;
@@ -186,11 +194,6 @@ int main(int argc, char** argv) {
         "       [--snapshot=FILE] [--resume=FILE] [--max-inflight=N]\n"
         "no input given — demonstrating on the paper's Table II.\n\n",
         argv[0], AlgorithmChoices().c_str());
-    path = "/tmp/pfci_demo.utd";
-    if (!SaveUncertainDatabase(MakePaperExampleDb(), path)) {
-      std::fprintf(stderr, "cannot write demo file %s\n", path.c_str());
-      return 1;
-    }
     if (!request_file_loaded) request.params.min_sup = 2;
   } else {
     path = argv[1];
@@ -237,7 +240,7 @@ int main(int argc, char** argv) {
       } else if (ParseFlag(argv[position], "--request", &value)) {
         // Already applied in the pre-pass (so later flags override it).
       } else if (ParseFlag(argv[position], "--sweep", &value)) {
-        const int sweep_error = ParseSweep(value, &request.sweep_min_sup);
+        const int sweep_error = ParseSweep(value, &sweep_thresholds);
         if (sweep_error != 0) return sweep_error;
       } else if (ParseFlag(argv[position], "--threads", &value)) {
         unsigned int threads = 0;
@@ -317,6 +320,20 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A sweep prints per-threshold counts only: it has no single result to
+  // write as CSV, and one snapshot path cannot serve several runs (each
+  // step would overwrite it, and its fingerprint covers min_sup).
+  if (!sweep_thresholds.empty()) {
+    const char* conflict = nullptr;
+    if (!csv_path.empty()) conflict = "--csv";
+    if (!request.snapshot.save_path.empty()) conflict = "--snapshot";
+    if (!request.snapshot.resume_path.empty()) conflict = "--resume";
+    if (conflict != nullptr) {
+      std::fprintf(stderr, "--sweep cannot be combined with %s\n", conflict);
+      return 2;
+    }
+  }
+
   // top_k stays 0 (meaning "unused") unless the topk algorithm runs; a
   // topk run without an explicit --top-k gets the historical default.
   if (request.algorithm == Algorithm::kTopK && request.top_k == 0) {
@@ -343,11 +360,16 @@ int main(int argc, char** argv) {
   }
 
   UncertainDatabase db;
-  std::string error;
-  if (!LoadUncertainDatabase(path, &db, &error)) {
-    std::fprintf(stderr, "failed to load %s: %s\n", path.c_str(),
-                 error.c_str());
-    return 1;
+  if (demo) {
+    db = MakePaperExampleDb();
+    path = "the paper's Table II";
+  } else {
+    std::string error;
+    if (!LoadUncertainDatabase(path, &db, &error)) {
+      std::fprintf(stderr, "failed to load %s: %s\n", path.c_str(),
+                   error.c_str());
+      return 1;
+    }
   }
   std::printf("loaded %s: %s\n", path.c_str(),
               ComputeStats(db).ToString().c_str());
@@ -359,18 +381,21 @@ int main(int argc, char** argv) {
               AlgorithmName(request.algorithm), request.params.min_sup,
               request.params.pfct, threads_label.c_str());
 
-  if (!request.sweep_min_sup.empty()) {
-    // Threshold sweep: one warm MiningSession serves every min_sup, so
-    // the index and DP tail tables are paid for once.
+  if (!sweep_thresholds.empty()) {
+    // Threshold sweep: one request per min_sup, served as one batch on a
+    // warm MiningSession, so the index and DP tail tables are paid for
+    // once.
+    std::vector<MiningRequest> steps(sweep_thresholds.size(), request);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      steps[i].params.min_sup = sweep_thresholds[i];
+    }
     MiningSession session = MiningSession::Open(db, session_options);
-    const std::vector<MiningResult> sweep = session.MineSweep(request);
+    const std::vector<MiningResult> sweep = session.MineBatch(steps);
     int exit_code = 0;
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const MiningResult& result = sweep[i];
-      if (i < request.sweep_min_sup.size()) {
-        std::printf("\nmin_sup=%zu: %zu itemsets\n",
-                    request.sweep_min_sup[i], result.itemsets.size());
-      }
+      std::printf("\nmin_sup=%zu: %zu itemsets\n", sweep_thresholds[i],
+                  result.itemsets.size());
       if (!result.ok()) {
         std::fprintf(stderr, "run did not complete (%s): %s\n",
                      OutcomeName(result.outcome()),

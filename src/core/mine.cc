@@ -4,15 +4,13 @@
 #include <memory>
 #include <utility>
 
-#include "src/core/bfs_miner.h"
 #include "src/core/brute_force.h"
 #include "src/core/expected_support_miner.h"
 #include "src/core/item_uncertain_miners.h"
-#include "src/core/mpfci_miner.h"
-#include "src/core/naive_miner.h"
 #include "src/core/pfi_miner.h"
+#include "src/core/search/frontier_policies.h"
 #include "src/core/search/run_snapshot.h"
-#include "src/core/topk_miner.h"
+#include "src/core/search/search_driver.h"
 #include "src/data/item_uncertain_database.h"
 #include "src/data/world_enumerator.h"
 #include "src/util/retry.h"
@@ -119,26 +117,60 @@ void StampOutcome(MiningResult* result, const RunController* runtime) {
   result->stats.truncated = runtime->truncated();
 }
 
-/// PFI mining through the unified interface: entries carry pr_f, fcp 0.
-MiningResult RunPfi(const UncertainDatabase& db, const MiningRequest& request,
-                    const ExecutionContext& exec) {
+/// Entry conversions of the flat miners. The frequentness-only miners
+/// (PFI, expected support, and their item-level counterparts) report
+/// their measure in pr_f with fcp 0; the possible-world oracle reports
+/// the exact PrFC.
+PfciEntry FrequentnessEntry(const Itemset& items, double measure) {
+  PfciEntry entry;
+  entry.items = items;
+  entry.pr_f = measure;
+  entry.fcp = 0.0;
+  entry.fcp_upper = measure;
+  return entry;
+}
+
+PfciEntry ToPfciEntry(const PfiEntry& in) {
+  return FrequentnessEntry(in.items, in.pr_f);
+}
+
+PfciEntry ToPfciEntry(const ExpectedSupportEntry& in) {
+  return FrequentnessEntry(in.items, in.expected_support);
+}
+
+PfciEntry ToPfciEntry(const ItemPfiEntry& in) {
+  return FrequentnessEntry(in.items, in.pr_f);
+}
+
+PfciEntry ToPfciEntry(const FcpGroundTruth& truth) {
+  PfciEntry entry;
+  entry.items = truth.items;
+  entry.fcp = truth.fcp;
+  entry.fcp_lower = truth.fcp;
+  entry.fcp_upper = truth.fcp;
+  entry.method = FcpMethod::kExact;
+  return entry;
+}
+
+template <typename Entry>
+std::vector<PfciEntry> ToPfciEntries(const std::vector<Entry>& in) {
+  std::vector<PfciEntry> out;
+  out.reserve(in.size());
+  for (const Entry& entry : in) out.push_back(ToPfciEntry(entry));
+  return out;
+}
+
+/// The run skeleton of the miners that bypass the search kernel:
+/// `fill(&stats)` mines and converts under the "search" span; progress,
+/// the canonical sort under the "merge" span, outcome stamping, timing,
+/// and the counter trace are shared.
+template <typename Fill>
+MiningResult RunFlat(const ExecutionContext& exec, Fill fill) {
   Stopwatch timer;
   MiningResult result;
   {
     TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
-    const std::vector<PfiEntry> pfis =
-        MinePfi(db, request.params.min_sup, request.params.pfct,
-                request.params.pruning.chernoff, &result.stats,
-                TidSetPolicyFor(request.params), exec.runtime, &exec);
-    result.itemsets.reserve(pfis.size());
-    for (const PfiEntry& pfi : pfis) {
-      PfciEntry entry;
-      entry.items = pfi.items;
-      entry.pr_f = pfi.pr_f;
-      entry.fcp = 0.0;
-      entry.fcp_upper = pfi.pr_f;
-      result.itemsets.push_back(std::move(entry));
-    }
+    result.itemsets = fill(&result.stats);
   }
   if (exec.progress != nullptr) {
     exec.progress->AddItemsets(result.itemsets.size());
@@ -153,80 +185,60 @@ MiningResult RunPfi(const UncertainDatabase& db, const MiningRequest& request,
   return result;
 }
 
-/// Expected-support mining through the unified interface: the expected
-/// support is reported in the pr_f field, fcp is 0. `fp_growth` selects
-/// the weighted FP-growth baseline (same answer, no fail-soft hooks).
-MiningResult RunExpectedSupport(const UncertainDatabase& db,
-                                const MiningRequest& request,
-                                const ExecutionContext& exec,
-                                bool fp_growth) {
-  Stopwatch timer;
-  MiningResult result;
-  const double min_esup = EffectiveMinEsup(request);
-  {
-    TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
-    const std::vector<ExpectedSupportEntry> entries =
-        fp_growth ? internal::MineExpectedSupportFpGrowth(db, min_esup)
-                  : MineExpectedSupport(db, min_esup, &result.stats,
-                                        exec.runtime,
-                                        TidSetPolicyFor(request.params),
-                                        &exec);
-    result.itemsets.reserve(entries.size());
-    for (const ExpectedSupportEntry& in : entries) {
-      PfciEntry entry;
-      entry.items = in.items;
-      entry.pr_f = in.expected_support;
-      entry.fcp = 0.0;
-      entry.fcp_upper = in.expected_support;
-      result.itemsets.push_back(std::move(entry));
+/// Runs request.algorithm on `db`: the closed-itemset miners through the
+/// search kernel with their frontier policy, the flat miners through
+/// RunFlat. The request is already validated.
+MiningResult Dispatch(const UncertainDatabase& db,
+                      const MiningRequest& request,
+                      const ExecutionContext& exec) {
+  const MiningParams& params = request.params;
+  switch (request.algorithm) {
+    case Algorithm::kMpfci: {
+      WorkStealingDfsFrontier frontier;
+      return RunSearch(db, params, exec, frontier);
     }
-  }
-  if (exec.progress != nullptr) {
-    exec.progress->AddItemsets(result.itemsets.size());
-  }
-  {
-    TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
-    result.Sort();
-  }
-  StampOutcome(&result, exec.runtime);
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.stats.EmitTrace(exec.trace);
-  return result;
-}
-
-/// Possible-world oracle through the unified interface: exact PrFC in
-/// the fcp field. The caller already rejected oversized databases.
-MiningResult RunBruteForce(const UncertainDatabase& db,
-                           const MiningRequest& request,
-                           const ExecutionContext& exec) {
-  Stopwatch timer;
-  MiningResult result;
-  {
-    TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
-    const std::vector<FcpGroundTruth> truths = internal::BruteForceMinePfci(
-        db, request.params.min_sup, request.params.pfct, exec);
-    result.itemsets.reserve(truths.size());
-    for (const FcpGroundTruth& truth : truths) {
-      PfciEntry entry;
-      entry.items = truth.items;
-      entry.fcp = truth.fcp;
-      entry.fcp_lower = truth.fcp;
-      entry.fcp_upper = truth.fcp;
-      entry.method = FcpMethod::kExact;
-      result.itemsets.push_back(std::move(entry));
+    case Algorithm::kMpfciBfs: {
+      LevelSyncBfsFrontier frontier;
+      return RunSearch(db, params, exec, frontier);
     }
+    case Algorithm::kNaive: {
+      FlatCheckFrontier frontier;
+      return RunSearch(db, params, exec, frontier);
+    }
+    case Algorithm::kTopK: {
+      TopKFrontier frontier(request.top_k);
+      return RunSearch(db, params, exec, frontier);
+    }
+    case Algorithm::kPfi:
+      return RunFlat(exec, [&](MiningStats* stats) {
+        return ToPfciEntries(MinePfi(db, params.min_sup, params.pfct,
+                                     params.pruning.chernoff, stats,
+                                     TidSetPolicyFor(params), exec.runtime,
+                                     &exec));
+      });
+    case Algorithm::kExpectedSupport:
+      return RunFlat(exec, [&](MiningStats* stats) {
+        return ToPfciEntries(MineExpectedSupport(
+            db, EffectiveMinEsup(request), stats, exec.runtime,
+            TidSetPolicyFor(params), &exec));
+      });
+    case Algorithm::kExpectedSupportFpGrowth:
+      // The weighted FP-growth baseline: same answer, no fail-soft hooks.
+      return RunFlat(exec, [&](MiningStats*) {
+        return ToPfciEntries(internal::MineExpectedSupportFpGrowth(
+            db, EffectiveMinEsup(request)));
+      });
+    case Algorithm::kBruteForce:
+      // MineImpl already rejected databases too large to enumerate.
+      return RunFlat(exec, [&](MiningStats*) {
+        return ToPfciEntries(internal::BruteForceMinePfci(
+            db, params.min_sup, params.pfct, exec));
+      });
+    case Algorithm::kItemExpectedSupport:
+    case Algorithm::kItemPfi:
+      break;  // MineImpl rejects the item-level algorithms.
   }
-  if (exec.progress != nullptr) {
-    exec.progress->AddItemsets(result.itemsets.size());
-  }
-  {
-    TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
-    result.Sort();
-  }
-  StampOutcome(&result, exec.runtime);
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.stats.EmitTrace(exec.trace);
-  return result;
+  return MiningResult{};
 }
 
 /// Flushes the run's sinks on every exit path (including invalid
@@ -257,11 +269,6 @@ MiningResult MineImpl(const UncertainDatabase& db,
         std::string("algorithm ") + AlgorithmName(request.algorithm) +
         " mines an ItemUncertainDatabase; use the item-level Mine() "
         "overload");
-  }
-  if (!request.sweep_min_sup.empty()) {
-    return InvalidRequestResult(
-        "sweep_min_sup is served by MiningSession::MineSweep; single-shot "
-        "Mine() requires it empty");
   }
   if (request.algorithm == Algorithm::kBruteForce &&
       db.size() > kMaxEnumerableTransactions) {
@@ -352,36 +359,7 @@ MiningResult MineImpl(const UncertainDatabase& db,
   FlushOnExit flusher{exec.trace, sink.get()};
 
   TraceRunBegin(exec.trace, AlgorithmName(request.algorithm));
-  MiningResult result;
-  switch (request.algorithm) {
-    case Algorithm::kMpfci:
-      result = MineMpfci(db, request.params, exec);
-      break;
-    case Algorithm::kMpfciBfs:
-      result = MineMpfciBfs(db, request.params, exec);
-      break;
-    case Algorithm::kNaive:
-      result = MineNaive(db, request.params, exec);
-      break;
-    case Algorithm::kTopK:
-      result = MineTopKPfci(db, request.params, request.top_k, exec);
-      break;
-    case Algorithm::kPfi:
-      result = RunPfi(db, request, exec);
-      break;
-    case Algorithm::kExpectedSupport:
-      result = RunExpectedSupport(db, request, exec, /*fp_growth=*/false);
-      break;
-    case Algorithm::kExpectedSupportFpGrowth:
-      result = RunExpectedSupport(db, request, exec, /*fp_growth=*/true);
-      break;
-    case Algorithm::kBruteForce:
-      result = RunBruteForce(db, request, exec);
-      break;
-    case Algorithm::kItemExpectedSupport:
-    case Algorithm::kItemPfi:
-      break;  // Rejected above.
-  }
+  MiningResult result = Dispatch(db, request, exec);
 
   if (resuming) result.stats.resumed = true;
   if (!result.ok() && result.status_message.empty()) {
@@ -468,14 +446,6 @@ std::string ValidateRequest(const MiningRequest& request) {
                        "stay 0 for algorithm ") +
            AlgorithmName(request.algorithm);
   }
-  for (std::size_t i = 0; i < request.sweep_min_sup.size(); ++i) {
-    if (request.sweep_min_sup[i] < 1) {
-      return "sweep_min_sup values must be >= 1";
-    }
-    if (i > 0 && request.sweep_min_sup[i] <= request.sweep_min_sup[i - 1]) {
-      return "sweep_min_sup must be strictly increasing";
-    }
-  }
   if (request.progress && request.progress_interval < 1) {
     return "progress_interval must be >= 1";
   }
@@ -519,41 +489,17 @@ MiningResult Mine(const ItemUncertainDatabase& db,
         "snapshot save/resume applies to the tuple-level Mine() overload "
         "only");
   }
-  if (!request.sweep_min_sup.empty()) {
-    return InvalidRequestResult(
-        "sweep_min_sup is served by MiningSession::MineSweep; single-shot "
-        "Mine() requires it empty");
-  }
 
   FlushOnExit flusher{request.trace, nullptr};
   TraceRunBegin(request.trace, AlgorithmName(request.algorithm));
   Stopwatch timer;
   MiningResult result;
-  if (request.algorithm == Algorithm::kItemExpectedSupport) {
-    const std::vector<ExpectedSupportEntry> entries =
-        internal::MineExpectedSupportItemLevel(db, EffectiveMinEsup(request));
-    result.itemsets.reserve(entries.size());
-    for (const ExpectedSupportEntry& in : entries) {
-      PfciEntry entry;
-      entry.items = in.items;
-      entry.pr_f = in.expected_support;
-      entry.fcp = 0.0;
-      entry.fcp_upper = in.expected_support;
-      result.itemsets.push_back(std::move(entry));
-    }
-  } else {
-    const std::vector<ItemPfiEntry> entries = internal::MinePfiItemLevel(
-        db, request.params.min_sup, request.params.pfct);
-    result.itemsets.reserve(entries.size());
-    for (const ItemPfiEntry& in : entries) {
-      PfciEntry entry;
-      entry.items = in.items;
-      entry.pr_f = in.pr_f;
-      entry.fcp = 0.0;
-      entry.fcp_upper = in.pr_f;
-      result.itemsets.push_back(std::move(entry));
-    }
-  }
+  result.itemsets =
+      request.algorithm == Algorithm::kItemExpectedSupport
+          ? ToPfciEntries(internal::MineExpectedSupportItemLevel(
+                db, EffectiveMinEsup(request)))
+          : ToPfciEntries(internal::MinePfiItemLevel(
+                db, request.params.min_sup, request.params.pfct));
   result.Sort();
   result.stats.seconds = timer.ElapsedSeconds();
   result.stats.EmitTrace(request.trace);

@@ -1,15 +1,14 @@
 // Unified mining entry point: pfci::Mine(db, MiningRequest).
 //
-// One dispatch replaces the historical per-algorithm free functions: a
-// MiningRequest bundles the problem parameters (MiningParams), the
-// algorithm to run, the execution policy (thread count, determinism), and
-// an optional progress observer. The free functions (MineMpfci,
-// MineMpfciBfs, MineNaive, MineTopKPfci, ...) remain as thin wrappers
-// over the same implementations, so existing call sites keep compiling;
-// the stragglers that predated the unified API
-// (MineExpectedSupportFpGrowth, BruteForceMinePfci, and the item-level
-// miners) are reachable as algorithms here and their free functions are
-// deprecated.
+// The one front door of the library: a MiningRequest bundles the problem
+// parameters (MiningParams), the algorithm to run, the execution policy
+// (thread count, determinism), and optional progress, trace, budget,
+// cancellation, and snapshot bindings. The closed-itemset algorithms run
+// on the search kernel (src/core/search/) with the frontier policy named
+// on their Algorithm enumerator; the flat miners (PFI, expected support,
+// the possible-world oracle, the item-level miners) share one run
+// skeleton in mine.cc. MiningSession (src/serve/) serves repeated
+// requests, batches, and threshold ladders through the same dispatch.
 //
 // Determinism contract: with execution.deterministic == true (default),
 // Mine() produces bit-identical MiningResult.itemsets — including sampled
@@ -28,10 +27,6 @@
 //   min_esup           kExpectedSupport,          >= 0; 0 defaults to
 //                      kExpectedSupportFpGrowth,  params.min_sup; must be
 //                      kItemExpectedSupport       0 for other algorithms
-//   sweep_min_sup      MiningSession::MineSweep   strictly increasing,
-//                                                 values >= 1; must be
-//                                                 empty for single-shot
-//                                                 Mine()
 //   progress*          all                        interval >= 1
 //   budget             all                        see RunBudget
 //   cancel / trace     all                        optional, caller-owned
@@ -65,10 +60,27 @@ class ItemUncertainDatabase;
 
 /// The mining algorithms reachable through Mine().
 enum class Algorithm {
-  kMpfci,            ///< DFS MPFCI with all prunings (recommended).
-  kMpfciBfs,         ///< Breadth-first MPFCI framework.
-  kNaive,            ///< PFI mining + per-itemset ApproxFCP (baseline).
-  kTopK,             ///< Top-k PFCI by descending PrFC (uses top_k).
+  /// MPFCI, the paper's depth-first miner (Sec. IV, Fig. 3;
+  /// WorkStealingDfsFrontier) and the recommended default. Switching
+  /// individual params.pruning toggles off gives the -NoCH / -NoSuper /
+  /// -NoSub / -NoBound variants of Table VII; every variant returns the
+  /// same itemsets.
+  kMpfci,
+  /// The breadth-first framework (Sec. V.D, Fig. 12;
+  /// LevelSyncBfsFrontier): same itemsets as kMpfci. Superset/subset
+  /// pruning cannot apply to a levelwise enumeration, so those toggles
+  /// are ignored.
+  kMpfciBfs,
+  /// The Naive baseline of Fig. 5 (FlatCheckFrontier): mine every
+  /// probabilistic frequent itemset, then sample each one's PrFC — no
+  /// bounds, no closure pruning. The strawman whose cost explodes as
+  /// min_sup decreases.
+  kNaive,
+  /// Top-k PFCI by descending PrFC (TopKFrontier; uses top_k). Once k
+  /// results are held, the k-th best PrFC becomes the pruning threshold
+  /// (sound because PrFC <= PrF and PrF is anti-monotone); params.pfct
+  /// stays a floor, so pass 0 for an unconditional top-k.
+  kTopK,
   kPfi,              ///< Probabilistic frequent itemsets only (no
                      ///< closedness): entries carry pr_f, fcp is 0.
   kExpectedSupport,  ///< Expected-support frequent itemsets (uses
@@ -143,11 +155,6 @@ struct MiningRequest {
   /// to params.min_sup. Must stay 0 for the other algorithms.
   double min_esup = 0.0;
 
-  /// min_sup thresholds for MiningSession::MineSweep (strictly
-  /// increasing). Single-shot Mine() requires this empty; a sweep needs
-  /// the session's caches to be worth anything.
-  std::vector<std::size_t> sweep_min_sup;
-
   /// Optional observer for long runs; invoked at most once per
   /// `progress_interval` search nodes (from any thread, never
   /// concurrently), plus once with the final counts.
@@ -184,8 +191,8 @@ std::string ValidateRequest(const MiningRequest& request);
 /// do NOT abort: Mine() returns an empty result with outcome
 /// kInvalidRequest and the ValidateRequest() message in status_message
 /// (the API boundary reports errors as data; PFCI_CHECK stays for
-/// internal invariants only). The per-algorithm wrapper functions keep
-/// their historical CHECK-on-invalid behavior.
+/// internal invariants only). A threshold sweep is a batch of requests
+/// that differ only in min_sup: serve it with MiningSession::MineBatch.
 MiningResult Mine(const UncertainDatabase& db, const MiningRequest& request);
 
 /// Item-level uncertainty entry point: serves kItemExpectedSupport and

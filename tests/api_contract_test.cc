@@ -1,6 +1,7 @@
 // API contract tests: invalid-usage CHECKs fire (death tests), inert
-// inputs are truly inert, and the unified Mine() entry point agrees with
-// the historical free-function wrappers.
+// inputs are truly inert, invalid requests come back from Mine() as
+// data, and Mine()'s flat-miner adapter reports exactly what the
+// underlying miners compute.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,16 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "src/core/bfs_miner.h"
 #include "src/core/brute_force.h"
 #include "src/core/expected_support_miner.h"
 #include "src/core/mine.h"
-#include "src/core/mpfci_miner.h"
-#include "src/core/naive_miner.h"
 #include "src/core/pfi_miner.h"
 #include "src/core/request_io.h"
 #include "src/core/stream_miner.h"
-#include "src/core/topk_miner.h"
 #include "src/data/item_uncertain_database.h"
 #include "src/data/request_wire.h"
 #include "src/data/uncertain_database.h"
@@ -40,20 +37,6 @@ TEST(ApiContractDeathTest, RejectsInvalidProbabilities) {
   EXPECT_DEATH(db.Add(Itemset{0}, 0.0), "CHECK");
   EXPECT_DEATH(db.Add(Itemset{0}, -0.1), "CHECK");
   EXPECT_DEATH(db.Add(Itemset{0}, 1.5), "CHECK");
-}
-
-TEST(ApiContractDeathTest, RejectsInvalidMiningParams) {
-  UncertainDatabase db;
-  db.Add(Itemset{0}, 0.5);
-  MiningParams params;
-  params.min_sup = 0;  // Must be >= 1.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_DEATH(MineMpfci(db, params), "CHECK");
-  params.min_sup = 1;
-  params.pfct = 1.0;  // Must be < 1 (strict comparison would be empty).
-  EXPECT_DEATH(MineMpfci(db, params), "CHECK");
-#pragma GCC diagnostic pop
 }
 
 TEST(ApiContract, StreamDegenerateConfigsSurfaceAsData) {
@@ -128,8 +111,8 @@ TEST(ApiContract, ValidateRequestCoversRequestFields) {
 
 TEST(ApiContract, MineReportsInvalidRequestsWithoutAborting) {
   // The Mine() API boundary reports bad requests as data: an empty
-  // result with kInvalidRequest and the validation message, instead of
-  // the wrappers' CHECK-abort.
+  // result with kInvalidRequest and the validation message, never an
+  // abort.
   UncertainDatabase db;
   db.Add(Itemset{0}, 0.5);
   MiningRequest request;
@@ -149,19 +132,6 @@ TEST(ApiContract, MineReportsInvalidRequestsWithoutAborting) {
   EXPECT_TRUE(bad_top_k.itemsets.empty());
   EXPECT_NE(bad_top_k.status_message.find("top_k"), std::string::npos)
       << bad_top_k.status_message;
-}
-
-TEST(ApiContractDeathTest, WrappersKeepCheckOnInvalidParams) {
-  // The deprecated free-function wrappers retain their CHECK-on-invalid
-  // contract even though Mine() now reports errors as data.
-  UncertainDatabase db;
-  db.Add(Itemset{0}, 0.5);
-  MiningParams params;
-  params.pfct = 1.5;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_DEATH(MineMpfci(db, params), "CHECK");
-#pragma GCC diagnostic pop
 }
 
 TEST(ApiContract, AlgorithmNamesAreStable) {
@@ -203,28 +173,6 @@ TEST(ApiContract, CrossFieldValidationNamesTheOffendingField) {
   EXPECT_NE(ValidateRequest(request).find("min_esup"), std::string::npos);
   request.algorithm = Algorithm::kExpectedSupport;
   EXPECT_EQ(ValidateRequest(request), "");
-
-  // Sweep thresholds must be >= 1 and strictly increasing.
-  request = MiningRequest{};
-  request.sweep_min_sup = {2, 2};
-  EXPECT_NE(ValidateRequest(request).find("sweep_min_sup"),
-            std::string::npos);
-  request.sweep_min_sup = {0, 1};
-  EXPECT_NE(ValidateRequest(request).find("sweep_min_sup"),
-            std::string::npos);
-  request.sweep_min_sup = {2, 5, 9};
-  EXPECT_EQ(ValidateRequest(request), "");
-}
-
-TEST(ApiContract, SingleShotMineRejectsSweepRequests) {
-  const UncertainDatabase db = MakeSmallDb();
-  MiningRequest request;
-  request.params.min_sup = 2;
-  request.sweep_min_sup = {2, 3};
-  const MiningResult result = Mine(db, request);
-  EXPECT_EQ(result.outcome(), Outcome::kInvalidRequest);
-  EXPECT_NE(result.status_message.find("MineSweep"), std::string::npos)
-      << result.status_message;
 }
 
 TEST(ApiContract, BruteForceGuardsDatabaseSizeAsData) {
@@ -257,35 +205,46 @@ TEST(ApiContract, OverloadsRejectMismatchedAlgorithmLevels) {
   EXPECT_EQ(Mine(item_db, request).outcome(), Outcome::kComplete);
 }
 
-TEST(ApiContract, DeprecatedWrappersStillMatchMine) {
+TEST(ApiContract, FlatMinerAdapterPinsEntryConversion) {
+  // Mine() serves the flat miners through one adapter; each algorithm
+  // only supplies its entry conversion, pinned here field by field
+  // against the internal implementation it wraps.
   const UncertainDatabase db = MakeSmallDb();
   MiningRequest request;
   request.params.min_sup = 2;
   request.params.pfct = 0.1;
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+  // The possible-world oracle reports the exact PrFC as an exact point.
   request.algorithm = Algorithm::kBruteForce;
   const MiningResult brute = Mine(db, request);
-  const std::vector<FcpGroundTruth> truth =
-      BruteForceMinePfci(db, request.params.min_sup, request.params.pfct);
+  const std::vector<FcpGroundTruth> truth = internal::BruteForceMinePfci(
+      db, request.params.min_sup, request.params.pfct);
+  ASSERT_FALSE(truth.empty());
   ASSERT_EQ(brute.itemsets.size(), truth.size());
   for (std::size_t i = 0; i < truth.size(); ++i) {
     EXPECT_EQ(brute.itemsets[i].items, truth[i].items);
     EXPECT_EQ(brute.itemsets[i].fcp, truth[i].fcp);
+    EXPECT_EQ(brute.itemsets[i].fcp_lower, truth[i].fcp);
+    EXPECT_EQ(brute.itemsets[i].fcp_upper, truth[i].fcp);
+    EXPECT_EQ(brute.itemsets[i].pr_f, 0.0);
+    EXPECT_EQ(brute.itemsets[i].method, FcpMethod::kExact);
   }
 
+  // Frequentness-only miners carry their measure in pr_f and fcp_upper.
   request.algorithm = Algorithm::kExpectedSupportFpGrowth;
   request.min_esup = 1.5;
   const MiningResult fp = Mine(db, request);
   const std::vector<ExpectedSupportEntry> entries =
-      MineExpectedSupportFpGrowth(db, request.min_esup);
+      internal::MineExpectedSupportFpGrowth(db, request.min_esup);
+  ASSERT_FALSE(entries.empty());
   ASSERT_EQ(fp.itemsets.size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ(fp.itemsets[i].items, entries[i].items);
     EXPECT_EQ(fp.itemsets[i].pr_f, entries[i].expected_support);
+    EXPECT_EQ(fp.itemsets[i].fcp, 0.0);
+    EXPECT_EQ(fp.itemsets[i].fcp_lower, 0.0);
+    EXPECT_EQ(fp.itemsets[i].fcp_upper, entries[i].expected_support);
   }
-#pragma GCC diagnostic pop
 }
 
 /// A fixed 6-transaction database exercising all miners cheaply.
@@ -298,41 +257,6 @@ UncertainDatabase MakeSmallDb() {
   db.Add(Itemset{0, 1}, 0.4);
   db.Add(Itemset{0}, 0.4);
   return db;
-}
-
-void ExpectSameItemsets(const MiningResult& a, const MiningResult& b) {
-  ASSERT_EQ(a.itemsets.size(), b.itemsets.size());
-  for (std::size_t i = 0; i < a.itemsets.size(); ++i) {
-    EXPECT_EQ(a.itemsets[i].items, b.itemsets[i].items);
-    EXPECT_EQ(a.itemsets[i].fcp, b.itemsets[i].fcp);
-    EXPECT_EQ(a.itemsets[i].pr_f, b.itemsets[i].pr_f);
-  }
-}
-
-TEST(ApiContract, MineMatchesFreeFunctionWrappers) {
-  // Parity pin for the deprecated miner wrappers: each shim must keep
-  // returning exactly what Mine() returns until its removal next cycle.
-  const UncertainDatabase db = MakeSmallDb();
-  MiningRequest request;
-  request.params.min_sup = 2;
-  request.params.pfct = 0.1;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  request.algorithm = Algorithm::kMpfci;
-  ExpectSameItemsets(Mine(db, request), MineMpfci(db, request.params));
-
-  request.algorithm = Algorithm::kMpfciBfs;
-  ExpectSameItemsets(Mine(db, request), MineMpfciBfs(db, request.params));
-
-  request.algorithm = Algorithm::kNaive;
-  ExpectSameItemsets(Mine(db, request), MineNaive(db, request.params));
-
-  request.algorithm = Algorithm::kTopK;
-  request.top_k = 3;
-  ExpectSameItemsets(Mine(db, request),
-                     MineTopKPfci(db, request.params, request.top_k));
-#pragma GCC diagnostic pop
 }
 
 TEST(ApiContract, MinePfiAlgorithmReportsFrequentProbabilities) {

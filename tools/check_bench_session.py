@@ -11,8 +11,10 @@ Python-stdlib only. Usage:
 Exits 0 when the file parses and matches schema 1 of its kind, 1
 otherwise with a diagnostic per violation. Checks structure and internal
 consistency (strictly increasing sweep grid, aggregate-vs-workload
-timing sums, result identity flags), not performance thresholds — the
-bench binaries themselves gate on the 1/2-wall-clock acceptance.
+timing sums), and it fails any "identical": false flag of either kind —
+bit-identity is deterministic, unlike wall-clock time. Performance
+thresholds are not checked: the bench binaries themselves gate on the
+1/2-wall-clock acceptance.
 """
 
 import json
@@ -56,7 +58,11 @@ def check_workload(workload, index, errors):
     require(workload, "algorithm", str, errors, where)
     require(workload, "cold_seconds", (int, float), errors, where)
     require(workload, "warm_seconds", (int, float), errors, where)
-    require(workload, "identical", bool, errors, where)
+    if require(workload, "identical", bool, errors, where) is False:
+        errors.append(
+            f"{where}: identical is false (warm session results diverged "
+            f"from cold runs)"
+        )
 
     cache = require(workload, "cache", dict, errors, where)
     if cache is not None:
@@ -164,7 +170,11 @@ def main(argv):
     cold = require(doc, "cold_seconds", (int, float), errors, path)
     warm = require(doc, "warm_seconds", (int, float), errors, path)
     require(doc, "speedup", (int, float), errors, path)
-    require(doc, "identical", bool, errors, path)
+    if require(doc, "identical", bool, errors, path) is False:
+        errors.append(
+            f"{path}: identical is false (warm session results diverged "
+            f"from cold runs)"
+        )
 
     workloads = require(doc, "workloads", list, errors, path)
     if workloads is not None:

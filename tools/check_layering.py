@@ -8,9 +8,14 @@ headers only from its own layer or layers below it.
 
 `src/core/search/` is part of `core` but is additionally the *kernel*
 underneath the miner entry points: it must not include the miner facade
-headers (mpfci_miner.h, mine.h, ...) or anything from serve/, or the
+headers (mine.h, pfi_miner.h, ...) or anything from serve/, or the
 "miners are thin compositions over the kernel" inversion would silently
 rot back into a cycle.
+
+Mine() dispatches straight to the kernel's frontier policies, so the
+per-algorithm facades that once sat between them (mpfci_miner.h,
+bfs_miner.h, naive_miner.h, topk_miner.h) must not come back: neither
+the files nor an include of them anywhere in the source tree.
 
 `src/harness/oracle/` is the differential-testing leaf: library code
 must never include it (only tests/ and tools/ consume it).
@@ -56,16 +61,27 @@ ORACLE_PREFIX = "src/harness/oracle/"
 # (src/core/search/) composes upward into these, never the reverse.
 FACADE_HEADERS = {
     "src/core/mine.h",
-    "src/core/mpfci_miner.h",
-    "src/core/bfs_miner.h",
-    "src/core/naive_miner.h",
-    "src/core/topk_miner.h",
     "src/core/pfi_miner.h",
     "src/core/stream_miner.h",
     "src/core/brute_force.h",
     "src/core/expected_support_miner.h",
     "src/core/item_uncertain_miners.h",
 }
+
+# Per-algorithm facades folded into Mine()'s direct dispatch to the
+# frontier policies (src/core/search/frontier_policies.h). Each stem is
+# checked as both a header and a source file, and as an include target
+# in every source directory (library, tests, benches, examples, tools,
+# and the repository benchmark).
+REMOVED_FACADES = (
+    "src/core/mpfci_miner",
+    "src/core/bfs_miner",
+    "src/core/naive_miner",
+    "src/core/topk_miner",
+)
+REMOVED_FACADE_HEADERS = {stem + ".h" for stem in REMOVED_FACADES}
+INCLUDE_SCAN_DIRS = ("src", "tests", "bench", "examples", "tools",
+                     "perfbench")
 
 # The serving layer's batch/async building blocks (the planner that
 # groups requests and the handle that carries an async result) compose
@@ -109,6 +125,31 @@ def iter_sources(src_root):
         for name in sorted(filenames):
             if name.endswith(SOURCE_EXTS):
                 yield os.path.join(dirpath, name)
+
+
+def check_removed_facades(repo_root):
+    """Violations for any removed facade file or include that came back."""
+    violations = []
+    for stem in REMOVED_FACADES:
+        for ext in (".h", ".cc"):
+            if os.path.exists(os.path.join(repo_root, stem + ext)):
+                violations.append(
+                    f"{stem}{ext}: removed miner facade exists again "
+                    f"(Mine() dispatches to the frontier policies directly)")
+    for top in INCLUDE_SCAN_DIRS:
+        root = os.path.join(repo_root, top)
+        if not os.path.isdir(root):
+            continue
+        for path in iter_sources(root):
+            rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    m = INCLUDE_RE.match(line)
+                    if m and m.group(1) in REMOVED_FACADE_HEADERS:
+                        violations.append(
+                            f"{rel}:{lineno}: includes removed miner "
+                            f"facade '{m.group(1)}' (use src/core/mine.h)")
+    return violations
 
 
 def check(repo_root):
@@ -187,6 +228,7 @@ def check(repo_root):
                         f"search kernel; miner dispatch stays behind "
                         f"Mine())")
 
+    violations.extend(check_removed_facades(repo_root))
     for v in violations:
         print(v)
     if violations:
