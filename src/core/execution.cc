@@ -9,9 +9,4 @@ std::size_t ResolveNumThreads(const ExecutionPolicy& policy) {
   return policy.num_threads;
 }
 
-DpWorkspace& LocalDpWorkspace() {
-  thread_local DpWorkspace workspace;
-  return workspace;
-}
-
 }  // namespace pfci

@@ -14,7 +14,6 @@
 #include <functional>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 #include "src/util/runtime.h"
 #include "src/util/trace.h"
@@ -164,24 +163,6 @@ struct ExecutionContext {
 
 /// Threads a policy resolves to on this machine (>= 1).
 std::size_t ResolveNumThreads(const ExecutionPolicy& policy);
-
-/// Reusable scratch buffers for one PrF evaluation: the gathered
-/// transaction probabilities and the truncated Poisson-binomial DP row.
-/// Buffers grow to the run's high-water mark and are then reused, so the
-/// per-node cost of PrF is a copy + DP with zero heap allocation.
-struct DpWorkspace {
-  std::vector<double> probs;  ///< ProbsOf(Tids(X)) gather target.
-  std::vector<double> dp;     ///< DP row of length min_sup.
-};
-
-/// The calling thread's workspace (thread_local, allocated on first use).
-///
-/// Safe under the work-stealing helping scheduler because a workspace's
-/// contents are only live inside a single PrF evaluation, which never
-/// suspends: a task that blocks in ParallelFor and "helps" by running
-/// another task on the same thread can only reach this workspace between
-/// PrF calls, when its contents are dead.
-DpWorkspace& LocalDpWorkspace();
 
 }  // namespace pfci
 

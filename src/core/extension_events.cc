@@ -33,10 +33,8 @@ double LogMissProbability(const VerticalIndex& index, const TidSet& tids) {
 ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
                                      const FrequentProbability& freq,
                                      const Itemset& x, const TidSet& x_tids,
-                                     DpWorkspace* workspace,
                                      MiningStats* stats)
     : index_(&index), freq_(&freq), x_tids_(&x_tids) {
-  DpWorkspace& ws = workspace != nullptr ? *workspace : LocalDpWorkspace();
   for (Item item : index.occurring_items()) {
     if (x.Contains(item)) continue;
     ExtensionEvent event;
@@ -50,7 +48,7 @@ ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
     if (stats != nullptr) ++stats->intersections;
     event.log_miss = LogMissProbability(index, miss);
     if (!std::isfinite(event.log_miss)) continue;
-    event.pr_freq = freq.PrF(event.tids, ws);
+    event.pr_freq = freq.PrF(event.tids);
     event.prob = std::exp(event.log_miss) * event.pr_freq;
     if (event.prob > 0.0) events_.push_back(std::move(event));
   }

@@ -40,13 +40,10 @@ struct ExtensionEvent {
 class ExtensionEventSet {
  public:
   /// Builds the events. `x_tids` must equal index.TidsOf(x). When given,
-  /// `workspace` supplies the PrF scratch buffers (otherwise the calling
-  /// thread's LocalDpWorkspace() is used) and `stats` counts the tid-set
-  /// operations performed.
+  /// `stats` counts the tid-set operations performed.
   ExtensionEventSet(const VerticalIndex& index,
                     const FrequentProbability& freq, const Itemset& x,
-                    const TidSet& x_tids, DpWorkspace* workspace = nullptr,
-                    MiningStats* stats = nullptr);
+                    const TidSet& x_tids, MiningStats* stats = nullptr);
 
   const std::vector<ExtensionEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

@@ -54,9 +54,7 @@ class FcpEngine {
             const ExecutionContext& exec = ExecutionContext{});
 
   /// Decides whether X (with Tids(X) = `tids` and PrF(X) = `pr_f`)
-  /// qualifies, with early exits against params.pfct. `stats` may be
-  /// null; `workspace`, when given, supplies the PrF scratch buffers for
-  /// extension-event construction (else the calling thread's workspace).
+  /// qualifies, with early exits against params.pfct. `stats` may be null.
   ///
   /// `unit`, when given, is the caller's logical sample ledger: the full
   /// Karp-Luby sample requirement is claimed from it before the sampler
@@ -66,7 +64,6 @@ class FcpEngine {
   /// counted in stats->degraded_fcp_evals.
   FcpComputation Evaluate(const Itemset& x, const TidSet& tids, double pr_f,
                           Rng& rng, MiningStats* stats,
-                          DpWorkspace* workspace = nullptr,
                           WorkUnitBudget* unit = nullptr) const;
 
   /// As Evaluate, but with the decision threshold supplied per call
@@ -76,20 +73,16 @@ class FcpEngine {
   FcpComputation EvaluateAt(double threshold, const Itemset& x,
                             const TidSet& tids, double pr_f, Rng& rng,
                             MiningStats* stats,
-                            DpWorkspace* workspace = nullptr,
                             WorkUnitBudget* unit = nullptr) const;
 
   /// Computes PrFC(X) to full available precision regardless of pfct
   /// (bounds are still used to report [lower, upper]).
   FcpComputation ComputeFcp(const Itemset& x, Rng& rng) const;
 
-  const FrequentProbability& freq() const { return *freq_; }
-  const MiningParams& params() const { return params_; }
-
  private:
   FcpComputation EvaluateInternal(const Itemset& x, const TidSet& tids,
                                   double pr_f, double pfct, Rng& rng,
-                                  MiningStats* stats, DpWorkspace* workspace,
+                                  MiningStats* stats,
                                   WorkUnitBudget* unit) const;
 
   const VerticalIndex* index_;

@@ -20,6 +20,11 @@ constexpr double kNegligible = 1e-15;
 
 }  // namespace
 
+DpWorkspace& LocalDpWorkspace() {
+  thread_local DpWorkspace workspace;
+  return workspace;
+}
+
 FrequentProbability::FrequentProbability(const VerticalIndex& index,
                                          std::size_t min_sup,
                                          EvalCache* cache,
@@ -31,111 +36,86 @@ FrequentProbability::FrequentProbability(const VerticalIndex& index,
   PFCI_CHECK(min_sup >= 1);
 }
 
-double FrequentProbability::PrFFromProbs(const std::vector<double>& probs,
-                                         std::vector<double>* dp_scratch) const {
-  if (probs.size() < min_sup_) return 0.0;
-  const double mu = PoissonBinomialMean(probs);
+std::optional<double> FrequentProbability::ShortCircuit(double mu,
+                                                        std::size_t n) const {
   const double s = static_cast<double>(min_sup_);
   // Upper-tail short circuit: Pr{S >= min_sup} ~ 0.
-  if (BestUpperTailBound(mu, probs.size(), s) < kNegligible) return 0.0;
+  if (BestUpperTailBound(mu, n, s) < kNegligible) return 0.0;
   // Lower-tail short circuit: Pr{S <= min_sup - 1} ~ 0 -> PrF ~ 1.
   if (ChernoffLowerTail(mu, s - 1.0) < kNegligible) return 1.0;
-  dp_runs_.fetch_add(1, std::memory_order_relaxed);
-  return PoissonBinomialTailAtLeast(probs.data(), probs.size(), min_sup_,
-                                    dp_scratch);
-}
-
-double FrequentProbability::PrFFromProbs(
-    const std::vector<double>& probs) const {
-  return PrFFromProbs(probs, &LocalDpWorkspace().dp);
-}
-
-double FrequentProbability::PrF(const TidSet& tids,
-                                DpWorkspace& workspace) const {
-  if (tids.size() < min_sup_) return 0.0;
-  if (cache_ != nullptr) return CachedPrF(tids, workspace);
-  index_->GatherProbs(tids, &workspace.probs);
-  return PrFFromProbs(workspace.probs, &workspace.dp);
-}
-
-double FrequentProbability::CachedPrF(const TidSet& tids,
-                                      DpWorkspace& workspace) const {
-  const double s = static_cast<double>(min_sup_);
-  const EvalCache::Lookup lookup = cache_->Probe(tids, min_sup_);
-  if (lookup.found) {
-    // Replay the short circuits off the cached mu first: the tail table
-    // holds raw DP values, but an uncached run that short-circuits never
-    // reaches the DP, and bit-identity means matching that path too. The
-    // cached mu is the ascending-tid-order sum, the same value
-    // PoissonBinomialMean produces from the gathered probabilities.
-    if (BestUpperTailBound(lookup.mu, tids.size(), s) < kNegligible) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return 0.0;
-    }
-    if (ChernoffLowerTail(lookup.mu, s - 1.0) < kNegligible) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return 1.0;
-    }
-    if (lookup.has_table) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      dp_reused_.fetch_add(1, std::memory_order_relaxed);
-      return lookup.tail;
-    }
-  }
-  // Miss, or a stored table truncated below this min_sup: gather and
-  // compute the full tail table so this and every smaller threshold are
-  // answered from the cache next time.
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  index_->GatherProbs(tids, &workspace.probs);
-  const std::vector<double>& probs = workspace.probs;
-  const double mu =
-      lookup.found ? lookup.mu : PoissonBinomialMean(probs);
-  if (!lookup.found) {
-    if (BestUpperTailBound(mu, probs.size(), s) < kNegligible) {
-      // PrF ~ 0 here and even smaller at every higher threshold, where
-      // the mu replay short-circuits again: no table needed.
-      cache_->Insert(tids, mu, 0, {1.0});
-      return 0.0;
-    }
-    if (ChernoffLowerTail(mu, s - 1.0) < kNegligible) {
-      // PrF ~ 1 here, but a HIGHER threshold may not short-circuit; with
-      // a floor set (sweep), prefill the table it will need — unless the
-      // short circuit still fires at the floor itself, in which case it
-      // fires at every threshold up to it (the lower-tail mass only
-      // grows with the threshold) and the table would never be read.
-      // The return value stays the short-circuit 1.0 either way.
-      const std::size_t floor = std::min(table_floor_, probs.size());
-      if (floor > min_sup_ &&
-          ChernoffLowerTail(mu, static_cast<double>(floor) - 1.0) >=
-              kNegligible) {
-        dp_runs_.fetch_add(1, std::memory_order_relaxed);
-        std::vector<double> table;
-        PoissonBinomialTailTable(probs.data(), probs.size(), floor,
-                                 &workspace.dp, &table);
-        cache_->Insert(tids, mu, floor, std::move(table));
-      } else {
-        cache_->Insert(tids, mu, 0, {1.0});
-      }
-      return 1.0;
-    }
-  }
-  dp_runs_.fetch_add(1, std::memory_order_relaxed);
-  // Extend the table to the floor (clamped to |tids|: any probe above
-  // that size is rejected by the tids.size() check before reaching the
-  // cache). table[t] is bit-identical to a direct DP at t for every
-  // t <= threshold, so the floor changes work done, never values.
-  const std::size_t threshold =
-      std::max(min_sup_, std::min(table_floor_, probs.size()));
-  std::vector<double> table;
-  PoissonBinomialTailTable(probs.data(), probs.size(), threshold,
-                           &workspace.dp, &table);
-  const double result = table[min_sup_];
-  cache_->Insert(tids, mu, threshold, std::move(table));
-  return result;
+  return std::nullopt;
 }
 
 double FrequentProbability::PrF(const TidSet& tids) const {
-  return PrF(tids, LocalDpWorkspace());
+  if (tids.size() < min_sup_) return 0.0;
+
+  // Cache tier. A stored entry replays the short circuits off its mu
+  // first: the tail table holds raw DP values, but an uncached run that
+  // short-circuits never reaches the DP, and bit-identity means matching
+  // that path too. The cached mu is the ascending-tid-order sum, the same
+  // value PoissonBinomialMean produces from the gathered probabilities.
+  EvalCache::Lookup lookup;
+  if (cache_ != nullptr) {
+    lookup = cache_->Probe(tids, min_sup_);
+    if (lookup.found) {
+      if (const std::optional<double> settled =
+              ShortCircuit(lookup.mu, tids.size())) {
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        return *settled;
+      }
+      if (lookup.has_table) {
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        dp_reused_.fetch_add(1, std::memory_order_relaxed);
+        return lookup.tail;
+      }
+    }
+    // Miss, or a stored table truncated below this min_sup.
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  DpWorkspace& workspace = LocalDpWorkspace();
+  index_->GatherProbs(tids, &workspace.probs);
+  const std::vector<double>& probs = workspace.probs;
+  const std::size_t n = probs.size();
+  const double mu = lookup.found ? lookup.mu : PoissonBinomialMean(probs);
+  const std::optional<double> settled =
+      lookup.found ? std::nullopt : ShortCircuit(mu, n);
+  if (settled.has_value()) {
+    if (cache_ == nullptr) return *settled;
+    // PrF ~ 0 stays short-circuited at every higher threshold, so the
+    // cached mu alone answers them. PrF ~ 1 may not: with a floor set
+    // (sweep), prefill the table a higher threshold will need — unless
+    // the short circuit still fires at the floor itself, in which case it
+    // fires at every threshold up to it (the lower-tail mass only grows
+    // with the threshold) and the table would never be read. The return
+    // value stays the short-circuit 1.0 either way.
+    const std::size_t floor = std::min(table_floor_, n);
+    const bool prefill =
+        *settled == 1.0 && floor > min_sup_ &&
+        ChernoffLowerTail(mu, static_cast<double>(floor) - 1.0) >=
+            kNegligible;
+    if (!prefill) {
+      cache_->Insert(tids, mu, 0, {1.0});
+      return *settled;
+    }
+  }
+
+  dp_runs_.fetch_add(1, std::memory_order_relaxed);
+  if (cache_ == nullptr) {
+    return PoissonBinomialTailAtLeast(probs.data(), n, min_sup_,
+                                      &workspace.dp);
+  }
+  // Tabulate every threshold up to the floor (clamped to |tids|: any probe
+  // above that size is rejected by the tids.size() check before reaching
+  // the cache), so this and every smaller threshold are answered from the
+  // cache next time. table[t] is bit-identical to a direct DP at t for
+  // every t <= threshold, so the floor changes work done, never values.
+  const std::size_t threshold = std::max(min_sup_, std::min(table_floor_, n));
+  std::vector<double> table;
+  PoissonBinomialTailTable(probs.data(), n, threshold, &workspace.dp, &table);
+  const double result = settled.value_or(table[min_sup_]);
+  cache_->Insert(tids, mu, threshold, std::move(table));
+  return result;
 }
 
 double FrequentProbability::PrFUpperBound(const TidSet& tids) const {

@@ -6,23 +6,34 @@
 // circuits: when the tail bound already pins the probability to 0 or 1
 // within 1e-15 the DP is skipped (far below any decision threshold).
 //
-// Hot-path calls take a DpWorkspace so the probability gather and the DP
-// row reuse per-thread buffers; the workspace-free overloads fall back to
-// the calling thread's LocalDpWorkspace().
+// The probability gather and the DP row live in the calling thread's
+// DpWorkspace, so a warm thread evaluates PrF with zero heap allocation.
 #ifndef PFCI_CORE_FREQUENT_PROBABILITY_H_
 #define PFCI_CORE_FREQUENT_PROBABILITY_H_
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "src/core/execution.h"
 #include "src/data/tidset.h"
 #include "src/data/vertical_index.h"
 
 namespace pfci {
 
 class EvalCache;
+
+/// Scratch for one PrF evaluation, grown to the run's high-water mark.
+struct DpWorkspace {
+  std::vector<double> probs;  ///< ProbsOf(Tids(X)) gather target.
+  std::vector<double> dp;     ///< Truncated Poisson-binomial DP row.
+};
+
+/// The calling thread's workspace (thread_local). Safe under the helping
+/// scheduler: its contents are live only inside one PrF evaluation, which
+/// never suspends, so another task run on this thread meanwhile (while a
+/// ParallelFor caller helps) only reaches it between PrF calls.
+DpWorkspace& LocalDpWorkspace();
 
 /// Evaluates frequent probabilities against a fixed database and min_sup.
 ///
@@ -41,23 +52,14 @@ class FrequentProbability {
                       std::size_t table_floor = 0);
 
   /// Exact PrF over the transactions in `tids` (modulo the 1e-15 short
-  /// circuits described above). Uses the calling thread's workspace.
+  /// circuits described above).
   double PrF(const TidSet& tids) const;
-
-  /// As above with an explicit workspace (zero-alloc once warm).
-  double PrF(const TidSet& tids, DpWorkspace& workspace) const;
-
-  /// Exact PrF from raw probabilities.
-  double PrFFromProbs(const std::vector<double>& probs) const;
-  double PrFFromProbs(const std::vector<double>& probs,
-                      std::vector<double>* dp_scratch) const;
 
   /// Cheap upper bound on PrF (Lemma 4.1's Chernoff-Hoeffding bound):
   /// never smaller than the exact value. Allocation-free.
   double PrFUpperBound(const TidSet& tids) const;
 
   std::size_t min_sup() const { return min_sup_; }
-  const VerticalIndex& index() const { return *index_; }
 
   /// Number of exact DP executions so far (work accounting). The counter
   /// is atomic so one evaluator can be shared by all tasks of a parallel
@@ -65,12 +67,6 @@ class FrequentProbability {
   /// not depend on scheduling), only the increment order varies.
   std::uint64_t dp_runs() const {
     return dp_runs_.load(std::memory_order_relaxed);
-  }
-  void ResetCounters() {
-    dp_runs_.store(0, std::memory_order_relaxed);
-    cache_hits_.store(0, std::memory_order_relaxed);
-    cache_misses_.store(0, std::memory_order_relaxed);
-    dp_reused_.store(0, std::memory_order_relaxed);
   }
 
   /// Per-evaluator cache accounting (all zero without a cache).
@@ -91,7 +87,10 @@ class FrequentProbability {
   }
 
  private:
-  double CachedPrF(const TidSet& tids, DpWorkspace& workspace) const;
+  /// The Chernoff-Hoeffding short circuits at min_sup for a tid-set of
+  /// `n` transactions with expected support `mu`: 0.0 or 1.0 when the
+  /// tail bound pins PrF there, nullopt when only the DP can tell.
+  std::optional<double> ShortCircuit(double mu, std::size_t n) const;
 
   const VerticalIndex* index_;
   std::size_t min_sup_;

@@ -1,5 +1,7 @@
 #include "src/core/search/candidate_oracle.h"
 
+#include <vector>
+
 namespace pfci {
 
 double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
@@ -40,13 +42,11 @@ double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
   // distributional tail approximation for the approximate PFI modes.
   double pr_f;
   if (mode_ == FrequencyMode::kExactDp) {
-    pr_f = req.workspace != nullptr ? freq_->PrF(tids, *req.workspace)
-                                    : freq_->PrF(tids);
+    pr_f = freq_->PrF(tids);
   } else {
-    DpWorkspace& ws =
-        req.workspace != nullptr ? *req.workspace : LocalDpWorkspace();
-    index_->GatherProbs(tids, &ws.probs);
-    pr_f = TailAtLeastWithMode(ws.probs, freq_->min_sup(), mode_);
+    std::vector<double>& probs = LocalDpWorkspace().probs;
+    index_->GatherProbs(tids, &probs);
+    pr_f = TailAtLeastWithMode(probs, freq_->min_sup(), mode_);
   }
   if (pr_f <= req.threshold) {
     if (stats != nullptr) ++stats->pruned_by_frequency;

@@ -11,7 +11,6 @@
 #define PFCI_CORE_SEARCH_CANDIDATE_ORACLE_H_
 
 #include "src/core/eval_cache.h"
-#include "src/core/execution.h"
 #include "src/core/frequent_probability.h"
 #include "src/core/mining_result.h"
 #include "src/data/vertical_index.h"
@@ -43,10 +42,6 @@ struct QualifyRequest {
   /// provably below threshold". Used by the top-k candidate filter,
   /// whose dynamic threshold makes a static exact check unsound.
   bool exact_check = true;
-
-  /// Scratch for the exact-DP path (null: the calling thread's
-  /// workspace).
-  DpWorkspace* workspace = nullptr;
 };
 
 /// Owns the candidate qualification pipeline: count floor -> warm-start
@@ -82,8 +77,6 @@ class CandidateOracle {
   /// Sentinel returned by bound-only queries that were not rejected;
   /// compares greater than any real threshold.
   static constexpr double kAdmittedByBounds = 2.0;
-
-  const FrequentProbability& freq() const { return *freq_; }
 
  private:
   const VerticalIndex* index_;

@@ -42,13 +42,9 @@ class ClosureOperator {
   /// for the threshold-based miners; top-k passes its rising floor.
   FcpComputation CertifyAt(double threshold, const Itemset& x,
                            const TidSet& tids, double pr_f, Rng& rng,
-                           MiningStats* stats, DpWorkspace* workspace,
-                           WorkUnitBudget* unit) const {
-    return engine_->EvaluateAt(threshold, x, tids, pr_f, rng, stats,
-                               workspace, unit);
+                           MiningStats* stats, WorkUnitBudget* unit) const {
+    return engine_->EvaluateAt(threshold, x, tids, pr_f, rng, stats, unit);
   }
-
-  const FcpEngine& engine() const { return *engine_; }
 
  private:
   const VerticalIndex* index_;

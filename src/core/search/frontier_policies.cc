@@ -86,10 +86,6 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     dfs.candidates = &candidates_;
     dfs.stats = &part.stats;
     dfs.rng = &rng;
-    // The executing thread's workspace: safe because a workspace is only
-    // live within one PrF evaluation, which never suspends into the
-    // helping scheduler.
-    dfs.workspace = &LocalDpWorkspace();
     dfs.unit = &unit;
     dfs.failpoint = "mpfci/node";
     dfs.count_floor = true;
@@ -242,7 +238,7 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
       Rng rng(DeriveSeed(params.seed, entry_counter_ + i));
       comps[i] = ctx.closure->CertifyAt(
           params.pfct, level_[i].items, level_[i].tids, level_[i].pr_f, rng,
-          &comp_stats[i], &LocalDpWorkspace(), &units[i]);
+          &comp_stats[i], &units[i]);
     };
     if (ctx.exec->pool != nullptr && ctx.exec->pool->num_threads() > 1) {
       ctx.exec->pool->ParallelFor(eval_count, evaluate, /*grain=*/1);
@@ -417,7 +413,6 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
   dfs.candidates = &candidates_;
   dfs.stats = &result.stats;
   dfs.rng = &rng;
-  dfs.workspace = nullptr;
   dfs.unit = &unit;
   dfs.failpoint = "topk/node";
   dfs.count_floor = false;
@@ -546,8 +541,7 @@ void FlatCheckFrontier::Search(const SearchContext& ctx,
     }
     Rng rng(DeriveSeed(params.seed, i));
     const ExtensionEventSet events(*ctx.index, *ctx.freq, pfis_[i].items,
-                                   pfis_[i].tids, &LocalDpWorkspace(),
-                                   nullptr);
+                                   pfis_[i].tids);
     if (rt != nullptr && events.size() > 0) {
       WorkUnitBudget unit = rt->UnitBudget(i, pfis_.size());
       if (!unit.TakeSamples(KarpLubyRequiredSamples(

@@ -116,7 +116,6 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
     QualifyRequest req;
     req.threshold = dfs.threshold();
     req.count_floor = dfs.count_floor;
-    req.workspace = dfs.workspace;
     const double child_pr_f = ctx.oracle->Qualify(child_tids, req, &stats);
     if (child_pr_f > req.threshold) {
       ClosedDfs(dfs, x.WithItem(item), child_tids, child_pr_f, c);
@@ -131,7 +130,7 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   }
   const FcpComputation comp =
       ctx.closure->CertifyAt(dfs.threshold(), x, tids, pr_f, *dfs.rng, &stats,
-                             dfs.workspace, dfs.unit);
+                             dfs.unit);
   if (comp.undecided) return;
   if (comp.is_pfci) dfs.emit(MakePfciEntry(x, comp));
 }

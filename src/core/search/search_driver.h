@@ -112,7 +112,6 @@ struct ClosedDfsContext {
   const std::vector<Item>* candidates;  ///< First-level extension items.
   MiningStats* stats;
   Rng* rng;
-  DpWorkspace* workspace;  ///< Null: certify without a workspace (top-k).
   WorkUnitBudget* unit;
   const char* failpoint;  ///< Node-expansion failpoint name.
   bool count_floor;       ///< Child floor rejections bump pruned_by_frequency.

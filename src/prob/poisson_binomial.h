@@ -6,6 +6,11 @@
 // contain X, so this is the probabilistic core of the whole library
 // (Definition 3.4 of the paper; the DP is the "dynamic programming approach
 // [22]" the paper relies on).
+//
+// Every entry point below runs one truncated recurrence: the pmf is its
+// final row, a tail one absorbing state, a tail table one per threshold.
+// The build pins -ffp-contract=off so no target fuses its multiply-adds
+// into FMAs, which would change the bits the goldens pin.
 #ifndef PFCI_PROB_POISSON_BINOMIAL_H_
 #define PFCI_PROB_POISSON_BINOMIAL_H_
 
@@ -43,12 +48,12 @@ double PoissonBinomialTailAtLeast(const double* probs, std::size_t n,
 ///
 /// Bit-exactness contract (relied on by the evaluation cache): each
 /// table[t] is bit-identical to a direct PoissonBinomialTailAtLeast(probs,
-/// n, t, ...) call. The truncated DP's state s depends only on states
-/// <= s, so its trajectory is the same under every truncation above s;
-/// maintaining one absorbed-mass accumulator per threshold — updated with
-/// `table[t] += dp[t-1] * p` before each item's in-place state update,
-/// exactly where the direct run adds to `reached` — replays each direct
-/// run's floating-point addition sequence verbatim.
+/// n, t, ...) call. Both run the same recurrence, and the truncated DP's
+/// state s depends only on states <= s, so its trajectory is the same
+/// under every truncation above s: the table keeps one absorbed-mass
+/// accumulator per threshold, added to at the point in the item loop
+/// where a direct run at that threshold adds to its single one, which
+/// replays each direct run's floating-point addition sequence verbatim.
 ///
 /// Cost is O(n * threshold) time and O(threshold) space — the same order
 /// as the single largest direct evaluation, so precomputing the whole
@@ -57,10 +62,6 @@ void PoissonBinomialTailTable(const double* probs, std::size_t n,
                               std::size_t threshold,
                               std::vector<double>* dp_scratch,
                               std::vector<double>* table);
-
-/// Allocating convenience form of PoissonBinomialTailTable.
-std::vector<double> PoissonBinomialTailTable(const std::vector<double>& probs,
-                                             std::size_t threshold);
 
 /// Expected value of the sum (sum of p_i).
 double PoissonBinomialMean(const std::vector<double>& probs);

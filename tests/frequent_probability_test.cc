@@ -1,9 +1,13 @@
 // Unit tests for the frequent-probability evaluator (Definition 3.4).
 #include "src/core/frequent_probability.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
+#include "src/core/eval_cache.h"
 #include "src/data/vertical_index.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/random.h"
@@ -107,6 +111,67 @@ TEST(FrequentProbability, MatchesBruteForceOnRandomDb) {
           << x.ToString() << " min_sup=" << min_sup;
     }
   }
+}
+
+TEST(FrequentProbability, CacheTiersPinValuesAndCounters) {
+  // Four disjoint 200-transaction tid-sets, each steering the cached
+  // evaluation down one tier: item 0 (mu = 120) always needs the DP,
+  // items 1 and 2 (p = .9, mu = 180) short-circuit to 1 at min_sup 60,
+  // item 3 (p = .1, mu = 20) short-circuits to 0 at min_sup 80.
+  UncertainDatabase db;
+  for (int k = 0; k < 200; ++k) db.Add(Itemset{0}, 0.3 + 0.6 * (k % 10) / 9.0);
+  for (int k = 0; k < 200; ++k) db.Add(Itemset{1}, 0.9);
+  for (int k = 0; k < 200; ++k) db.Add(Itemset{2}, 0.9);
+  for (int k = 0; k < 200; ++k) db.Add(Itemset{3}, 0.1);
+  const VerticalIndex index(db);
+  EvalCache cache(EvalCache::Options{});
+
+  struct Step {
+    const char* what;
+    Item item;
+    std::size_t min_sup;
+    std::size_t table_floor;
+    double value;  // Exact short-circuit answer, or -1 for a DP value.
+    std::uint64_t dp_runs, cache_hits, cache_misses, dp_reused;
+    std::uint64_t entries, bytes;
+  };
+  const Step steps[] = {
+      {"miss, table to the floor", 0, 120, 130, -1, 1, 0, 1, 0, 1, 1976},
+      {"table hit", 0, 125, 130, -1, 0, 1, 0, 1, 1, 1976},
+      {"truncated table upgrade", 0, 140, 130, -1, 1, 0, 1, 0, 1, 2056},
+      {"upper short circuit, mu-only insert", 3, 80, 130, 0.0, 0, 0, 1, 0, 2,
+       2992},
+      {"upper short-circuit replay", 3, 80, 0, 0.0, 0, 1, 0, 0, 2, 2992},
+      {"lower short circuit, floor prefill", 1, 60, 150, 1.0, 1, 0, 1, 0, 3,
+       5128},
+      {"prefilled table hit", 1, 150, 150, -1, 0, 1, 0, 1, 3, 5128},
+      {"lower short circuit, floor short-circuits too", 2, 60, 65, 1.0, 0, 0,
+       1, 0, 4, 6064},
+      {"lower short-circuit replay", 2, 60, 0, 1.0, 0, 1, 0, 0, 4, 6064},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.what);
+    const TidSet tids = index.TidsOfItem(step.item);
+    const FrequentProbability cached(index, step.min_sup, &cache,
+                                     step.table_floor);
+    const FrequentProbability direct(index, step.min_sup);
+    const double got = cached.PrF(tids);
+    const double want = direct.PrF(tids);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want));
+    if (step.value >= 0.0) {
+      EXPECT_EQ(got, step.value);
+    } else {
+      EXPECT_EQ(direct.dp_runs(), 1u);
+    }
+    EXPECT_EQ(cached.dp_runs(), step.dp_runs);
+    EXPECT_EQ(cached.cache_hits(), step.cache_hits);
+    EXPECT_EQ(cached.cache_misses(), step.cache_misses);
+    EXPECT_EQ(cached.dp_reused(), step.dp_reused);
+    EXPECT_EQ(cache.entries(), step.entries);
+    EXPECT_EQ(cache.bytes(), step.bytes);
+  }
+  EXPECT_EQ(cache.evictions(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the Poisson-binomial distribution primitives.
 #include "src/prob/poisson_binomial.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -112,6 +113,73 @@ TEST(PoissonBinomialTail, MonotoneInProbabilities) {
   std::vector<double> bumped = base;
   bumped[0] = 0.9;
   EXPECT_GE(PoissonBinomialTailAtLeast(bumped, 2), before);
+}
+
+// Entry-point parity: the evaluation cache answers a threshold t from a
+// tail table built at some T >= t, so TailTable(T)[t] must carry exactly
+// the bits of a direct TailAtLeast(t) run. The atoms exercise exact zeros,
+// certain transactions and near-0/near-1 rounding.
+std::vector<double> ParityVector(std::uint64_t seed) {
+  constexpr double kAtoms[] = {0.0, 1.0, 1e-12, 1.0 - 1e-12};
+  Rng rng(seed);
+  std::vector<double> probs(rng.NextBelow(81));
+  for (double& p : probs) {
+    p = rng.NextBernoulli(0.3) ? kAtoms[rng.NextBelow(4)] : rng.NextDouble();
+  }
+  return probs;
+}
+
+TEST(PoissonBinomialTailTable, EveryEntryMatchesDirectTailBitwise) {
+  std::vector<double> scratch;
+  std::vector<double> table;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const std::vector<double> probs = ParityVector(seed);
+    const std::size_t n = probs.size();
+    std::vector<std::uint64_t> direct(n + 3);
+    for (std::size_t t = 0; t <= n + 2; ++t) {
+      direct[t] = std::bit_cast<std::uint64_t>(
+          PoissonBinomialTailAtLeast(probs.data(), n, t, &scratch));
+    }
+    for (std::size_t threshold = 0; threshold <= n + 2; ++threshold) {
+      PoissonBinomialTailTable(probs.data(), n, threshold, &scratch, &table);
+      ASSERT_EQ(table.size(), threshold + 1);
+      for (std::size_t t = 0; t <= threshold; ++t) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(table[t]), direct[t])
+            << "seed=" << seed << " n=" << n << " T=" << threshold
+            << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(PoissonBinomialPmf, PinnedBits) {
+  struct Case {
+    std::vector<double> probs;
+    std::vector<double> pmf;
+  };
+  const Case cases[] = {
+      {{0.9, 0.6, 0.7, 0.9},
+       {0x1.3a92a3055326p-10, 0x1.ad42c3c9eeccp-6, 0x1.793dd97f62b6cp-3,
+        0x1.caf4f0d844d02p-2, 0x1.5c5d63886594bp-2}},
+      {{1e-12, 1.0 - 1e-12, 0.5, 0.0, 1.0, 0.3, 0.77},
+       {0x0p+0, 0x1.6a8820c49a173p-44, 0x1.49ba5e35436b6p-4,
+        0x1.89ba5e353e4ep-2, 0x1.ad916872aea31p-2, 0x1.d916872b055d4p-4,
+        0x1.041537862accep-43, 0x0p+0}},
+      {{0.11, 0.23, 0.37, 0.41, 0.53, 0.67, 0.79, 0.83, 0.97},
+       {0x1.62f2a1949b99ep-15, 0x1.fc76a3e5b198bp-10, 0x1.5ea20786265c2p-6,
+        0x1.a0b22a4b3d0c3p-4, 0x1.f3b202b0196cbp-3, 0x1.4180c5cb229efp-2,
+        0x1.c30473cb3290fp-3, 0x1.4e17d14ddaebp-4, 0x1.d392adbc09dfdp-7,
+        0x1.c677e378b2a6p-11}},
+  };
+  for (const Case& c : cases) {
+    const std::vector<double> pmf = PoissonBinomialPmf(c.probs);
+    ASSERT_EQ(pmf.size(), c.pmf.size());
+    for (std::size_t s = 0; s < pmf.size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pmf[s]),
+                std::bit_cast<std::uint64_t>(c.pmf[s]))
+          << "n=" << c.probs.size() << " s=" << s << " got " << pmf[s];
+    }
+  }
 }
 
 }  // namespace
