@@ -5,6 +5,7 @@
 // results (e.g. why Lemma 4.4's O(m^2) bounds beat one ApproxFCP call).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/core/extension_events.h"
@@ -41,6 +42,29 @@ void BM_PoissonBinomialTail(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PoissonBinomialTail)->Range(64, 8192)->Complexity();
+
+// The quest-dp workload's DP shape: n = 5200 transactions with p ~
+// N(.8, .1) clipped to [0, 1], threshold 4000. `cells` is the banded
+// kernel's state updates per call, T * (n - T + 1); `time_per_cell` is
+// the measured time per update.
+void BM_PoissonBinomialTailQuestShaped(benchmark::State& state) {
+  constexpr std::size_t kN = 5200;
+  constexpr std::size_t kThreshold = 4000;
+  Rng rng(6);
+  std::vector<double> probs(kN);
+  for (double& p : probs) p = std::clamp(rng.NextGaussian(0.8, 0.1), 0.0, 1.0);
+  std::vector<double> scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        PoissonBinomialTailAtLeast(probs.data(), kN, kThreshold, &scratch));
+  }
+  const double cells = static_cast<double>(kThreshold * (kN - kThreshold + 1));
+  state.counters["cells"] = cells;
+  state.counters["time_per_cell"] = benchmark::Counter(
+      cells, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PoissonBinomialTailQuestShaped);
 
 void BM_PoissonBinomialPmf(benchmark::State& state) {
   const std::vector<double> probs =

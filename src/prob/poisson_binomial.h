@@ -9,8 +9,18 @@
 //
 // Every entry point below runs one truncated recurrence: the pmf is its
 // final row, a tail one absorbing state, a tail table one per threshold.
-// The build pins -ffp-contract=off so no target fuses its multiply-adds
-// into FMAs, which would change the bits the goldens pin.
+//
+// The kernel updates only the live band of states: with r items left, a
+// state below threshold - r can no longer reach the threshold, so it is
+// never touched again (its stale value is never read). It runs the band
+// eight states at a time in SIMD lanes (a GCC/Clang vector type, in place,
+// descending), and picks an AVX-512, AVX2 or baseline build of the same
+// code once per process through __builtin_cpu_supports. Every lane does
+// the scalar recurrence's multiply, multiply and add on the same operands,
+// and every returned value depends only on live states, so results are
+// bit-identical to the plain unbanded scalar loop on every ISA. The build
+// pins -ffp-contract=off so no target fuses those multiply-adds into
+// FMAs, which would change the bits the goldens pin.
 #ifndef PFCI_PROB_POISSON_BINOMIAL_H_
 #define PFCI_PROB_POISSON_BINOMIAL_H_
 
@@ -28,8 +38,8 @@ std::vector<double> PoissonBinomialPmf(const std::vector<double>& probs);
 ///
 /// Uses the truncated dynamic program of the paper's frequent-probability
 /// computation: states 0..threshold-1 plus one absorbing "reached threshold"
-/// state, O(n * threshold) time and O(threshold) space. threshold == 0
-/// returns 1 exactly.
+/// state, O(threshold * (n - threshold + 1)) time (the live band) and
+/// O(threshold) space. threshold == 0 returns 1 exactly.
 double PoissonBinomialTailAtLeast(const std::vector<double>& probs,
                                   std::size_t threshold);
 
@@ -55,9 +65,9 @@ double PoissonBinomialTailAtLeast(const double* probs, std::size_t n,
 /// where a direct run at that threshold adds to its single one, which
 /// replays each direct run's floating-point addition sequence verbatim.
 ///
-/// Cost is O(n * threshold) time and O(threshold) space — the same order
-/// as the single largest direct evaluation, so precomputing the whole
-/// table costs at most ~2x one direct run at `threshold`.
+/// Cost is O(n * threshold) time and O(threshold) space: every threshold
+/// down to 1 keeps the whole row live, so the band saves nothing here
+/// and the table costs up to ~2x an unbanded direct run at `threshold`.
 void PoissonBinomialTailTable(const double* probs, std::size_t n,
                               std::size_t threshold,
                               std::vector<double>* dp_scratch,

@@ -68,9 +68,15 @@ TEST(FpTree, HeaderCountsAndPatternBase) {
   const FpTree tree(rows);
   // Total counts: item0=3, item1=5, item2=6.
   for (const auto& entry : tree.header()) {
-    if (entry.item == 0) EXPECT_EQ(entry.total_count, 3u);
-    if (entry.item == 1) EXPECT_EQ(entry.total_count, 5u);
-    if (entry.item == 2) EXPECT_EQ(entry.total_count, 6u);
+    if (entry.item == 0) {
+      EXPECT_EQ(entry.total_count, 3u);
+    }
+    if (entry.item == 1) {
+      EXPECT_EQ(entry.total_count, 5u);
+    }
+    if (entry.item == 2) {
+      EXPECT_EQ(entry.total_count, 6u);
+    }
   }
   // Conditional pattern base of item 2: prefixes {0,1}x2, {0}x1, {1}x3.
   const auto base = tree.ConditionalPatternBase(2);

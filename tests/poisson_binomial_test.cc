@@ -1,6 +1,7 @@
 // Unit tests for the Poisson-binomial distribution primitives.
 #include "src/prob/poisson_binomial.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -119,8 +120,9 @@ TEST(PoissonBinomialTail, MonotoneInProbabilities) {
 // tail table built at some T >= t, so TailTable(T)[t] must carry exactly
 // the bits of a direct TailAtLeast(t) run. The atoms exercise exact zeros,
 // certain transactions and near-0/near-1 rounding.
+constexpr double kAtoms[] = {0.0, 1.0, 1e-12, 1.0 - 1e-12};
+
 std::vector<double> ParityVector(std::uint64_t seed) {
-  constexpr double kAtoms[] = {0.0, 1.0, 1e-12, 1.0 - 1e-12};
   Rng rng(seed);
   std::vector<double> probs(rng.NextBelow(81));
   for (double& p : probs) {
@@ -178,6 +180,187 @@ TEST(PoissonBinomialPmf, PinnedBits) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(pmf[s]),
                 std::bit_cast<std::uint64_t>(c.pmf[s]))
           << "n=" << c.probs.size() << " s=" << s << " got " << pmf[s];
+    }
+  }
+}
+
+// The kernel's bitwise oracle: the plain recurrence, with every state
+// below `states` updated in scalar order each item and every threshold in
+// [lo, hi] absorbed, live or not.
+void PlainRecurrence(const double* probs, std::size_t n, std::size_t states,
+                     std::size_t lo, std::size_t hi,
+                     std::vector<double>* dp_row, double* tail) {
+  dp_row->assign(states, 0.0);
+  double* dp = dp_row->data();
+  dp[0] = 1.0;
+  std::size_t upper = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = probs[i];
+    const double q = 1.0 - p;
+    for (std::size_t t = lo; t <= hi; ++t) tail[t - lo] += dp[t - 1] * p;
+    const std::size_t top = std::min(upper + 1, states - 1);
+    for (std::size_t s = top; s > 0; --s) {
+      dp[s] = dp[s] * q + dp[s - 1] * p;
+    }
+    dp[0] *= q;
+    upper = top;
+  }
+}
+
+double PlainTail(const std::vector<double>& probs, std::size_t threshold) {
+  if (threshold == 0) return 1.0;
+  if (threshold > probs.size()) return 0.0;
+  std::vector<double> dp;
+  double reached = 0.0;
+  PlainRecurrence(probs.data(), probs.size(), threshold, threshold,
+                  threshold, &dp, &reached);
+  return reached;
+}
+
+std::vector<double> PlainTable(const std::vector<double>& probs,
+                               std::size_t threshold) {
+  std::vector<double> table(threshold + 1, 0.0);
+  table[0] = 1.0;
+  const std::size_t cap = std::min(threshold, probs.size());
+  std::vector<double> dp;
+  if (cap > 0) {
+    PlainRecurrence(probs.data(), probs.size(), cap, 1, cap, &dp,
+                    table.data() + 1);
+  }
+  return table;
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Uniform draws, a share of them replaced by the fuzz harness's atoms.
+std::vector<double> KernelVector(std::size_t n, double atom_share,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> probs(n);
+  for (double& p : probs) {
+    p = rng.NextBernoulli(atom_share) ? kAtoms[rng.NextBelow(4)]
+                                      : rng.NextDouble();
+  }
+  return probs;
+}
+
+void ExpectKernelMatchesPlainRecurrence(const std::vector<double>& probs,
+                                        const char* label) {
+  const std::size_t n = probs.size();
+  std::vector<double> scratch;
+  std::vector<double> table;
+  const std::vector<double> pmf = PoissonBinomialPmf(probs);
+  std::vector<double> plain_pmf;
+  PlainRecurrence(probs.data(), n, n + 1, 1, 0, &plain_pmf, nullptr);
+  ASSERT_EQ(pmf.size(), plain_pmf.size());
+  for (std::size_t s = 0; s <= n; ++s) {
+    ASSERT_EQ(Bits(pmf[s]), Bits(plain_pmf[s]))
+        << label << " n=" << n << " pmf s=" << s;
+  }
+  for (std::size_t threshold = 0; threshold <= n + 2; ++threshold) {
+    ASSERT_EQ(Bits(PoissonBinomialTailAtLeast(probs.data(), n, threshold,
+                                              &scratch)),
+              Bits(PlainTail(probs, threshold)))
+        << label << " n=" << n << " tail T=" << threshold;
+    PoissonBinomialTailTable(probs.data(), n, threshold, &scratch, &table);
+    const std::vector<double> plain_table = PlainTable(probs, threshold);
+    ASSERT_EQ(table.size(), plain_table.size());
+    for (std::size_t t = 0; t <= threshold; ++t) {
+      ASSERT_EQ(Bits(table[t]), Bits(plain_table[t]))
+          << label << " n=" << n << " table T=" << threshold << " t=" << t;
+    }
+  }
+}
+
+// The banded, lane-parallel kernel must return the plain recurrence's bits
+// at every n (every lane remainder and band edge below 70), every
+// threshold including n-1, n and above n, and in all three entry points.
+TEST(PoissonBinomialKernel, MatchesPlainRecurrenceBitwise) {
+  for (std::size_t n = 0; n <= 70; ++n) {
+    ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.0, 1000 + n),
+                                       "uniform");
+    ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.3, 2000 + n),
+                                       "atoms");
+  }
+  for (std::size_t n : {297, 300, 303}) {
+    ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.3, 3000 + n),
+                                       "atoms");
+  }
+}
+
+// Pr{sum >= threshold} in long double: the same recurrence over only the
+// band of states that are both reachable and still able to reach the
+// threshold, so the reference costs what the kernel does.
+long double ReferenceTail(const std::vector<double>& probs,
+                          std::size_t threshold) {
+  const std::size_t n = probs.size();
+  if (threshold == 0) return 1.0L;
+  if (threshold > n) return 0.0L;
+  std::vector<long double> dp(threshold, 0.0L);
+  dp[0] = 1.0L;
+  long double reached = 0.0L;
+  std::size_t upper = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const long double p = probs[i];
+    const long double q = 1.0L - p;
+    if (upper + 1 == threshold) reached += dp[threshold - 1] * p;
+    const std::size_t top = std::min(upper + 1, threshold - 1);
+    const std::size_t rem = n - i - 1;
+    const std::size_t bottom = threshold > rem ? threshold - rem : 0;
+    for (std::size_t s = top; s > 0 && s >= bottom; --s) {
+      dp[s] = dp[s] * q + dp[s - 1] * p;
+    }
+    if (bottom == 0) dp[0] *= q;
+    upper = top;
+  }
+  return reached;
+}
+
+std::vector<double> NearOneVector(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> probs(n);
+  for (double& p : probs) {
+    p = rng.NextBernoulli(0.1) ? kAtoms[rng.NextBelow(4)]
+                               : 0.999 + 0.001 * rng.NextDouble();
+  }
+  return probs;
+}
+
+// Accuracy at scale: the double-precision kernel stays within 1e-13 of a
+// long-double reference at n up to 3e4, one standard deviation either side
+// of the mean (tails near 0.84 and 0.16) and at n - 1 and n. The near-one
+// vector's mean sits at ~0.95 n (its 1e-12 and 0 atoms cap the sum there),
+// so its thresholds test T near n over long runs of p ~ 1. A threshold
+// costs the reference T * (n - T + 1) long-double cells; those above
+// kMaxCells are skipped to keep unoptimized builds fast, which drops only
+// the near-mean thresholds of the uniform vector at n = 3e4.
+TEST(PoissonBinomialKernel, AccurateAtScaleAgainstLongDouble) {
+  constexpr double kMaxCells = 5e7;
+  std::vector<double> scratch;
+  for (std::size_t n : {1000, 10000, 30000}) {
+    struct Case {
+      const char* label;
+      std::vector<double> probs;
+    };
+    const Case cases[] = {{"uniform", KernelVector(n, 0.1, n)},
+                          {"near-one", NearOneVector(n, n + 1)}};
+    for (const Case& c : cases) {
+      const std::size_t center =
+          static_cast<std::size_t>(PoissonBinomialMean(c.probs));
+      const std::size_t sd = static_cast<std::size_t>(
+          std::sqrt(PoissonBinomialVariance(c.probs)));
+      for (std::size_t threshold : {center - sd, center + sd, n - 1, n}) {
+        if (static_cast<double>(threshold) * (n - threshold + 1) >
+            kMaxCells) {
+          continue;
+        }
+        const double got = PoissonBinomialTailAtLeast(
+            c.probs.data(), n, threshold, &scratch);
+        const long double want = ReferenceTail(c.probs, threshold);
+        EXPECT_LE(std::fabs(static_cast<long double>(got) - want), 1e-13L)
+            << c.label << " n=" << n << " T=" << threshold << " got " << got
+            << " want " << static_cast<double>(want);
+      }
     }
   }
 }

@@ -2,8 +2,9 @@
 // data as exact baskets (.dat) or as an uncertain database (.utd) with
 // Gaussian tuple probabilities.
 //
-//   $ pfci_datagen quest OUT.utd --transactions=30000 --avg-len=20 \
+//   $ pfci_datagen quest OUT.utd --transactions=30000 --avg-len=20
 //         --pattern-len=10 --items=40 --mean=0.8 --spread=0.1 --seed=42
+//     (one command line, wrapped here)
 //   $ pfci_datagen mushroom OUT.dat --exact --transactions=8124
 #include <cstdio>
 #include <cstring>
