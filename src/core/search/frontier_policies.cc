@@ -75,7 +75,8 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
   const auto mine_subtree = [&](std::size_t c) {
     if (restored_done_.size() == n && restored_done_[c]) return;
     if (DrainPending(ctx.rt)) return;
-    Rng rng(DeriveSeed(ctx.params->seed, candidates_[c]));
+    const Itemset root{candidates_[c]};
+    Rng rng(SubtreeSeed(ctx.params->seed, root));
     // Fair-share logical budgets: the quota depends only on the request
     // and the candidate count, never on scheduling.
     WorkUnitBudget unit =
@@ -90,12 +91,15 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     dfs.failpoint = "mpfci/node";
     dfs.count_floor = true;
     dfs.threshold = [pfct] { return pfct; };
-    dfs.emit = [&part, &ctx](PfciEntry entry) {
+    dfs.emit = [&part](PfciEntry entry) {
       part.itemsets.push_back(std::move(entry));
-      if (ctx.exec->progress != nullptr) ctx.exec->progress->AddItemsets();
     };
-    ClosedDfs(dfs, Itemset{candidates_[c]},
-              ctx.index->TidsOfItem(candidates_[c]), candidate_pr_f_[c], c);
+    // The subtree forks below its root; a quota-carrying unit runs its
+    // forks inline so truncation keeps the sequential prefix.
+    dfs.may_fork = true;
+    dfs.fork_pool = unit.Unlimited() ? ctx.exec->pool : nullptr;
+    ClosedDfs(dfs, root, ctx.index->TidsOfItem(candidates_[c]),
+              candidate_pr_f_[c], c);
     if (unit.truncated && ctx.rt != nullptr) {
       ctx.rt->RecordTruncation(Outcome::kBudgetExhausted);
     }
@@ -417,10 +421,7 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
   dfs.failpoint = "topk/node";
   dfs.count_floor = false;
   dfs.threshold = [this, floor] { return Threshold(floor); };
-  dfs.emit = [this, &ctx](PfciEntry entry) {
-    if (ctx.exec->progress != nullptr) ctx.exec->progress->AddItemsets();
-    Offer(std::move(entry));
-  };
+  dfs.emit = [this](PfciEntry entry) { Offer(std::move(entry)); };
 
   std::size_t c = next_candidate_;
   for (; c < candidates_.size() && !(unit.truncated || StopRequested(ctx.rt));

@@ -16,9 +16,10 @@ namespace pfci {
 
 /// MPFCI (Fig. 1): depth-first set-enumeration, parallelized by handing
 /// each first-level candidate's subtree to the work-stealing pool as one
-/// task. Each subtree's RNG is seeded by DeriveSeed(seed, root item) and
-/// partials merge in candidate order, so the output is bit-identical for
-/// any thread count.
+/// task, and forking heavy subtrees below it (ClosedDfs, kForkMinCost).
+/// Each subtree's RNG is seeded by SubtreeSeed(seed, root itemset) and
+/// partials merge in candidate (and spawn) order, so the output is
+/// bit-identical for any thread count.
 class WorkStealingDfsFrontier : public FrontierPolicy {
  public:
   const char* phase_name() const override { return "dfs"; }

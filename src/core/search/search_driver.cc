@@ -1,8 +1,13 @@
 #include "src/core/search/search_driver.h"
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/core/index_handle.h"
 #include "src/util/failpoint.h"
 #include "src/util/stopwatch.h"
+#include "src/util/thread_pool.h"
 #include "src/util/trace.h"
 
 namespace pfci {
@@ -78,6 +83,34 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   return result;
 }
 
+std::uint64_t SubtreeSeed(std::uint64_t seed, const Itemset& x) {
+  for (const Item item : x.items()) seed = DeriveSeed(seed, item);
+  return seed;
+}
+
+namespace {
+
+/// One forked child subtree: its own RNG scope and partial result, folded
+/// into the parent in spawn order. A spawned fork also gets a private
+/// (unlimited) ledger; an inline fork shares its unit's quota ledger.
+struct Fork {
+  Fork(const ClosedDfsContext& parent, const Itemset& x)
+      : rng(SubtreeSeed(parent.ctx->params->seed, x)), dfs(parent) {
+    dfs.stats = &stats;
+    dfs.rng = &rng;
+    dfs.emit = [this](PfciEntry entry) { entries.push_back(std::move(entry)); };
+    if (parent.fork_pool != nullptr) dfs.unit = &unit;
+  }
+
+  MiningStats stats;
+  std::vector<PfciEntry> entries;
+  Rng rng;
+  WorkUnitBudget unit;
+  ClosedDfsContext dfs;
+};
+
+}  // namespace
+
 void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
                double pr_f, std::size_t last_candidate_pos) {
   const SearchContext& ctx = *dfs.ctx;
@@ -99,11 +132,13 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   }
 
   bool x_may_be_closed = true;
-  for (std::size_t c = last_candidate_pos + 1; c < dfs.candidates->size();
-       ++c) {
-    if (dfs.unit->truncated || StopRequested(ctx.rt)) return;
+  std::vector<std::unique_ptr<Fork>> forks;
+  ThreadPool::TaskGroup group(dfs.fork_pool);
+  const std::size_t num_candidates = dfs.candidates->size();
+  for (std::size_t c = last_candidate_pos + 1; c < num_candidates; ++c) {
+    if (dfs.unit->truncated || StopRequested(ctx.rt)) break;
     const Item item = (*dfs.candidates)[c];
-    const TidSet child_tids = Intersect(tids, ctx.index->TidsOfItem(item));
+    TidSet child_tids = Intersect(tids, ctx.index->TidsOfItem(item));
     ++stats.intersections;
     const bool same_count = child_tids.size() == tids.size();
     if (ctx.params->pruning.subset && same_count) {
@@ -118,9 +153,24 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
     req.count_floor = dfs.count_floor;
     const double child_pr_f = ctx.oracle->Qualify(child_tids, req, &stats);
     if (child_pr_f > req.threshold) {
-      ClosedDfs(dfs, x.WithItem(item), child_tids, child_pr_f, c);
+      Itemset child = x.WithItem(item);
+      if (dfs.may_fork &&
+          ForksSubtree(child_tids.size(), num_candidates - c - 1)) {
+        forks.push_back(std::make_unique<Fork>(dfs, child));
+        group.Spawn([fork = forks.back().get(), child = std::move(child),
+                     child_tids = std::move(child_tids), child_pr_f, c] {
+          ClosedDfs(fork->dfs, child, child_tids, child_pr_f, c);
+        });
+      } else {
+        ClosedDfs(dfs, child, child_tids, child_pr_f, c);
+      }
     }
     if (ctx.params->pruning.subset && same_count) break;
+  }
+  group.Wait();
+  for (const std::unique_ptr<Fork>& fork : forks) {
+    stats.MergeCounters(fork->stats);
+    for (PfciEntry& entry : fork->entries) dfs.emit(std::move(entry));
   }
 
   if (dfs.unit->truncated || StopRequested(ctx.rt)) return;
@@ -131,8 +181,9 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   const FcpComputation comp =
       ctx.closure->CertifyAt(dfs.threshold(), x, tids, pr_f, *dfs.rng, &stats,
                              dfs.unit);
-  if (comp.undecided) return;
-  if (comp.is_pfci) dfs.emit(MakePfciEntry(x, comp));
+  if (comp.undecided || !comp.is_pfci) return;
+  if (ctx.exec->progress != nullptr) ctx.exec->progress->AddItemsets();
+  dfs.emit(MakePfciEntry(x, comp));
 }
 
 }  // namespace pfci

@@ -16,6 +16,8 @@
 #ifndef PFCI_CORE_SEARCH_SEARCH_DRIVER_H_
 #define PFCI_CORE_SEARCH_SEARCH_DRIVER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "src/core/execution.h"
@@ -32,6 +34,8 @@
 #include "src/util/runtime.h"
 
 namespace pfci {
+
+class ThreadPool;
 
 /// Read-only run state the driver hands to its policy: the request, the
 /// shared evaluators, and the kernel layers built over them.
@@ -104,6 +108,24 @@ class FrontierPolicy {
 MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
                        const ExecutionContext& exec, FrontierPolicy& policy);
 
+/// Fork rule of the MPFCI DFS (DESIGN.md §7): a qualified child whose
+/// estimated subtree cost, |tids| × candidates after it, reaches this
+/// cutoff is mined as a fork with its own RNG scope and partial result.
+inline constexpr std::uint64_t kForkMinCost = 65536;
+
+/// Whether a child with `num_tids` tids and `remaining_candidates`
+/// extension candidates forks. A pure function of the node: thread
+/// count, tid-set mode, budgets and pool never enter it.
+inline bool ForksSubtree(std::size_t num_tids,
+                         std::size_t remaining_candidates) {
+  return static_cast<std::uint64_t>(num_tids) * remaining_candidates >=
+         kForkMinCost;
+}
+
+/// Seed of the RNG scope rooted at `x`: DeriveSeed folded over its items,
+/// so a first-level subtree {i} draws from DeriveSeed(seed, i).
+std::uint64_t SubtreeSeed(std::uint64_t seed, const Itemset& x);
+
 /// Per-call state of one closed-itemset DFS work unit (an MPFCI
 /// first-level subtree, or the top-k run's single unit). The stats/rng/
 /// unit objects are owned by the caller and mutated in place.
@@ -119,15 +141,25 @@ struct ClosedDfsContext {
   /// top-k rising floor).
   std::function<double()> threshold;
   /// Receives each certified qualifying itemset (appends to a partial
-  /// result, or offers into the top-k pool). Owns progress reporting.
+  /// result, or offers into the top-k pool).
   std::function<void(PfciEntry)> emit;
+  /// Whether children fork (ForksSubtree). Set by the MPFCI frontier
+  /// only: top-k's threshold rises as results are emitted, so its DFS
+  /// stays one sequential stream.
+  bool may_fork = false;
+  /// Runs forks as tasks; null runs each fork inline, at once, in order.
+  /// Null whenever the unit carries a finite node or sample quota, so a
+  /// truncated unit stops at its sequential prefix.
+  ThreadPool* fork_pool = nullptr;
 };
 
 /// The set-enumeration-tree DFS shared by the work-stealing and top-k
 /// frontiers: checkpoint, superset pruning, child qualification through
 /// the oracle, subset pruning, and endgame certification (Fig. 1's
 /// Bounding-Pruning-Checking per node). `x` extends only with candidate
-/// items after position `last_candidate_pos`.
+/// items after position `last_candidate_pos`. A node waits for its forked
+/// children and folds their partials, in spawn order, before certifying
+/// itself.
 void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
                double pr_f, std::size_t last_candidate_pos);
 

@@ -129,6 +129,11 @@ struct WorkUnitBudget {
   /// True once any Take* was refused: the unit's remaining work is cut.
   bool truncated = false;
 
+  /// True when neither quota is finite (no Take* can ever be refused).
+  bool Unlimited() const {
+    return node_quota == kUnlimitedQuota && sample_quota == kUnlimitedQuota;
+  }
+
   /// Claims one search node; false (and truncated) when the quota is out.
   bool TakeNode() {
     if (nodes_used >= node_quota) {

@@ -7,10 +7,11 @@ namespace pfci {
 
 namespace {
 
-/// Worker index + 1 of the current thread in its owning pool; 0 for
-/// threads that are not pool workers (so external callers steal from
-/// every queue with equal priority).
-thread_local std::size_t tls_worker_slot = 0;
+/// The pool whose worker the current thread is (null for every other
+/// thread), and that worker's index. A thread outside the pool steals
+/// from every queue with equal priority.
+thread_local const ThreadPool* tls_pool = nullptr;
+thread_local std::size_t tls_worker = 0;
 
 constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
 
@@ -32,12 +33,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
 
 ThreadPool::~ThreadPool() {
   stop_.store(true, std::memory_order_release);
-  {
-    // Pairs with the wait predicate: no worker can re-check the predicate
-    // between our store and the notify and then sleep forever.
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-  }
-  wake_cv_.notify_all();
+  NotifyAll();
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -51,7 +47,20 @@ ThreadPool& ThreadPool::Shared() {
   return pool;
 }
 
-void ThreadPool::Push(std::size_t slot, std::function<void()> task) {
+void ThreadPool::NotifyAll() {
+  {
+    // Pairs with the wait predicates: no sleeper can re-check its
+    // predicate between the caller's state change and this notify and
+    // then sleep through it.
+    std::lock_guard<std::mutex> lock(wake_mutex_);
+  }
+  wake_cv_.notify_all();
+}
+
+void ThreadPool::Push(std::function<void()> task) {
+  const std::size_t slot =
+      tls_pool == this ? tls_worker
+                       : next_slot_.fetch_add(1, std::memory_order_relaxed);
   Queue& queue = *queues_[slot % queues_.size()];
   {
     std::lock_guard<std::mutex> lock(queue.mutex);
@@ -61,6 +70,8 @@ void ThreadPool::Push(std::size_t slot, std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(wake_mutex_);
   }
+  // Every sleeper's predicate accepts pending_ > 0, so whichever thread
+  // wakes goes stealing.
   wake_cv_.notify_one();
 }
 
@@ -90,7 +101,8 @@ bool ThreadPool::RunOneTask(std::size_t home) {
 }
 
 void ThreadPool::WorkerLoop(std::size_t self) {
-  tls_worker_slot = self + 1;
+  tls_pool = this;
+  tls_worker = self;
   for (;;) {
     if (RunOneTask(self)) continue;
     std::unique_lock<std::mutex> lock(wake_mutex_);
@@ -108,6 +120,42 @@ void ThreadPool::WorkerLoop(std::size_t self) {
   }
 }
 
+void ThreadPool::WaitUntilZero(const std::atomic<std::size_t>& open) {
+  const std::size_t home = tls_pool == this ? tls_worker : kNotAWorker;
+  while (open.load(std::memory_order_acquire) != 0) {
+    // Help first: running pending tasks (ours or anybody's) is what keeps
+    // nested waits from deadlocking the pool.
+    if (RunOneTask(home)) continue;
+    std::unique_lock<std::mutex> lock(wake_mutex_);
+    wake_cv_.wait(lock, [this, &open] {
+      return open.load(std::memory_order_acquire) == 0 ||
+             pending_.load(std::memory_order_acquire) > 0;
+    });
+  }
+}
+
+ThreadPool::TaskGroup::TaskGroup(ThreadPool* pool)
+    : pool_(pool != nullptr && !pool->workers_.empty() ? pool : nullptr) {}
+
+void ThreadPool::TaskGroup::Spawn(std::function<void()> task) {
+  if (pool_ == nullptr) {
+    task();
+    return;
+  }
+  open_.fetch_add(1, std::memory_order_relaxed);
+  ThreadPool* pool = pool_;
+  pool->Push([this, pool, task = std::move(task)] {
+    task();
+    // The group may be destroyed as soon as open_ reaches zero, so only
+    // the pool is touched after the decrement.
+    if (open_.fetch_sub(1, std::memory_order_acq_rel) == 1) pool->NotifyAll();
+  });
+}
+
+void ThreadPool::TaskGroup::Wait() {
+  if (pool_ != nullptr) pool_->WaitUntilZero(open_);
+}
+
 void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& body,
                              std::size_t grain) {
@@ -119,35 +167,14 @@ void ThreadPool::ParallelFor(std::size_t count,
   if (grain == 0) {
     grain = std::max<std::size_t>(1, count / (4 * num_threads_));
   }
-  const std::size_t num_chunks = (count + grain - 1) / grain;
-
-  // Remaining-index counter the caller spins on; shared_ptr so a task that
-  // finishes after ParallelFor returns (impossible, but cheap to be safe
-  // about) never touches a dead frame except through it.
-  auto done = std::make_shared<std::atomic<std::size_t>>(0);
-  // Scatter chunks across the worker deques, starting at this thread's
-  // own deque when called from a worker (nested case: LIFO pop then gives
-  // the freshly spawned chunks priority).
-  const std::size_t first_slot = tls_worker_slot != 0
-                                     ? tls_worker_slot - 1
-                                     : next_slot_.fetch_add(
-                                           1, std::memory_order_relaxed);
-  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const std::size_t begin = chunk * grain;
+  TaskGroup group(this);
+  for (std::size_t begin = 0; begin < count; begin += grain) {
     const std::size_t end = std::min(count, begin + grain);
-    Push(first_slot + chunk, [done, &body, begin, end] {
+    group.Spawn([&body, begin, end] {
       for (std::size_t i = begin; i < end; ++i) body(i);
-      done->fetch_add(end - begin, std::memory_order_acq_rel);
     });
   }
-
-  const std::size_t home =
-      tls_worker_slot != 0 ? tls_worker_slot - 1 : kNotAWorker;
-  while (done->load(std::memory_order_acquire) < count) {
-    // Help: run pending tasks (ours or anybody's) instead of blocking, so
-    // nested ParallelFor calls cannot deadlock.
-    if (!RunOneTask(home)) std::this_thread::yield();
-  }
+  group.Wait();
 }
 
 }  // namespace pfci

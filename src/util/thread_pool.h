@@ -2,18 +2,21 @@
 //
 // The pool owns `num_threads - 1` worker threads (the caller of
 // ParallelFor is the remaining thread and always participates). Work is
-// distributed as index chunks over per-worker deques: an owner pops from
-// the back of its own deque (LIFO, cache-friendly for nested spawns) while
+// distributed as tasks over per-worker deques: an owner pops from the
+// back of its own deque (LIFO, cache-friendly for nested spawns) while
 // idle workers steal from the front of a victim's deque (FIFO, oldest and
 // therefore largest-granularity work first).
 //
-// ParallelFor may be called from inside a task (nested parallelism): the
-// waiting thread never blocks on a condition variable while work is
-// outstanding — it keeps executing pending tasks ("helping"), so nested
-// waits cannot deadlock the pool.
+// Fork-join: a TaskGroup spawns tasks and waits for them; ParallelFor is
+// one TaskGroup over index chunks. Groups nest — a task may open its own
+// group on the same pool. A waiting thread first helps: it runs pending
+// tasks (its group's or anybody's), so nested waits cannot deadlock the
+// pool. Only when no task is left to steal does it block on a condition
+// variable, which every Push and every group's last completion signal;
+// an idle waiter costs no CPU.
 //
-// Determinism: the pool only decides *which thread* runs an index, never
-// what the index computes. All mining-level reproducibility comes from
+// Determinism: the pool only decides *which thread* runs a task, never
+// what the task computes. All mining-level reproducibility comes from
 // per-task seeded Rngs and ordered reductions (see DESIGN.md §7).
 #ifndef PFCI_UTIL_THREAD_POOL_H_
 #define PFCI_UTIL_THREAD_POOL_H_
@@ -33,17 +36,17 @@ namespace pfci {
 /// Work-stealing pool; see file comment. Thread-safe after construction.
 class ThreadPool {
  public:
-  /// Creates a pool that runs ParallelFor on up to `num_threads` threads
-  /// (including the calling thread). `num_threads == 0` means
+  /// Creates a pool that runs tasks on up to `num_threads` threads
+  /// (including the waiting thread). `num_threads == 0` means
   /// DefaultThreads(); `num_threads == 1` spawns no workers and makes
-  /// ParallelFor run inline.
+  /// every task run inline.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of threads that may execute loop bodies (workers + caller).
+  /// Number of threads that may execute tasks (workers + caller).
   std::size_t num_threads() const { return num_threads_; }
 
   /// Runs body(i) for every i in [0, count) and returns when all calls
@@ -55,6 +58,28 @@ class ThreadPool {
   void ParallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& body,
                    std::size_t grain = 0);
+
+  /// A fork-join scope. Spawn() hands a task to the pool; Wait() (also
+  /// run by the destructor) returns once every spawned task has finished,
+  /// helping with pending tasks meanwhile. With a null or 1-thread pool,
+  /// Spawn() runs the task inline at once, so tasks run in submission
+  /// order. Spawn and Wait belong to the thread that owns the group;
+  /// spawned tasks may open groups of their own.
+  class TaskGroup {
+   public:
+    explicit TaskGroup(ThreadPool* pool);
+    ~TaskGroup() { Wait(); }
+
+    TaskGroup(const TaskGroup&) = delete;
+    TaskGroup& operator=(const TaskGroup&) = delete;
+
+    void Spawn(std::function<void()> task);
+    void Wait();
+
+   private:
+    ThreadPool* pool_;  ///< Null when tasks run inline.
+    std::atomic<std::size_t> open_{0};
+  };
 
   /// Hardware concurrency, at least 1.
   static std::size_t DefaultThreads();
@@ -78,12 +103,24 @@ class ThreadPool {
   /// Returns false if every queue was empty.
   bool RunOneTask(std::size_t home);
 
-  /// Pushes a task onto queue `slot % queues` and wakes one worker.
-  void Push(std::size_t slot, std::function<void()> task);
+  /// Pushes a task onto the calling worker's own queue (round-robin for
+  /// other threads) and wakes one sleeping thread.
+  void Push(std::function<void()> task);
+
+  /// Helps with pending tasks until `open` reaches zero, sleeping on
+  /// wake_cv_ whenever nothing can be stolen.
+  void WaitUntilZero(const std::atomic<std::size_t>& open);
+
+  /// Wakes every sleeper (the waiter of a group that just completed
+  /// among them), under wake_mutex_ so no waiter misses it.
+  void NotifyAll();
 
   std::size_t num_threads_;
   std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
+  /// Guards every sleep on wake_cv_. Workers sleep until a task is
+  /// pending or the pool stops; group waiters until a task is pending or
+  /// their group is done.
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::atomic<bool> stop_{false};

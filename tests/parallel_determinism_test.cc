@@ -13,6 +13,7 @@
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
 #include "src/util/thread_pool.h"
+#include "tests/fork_input.h"
 
 namespace pfci {
 namespace {
@@ -272,6 +273,79 @@ TEST_P(ParallelDeterminismTest, PreCancelledRunIdenticalAcrossThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismTest,
                          ::testing::Values(1u, 7u, 42u));
+
+// The fork path: on the Mushroom-like input the DFS forks heavy child
+// subtrees as pool tasks, each with its own RNG scope and partial result.
+// Forks must be as invisible as the first-level split: bit-identical
+// entries and counters at every thread count and tid-set mode.
+
+TEST(ParallelDeterminismForks, InputReachesForkCutoff) {
+  EXPECT_TRUE(FirstRootForks(MakeForkingDb(), ForkingRequest().params))
+      << "no child below the first root reaches kForkMinCost = "
+      << kForkMinCost << "; the fork tests below would check nothing";
+}
+
+/// Checks every thread count × tid-set mode against the 1-thread
+/// adaptive run, which it returns.
+MiningResult ExpectIdenticalAcrossThreadsAndModes(const UncertainDatabase& db,
+                                                  MiningRequest request) {
+  request.params.tidset_mode = TidSetMode::kAdaptive;
+  MiningResult baseline = MineWithThreads(db, request, 1);
+  EXPECT_FALSE(baseline.itemsets.empty());
+  for (const TidSetMode mode :
+       {TidSetMode::kAdaptive, TidSetMode::kSparse, TidSetMode::kDense}) {
+    request.params.tidset_mode = mode;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}, std::size_t{8}}) {
+      SCOPED_TRACE(std::string(TidSetModeName(mode)) + " threads=" +
+                   std::to_string(threads));
+      ExpectIdentical(baseline, MineWithThreads(db, request, threads));
+    }
+  }
+  return baseline;
+}
+
+TEST(ParallelDeterminismForks, MpfciIdenticalAcrossThreadsAndTidSetModes) {
+  ExpectIdenticalAcrossThreadsAndModes(MakeForkingDb(), ForkingRequest());
+}
+
+TEST(ParallelDeterminismForks, SampledPathIdenticalAcrossThreadsAndModes) {
+  // Every certification samples, so each forked subtree's RNG scope is
+  // exercised; its draws must not depend on which thread runs the fork.
+  MiningRequest request = ForkingRequest();
+  request.params.force_sampling = true;
+  request.params.exact_event_limit = 0;
+  request.params.pruning.fcp_bounds = false;
+  request.params.epsilon = 0.5;
+  request.params.delta = 0.3;
+  EXPECT_GT(ExpectIdenticalAcrossThreadsAndModes(MakeForkingDb(), request)
+                .stats.sampled_fcp_computations,
+            0u);
+}
+
+TEST(ParallelDeterminismForks, NodeBudgetTruncationIdenticalAcrossThreads) {
+  // A unit with a node quota runs its forks inline, in order, so the
+  // truncation point stays the sequential prefix. The budget is split
+  // fairly over the first-level units; these budgets cut the dominant
+  // unit from its first few nodes to well past its first forks.
+  const UncertainDatabase db = MakeForkingDb();
+  MiningRequest request = ForkingRequest();
+  const MiningResult full = MineWithThreads(db, request, 1);
+  ASSERT_GT(full.stats.nodes_visited, 4u);
+  for (const std::uint64_t multiple : {1u, 9u, 27u, 54u}) {
+    request.budget.max_nodes = full.stats.nodes_visited * multiple / 2;
+    const MiningResult baseline = MineWithThreads(db, request, 1);
+    EXPECT_EQ(baseline.outcome(), Outcome::kBudgetExhausted);
+    // Forks draw on their unit's quota, never around it.
+    EXPECT_LE(baseline.stats.nodes_visited, request.budget.max_nodes);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
+                                      std::size_t{8}}) {
+      SCOPED_TRACE("max_nodes=" + std::to_string(request.budget.max_nodes) +
+                   " threads=" + std::to_string(threads));
+      ExpectIdentical(baseline, MineWithThreads(db, request, threads));
+    }
+  }
+}
 
 TEST(ParallelDeterminism, BruteForceIdenticalAcrossThreadCounts) {
   // 17 transactions → 2^17 worlds → 8 fixed ranges: the parallel oracle

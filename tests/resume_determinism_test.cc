@@ -23,6 +23,7 @@
 #include "src/datagen/quest_generator.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/runtime.h"
+#include "tests/fork_input.h"
 
 namespace pfci {
 namespace {
@@ -187,6 +188,24 @@ TEST(ResumeDeterminism, ResumesUnderDifferentThreadCountAndTidsetMode) {
   ASSERT_EQ(full.outcome(), Outcome::kComplete);
   ASSERT_TRUE(SuspendAndResume(db, base, full, /*resume_threads=*/4,
                                TidSetMode::kDense, "cross_thread_mode"));
+}
+
+TEST(ResumeDeterminism, ForkingRunResumesBitIdentically) {
+  // On the Mushroom-like input the DFS forks below the first level. The
+  // first-level subtree stays the snapshot unit: it returns only after
+  // all of its forks finished, so a snapshot never holds half a unit.
+  const UncertainDatabase db = MakeForkingDb();
+  ASSERT_TRUE(FirstRootForks(db, ForkingRequest().params));
+  for (const std::size_t threads : {1u, 4u}) {
+    MiningRequest base = ForkingRequest();
+    base.execution.num_threads = threads;
+    const MiningResult full = Mine(db, base);
+    ASSERT_EQ(full.outcome(), Outcome::kComplete);
+    const std::size_t resume_threads = threads == 1 ? 4 : 1;
+    EXPECT_TRUE(SuspendAndResume(db, base, full, resume_threads,
+                                 TidSetMode::kAdaptive,
+                                 "forking_t" + std::to_string(threads)));
+  }
 }
 
 TEST(ResumeDeterminism, ChainedSuspendsAreAdditive) {
