@@ -23,8 +23,8 @@ namespace {
 constexpr std::uint64_t kWorldsPerRange = 16384;
 
 /// Splits [0, NumWorlds(db)) into fixed-size ranges and runs
-/// `process(range_index, begin, end)` for each, over `exec.pool` when it
-/// has more than one thread. Returns the number of ranges.
+/// `process(range_index, begin, end)` for each, over `exec.pool`.
+/// Returns the number of ranges.
 template <typename Process>
 std::uint64_t ForEachWorldRange(const UncertainDatabase& db,
                                 const ExecutionContext& exec,
@@ -43,15 +43,7 @@ std::uint64_t ForEachWorldRange(const UncertainDatabase& db,
     const std::uint64_t end = std::min(total, begin + kWorldsPerRange);
     process(r, begin, end);
   };
-  if (exec.pool != nullptr && exec.pool->num_threads() > 1 &&
-      num_ranges > 1) {
-    exec.pool->ParallelFor(static_cast<std::size_t>(num_ranges), run,
-                           /*grain=*/1);
-  } else {
-    for (std::uint64_t r = 0; r < num_ranges; ++r) {
-      run(static_cast<std::size_t>(r));
-    }
-  }
+  ParallelFor(exec.pool, static_cast<std::size_t>(num_ranges), run);
   return num_ranges;
 }
 

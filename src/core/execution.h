@@ -1,10 +1,11 @@
 // Execution policy and progress plumbing shared by every miner.
 //
-// The public knobs live in ExecutionPolicy (how many threads, whether the
-// run must be bit-reproducible across thread counts); the runtime state a
-// miner actually carries around lives in ExecutionContext (a pool to run
-// on, a progress sink to report into). Mine() translates the former into
-// the latter.
+// The public knob lives in ExecutionPolicy (how many threads); the
+// runtime state a miner actually carries around lives in ExecutionContext
+// (a pool to run on, a progress sink to report into). Mine() translates
+// the former into the latter. Every run is bit-identical across thread
+// counts: RNG streams derive from the seed per unit of work and
+// reductions run in a fixed order (DESIGN.md §7).
 #ifndef PFCI_CORE_EXECUTION_H_
 #define PFCI_CORE_EXECUTION_H_
 
@@ -31,13 +32,6 @@ struct ExecutionPolicy {
   /// Threads the run may use; 0 means "all hardware threads". 1 runs
   /// strictly sequentially on the calling thread.
   std::size_t num_threads = 0;
-
-  /// When true (default), results are bit-identical for every value of
-  /// num_threads: subtree/batch RNGs are derived from the seed alone and
-  /// reductions happen in a fixed order. When false, sampling batch
-  /// granularity may adapt to the thread count (slightly less scheduling
-  /// overhead, reproducible only for a fixed num_threads).
-  bool deterministic = true;
 };
 
 /// Snapshot handed to a progress callback.
@@ -110,7 +104,6 @@ class ProgressSink {
 /// referenced objects are owned by the caller and must outlive the run.
 struct ExecutionContext {
   ThreadPool* pool = nullptr;        ///< Null: run sequentially.
-  bool deterministic = true;         ///< See ExecutionPolicy.
   ProgressSink* progress = nullptr;  ///< Null: no progress reporting.
 
   /// Telemetry sink; null (default) disables tracing at zero cost. All

@@ -17,6 +17,17 @@ constexpr double kBoundsMeetTolerance = 1e-12;
 
 }  // namespace
 
+PfciEntry MakePfciEntry(const Itemset& x, const FcpComputation& comp) {
+  PfciEntry entry;
+  entry.items = x;
+  entry.fcp = comp.fcp;
+  entry.pr_f = comp.pr_f;
+  entry.fcp_lower = comp.bounds_computed ? comp.bounds.lower : 0.0;
+  entry.fcp_upper = comp.bounds_computed ? comp.bounds.upper : comp.pr_f;
+  entry.method = comp.method;
+  return entry;
+}
+
 FcpEngine::FcpEngine(const VerticalIndex& index,
                      const FrequentProbability& freq,
                      const MiningParams& params, const ExecutionContext& exec)
@@ -112,7 +123,7 @@ FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
     }
     const ApproxFcpResult approx =
         ApproxFcp(pr_f, events, params_.epsilon, params_.delta, rng,
-                  exec_.pool, exec_.deterministic, exec_.runtime);
+                  exec_.pool, exec_.runtime);
     if (approx.aborted) {
       // A global stop interrupted the batches: the estimate carries no
       // FPRAS guarantee, so the itemset stays undecided and unemitted.

@@ -41,6 +41,10 @@ struct FcpComputation {
   bool undecided = false;
 };
 
+/// Converts a finished certification into the reported entry (the one
+/// spelling of the bounds-field fallbacks shared by every miner).
+PfciEntry MakePfciEntry(const Itemset& x, const FcpComputation& comp);
+
 /// Stateless evaluator bound to a database and mining parameters. Safe to
 /// share across threads: Evaluate only mutates caller-owned state (`rng`,
 /// `stats`).

@@ -16,11 +16,11 @@ namespace pfci {
 
 namespace {
 
-/// Fixed number of sample batches in deterministic mode. Independent of
-/// the thread count by design: the batch split defines the RNG streams, so
-/// it must be a constant for results to be reproducible on any machine.
-/// 32 keeps per-batch work large (required sample counts are in the
-/// thousands) while oversubscribing typical core counts for stealing.
+/// Fixed number of sample batches. Independent of the thread count by
+/// design: the batch split defines the RNG streams, so it must be a
+/// constant for results to be reproducible on any machine. 32 keeps
+/// per-batch work large (required sample counts are in the thousands)
+/// while oversubscribing typical core counts for stealing.
 constexpr std::size_t kDeterministicBatches = 32;
 
 /// Bitmask over the dense positions of Tids(X).
@@ -51,8 +51,7 @@ class PositionMask {
 
 ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
                           double epsilon, double delta, Rng& rng,
-                          ThreadPool* pool, bool deterministic,
-                          RunController* runtime) {
+                          ThreadPool* pool, RunController* runtime) {
   ApproxFcpResult result;
   const std::size_t m = events.size();
   if (m == 0) {
@@ -118,16 +117,12 @@ ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
   const std::uint64_t num_samples = KarpLubyRequiredSamples(m, epsilon, delta);
 
   // Batch split: one base value from the caller's rng defines every
-  // batch's stream; the split itself depends only on the sample count (in
-  // deterministic mode), never on the thread count.
+  // batch's stream; the split itself depends only on the sample count,
+  // never on the thread count.
   const std::uint64_t base_seed = rng();
-  std::size_t num_batches = kDeterministicBatches;
-  if (!deterministic && pool != nullptr) {
-    num_batches = pool->num_threads() * 4;
-  }
-  num_batches = static_cast<std::size_t>(
-      std::min<std::uint64_t>(num_batches, std::max<std::uint64_t>(
-                                               1, num_samples)));
+  const std::size_t num_batches = static_cast<std::size_t>(
+      std::min<std::uint64_t>(kDeterministicBatches,
+                              std::max<std::uint64_t>(1, num_samples)));
 
   std::vector<KarpLubyResult> batch(num_batches);
   std::atomic<bool> aborted{false};
@@ -165,11 +160,7 @@ ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
     batch[b] = KarpLubyUnionEstimate(event_probs, batch_samples, batch_rng,
                                      sample_is_canonical);
   };
-  if (pool != nullptr && pool->num_threads() > 1 && num_batches > 1) {
-    pool->ParallelFor(num_batches, run_batch, /*grain=*/1);
-  } else {
-    for (std::size_t b = 0; b < num_batches; ++b) run_batch(b);
-  }
+  ParallelFor(pool, num_batches, run_batch);
 
   // Reduce in batch order (fixed regardless of which thread ran what).
   // Each batch estimate is z * successes_b / samples_b, so the combined

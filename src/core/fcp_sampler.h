@@ -44,10 +44,7 @@ struct ApproxFcpResult {
 /// draw of `rng` and the batch index, so the estimate is a pure function
 /// of the rng state — identical whether batches run sequentially
 /// (`pool == nullptr`) or on any number of threads. Exactly one value is
-/// consumed from `rng` per call (when events is non-empty). With
-/// `deterministic` false the batch count may adapt to the pool's thread
-/// count instead of the fixed default (reproducible only per thread
-/// count).
+/// consumed from `rng` per call (when events is non-empty).
 ///
 /// `runtime`, when set, is polled at sample-batch boundaries: a global
 /// stop abandons the remaining batches and returns with `aborted` set
@@ -58,7 +55,6 @@ struct ApproxFcpResult {
 ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
                           double epsilon, double delta, Rng& rng,
                           ThreadPool* pool = nullptr,
-                          bool deterministic = true,
                           RunController* runtime = nullptr);
 
 }  // namespace pfci

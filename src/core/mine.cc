@@ -341,7 +341,6 @@ MiningResult MineImpl(const UncertainDatabase& db,
 
   ExecutionContext exec;
   exec.pool = pool;
-  exec.deterministic = request.execution.deterministic;
   exec.progress = sink.get();
   exec.trace = request.trace;
   if (controller.active()) exec.runtime = &controller;
@@ -455,11 +454,6 @@ std::string ValidateRequest(const MiningRequest& request) {
   if (request.budget.degrade_fraction <= 0.0 ||
       request.budget.degrade_fraction > 1.0) {
     return "budget.degrade_fraction must be in (0, 1]";
-  }
-  if (UsesSnapshot(request) && !request.execution.deterministic) {
-    return "snapshot.save_path / snapshot.resume_path require "
-           "execution.deterministic (a nondeterministic run has no "
-           "bit-identical continuation to resume)";
   }
   return "";
 }

@@ -2,7 +2,7 @@
 //
 // The one front door of the library: a MiningRequest bundles the problem
 // parameters (MiningParams), the algorithm to run, the execution policy
-// (thread count, determinism), and optional progress, trace, budget,
+// (thread count), and optional progress, trace, budget,
 // cancellation, and snapshot bindings. The closed-itemset algorithms run
 // on the search kernel (src/core/search/) with the frontier policy named
 // on their Algorithm enumerator; the flat miners (PFI, expected support,
@@ -10,10 +10,10 @@
 // skeleton in mine.cc. MiningSession (src/serve/) serves repeated
 // requests, batches, and threshold ladders through the same dispatch.
 //
-// Determinism contract: with execution.deterministic == true (default),
-// Mine() produces bit-identical MiningResult.itemsets — including sampled
-// fcp values — for every num_threads, because all RNG streams are derived
-// from params.seed per unit of work and reductions run in a fixed order.
+// Determinism contract: Mine() produces bit-identical
+// MiningResult.itemsets — including sampled fcp values — for every
+// num_threads, because all RNG streams are derived from params.seed per
+// unit of work and reductions run in a fixed order.
 //
 // Request schema (cross-field rules enforced by ValidateRequest):
 //
@@ -30,9 +30,7 @@
 //   progress*          all                        interval >= 1
 //   budget             all                        see RunBudget
 //   cancel / trace     all                        optional, caller-owned
-//   snapshot           tuple-level Mine()         paths require
-//                                                 execution.deterministic;
-//                                                 rejected by the
+//   snapshot           tuple-level Mine()         rejected by the
 //                                                 item-level overload
 //
 // Database kind: Algorithm::kItemExpectedSupport and kItemPfi mine an
@@ -114,9 +112,7 @@ bool ParseAlgorithm(const std::string& name, Algorithm* algorithm);
 const std::vector<Algorithm>& AllAlgorithms();
 
 /// Checkpoint/resume bindings for one run (DESIGN.md §14). Both paths
-/// are optional and independent; both require
-/// execution.deterministic == true (ValidateRequest rejects otherwise —
-/// a nondeterministic run has no bit-identical continuation to resume).
+/// are optional and independent.
 struct SnapshotPolicy {
   /// When non-empty and the run stops early (deadline, budget, cancel),
   /// Mine() drains in-flight work at a unit boundary and writes the

@@ -26,15 +26,6 @@ TidSet TidsOfItemset(const VerticalIndex& index, const Itemset& items) {
   return tids;
 }
 
-/// Common restore step: the suspended run's decided entries and its
-/// deterministic work counters seed the resumed result.
-void SeedResultFromSnapshot(const RunSnapshot& snapshot,
-                            MiningResult& result) {
-  result.itemsets.insert(result.itemsets.end(), snapshot.entries.begin(),
-                         snapshot.entries.end());
-  AddBaseStats(snapshot.base, &result.stats);
-}
-
 /// Unit-entry drain gate: true when a suspend-armed controller has a
 /// pending drain. Unarmed runs never see it, so pre-snapshot behavior
 /// (and the kernel parity goldens) are untouched.
@@ -109,13 +100,9 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     done_[c] = 1;
     NoteUnitWork(ctx.rt, part.stats.nodes_visited, part.stats.total_samples);
   };
-  if (ctx.exec->pool != nullptr && ctx.exec->pool->num_threads() > 1) {
-    // Grain 1: first-level subtrees vary wildly in cost; stealing at
-    // single-subtree granularity is what balances them.
-    ctx.exec->pool->ParallelFor(n, mine_subtree, /*grain=*/1);
-  } else {
-    for (std::size_t c = 0; c < n; ++c) mine_subtree(c);
-  }
+  // One task per subtree: first-level subtrees vary wildly in cost, and
+  // stealing at single-subtree granularity is what balances them.
+  ParallelFor(ctx.exec->pool, n, mine_subtree);
 }
 
 void WorkStealingDfsFrontier::Merge(const SearchContext& ctx,
@@ -134,8 +121,7 @@ void WorkStealingDfsFrontier::Merge(const SearchContext& ctx,
 }
 
 void WorkStealingDfsFrontier::RestoreState(const SearchContext& ctx,
-                                           const RunSnapshot& snapshot,
-                                           MiningResult& result) {
+                                           const RunSnapshot& snapshot) {
   (void)ctx;
   candidates_.clear();
   candidate_pr_f_.clear();
@@ -145,13 +131,9 @@ void WorkStealingDfsFrontier::RestoreState(const SearchContext& ctx,
   }
   restored_done_ = snapshot.done;
   restored_done_.resize(candidates_.size(), 0);
-  SeedResultFromSnapshot(snapshot, result);
 }
 
-void WorkStealingDfsFrontier::SaveState(const SearchContext& ctx,
-                                        const MiningResult& result,
-                                        RunSnapshot& snapshot) const {
-  (void)ctx;
+void WorkStealingDfsFrontier::SaveState(RunSnapshot& snapshot) const {
   snapshot.frontier.clear();
   snapshot.done.clear();
   for (std::size_t c = 0; c < candidates_.size(); ++c) {
@@ -164,8 +146,6 @@ void WorkStealingDfsFrontier::SaveState(const SearchContext& ctx,
     const bool now_done = done_.size() == candidates_.size() && done_[c] != 0;
     snapshot.done.push_back(was_done || now_done ? 1 : 0);
   }
-  snapshot.entries = result.itemsets;
-  snapshot.base = result.stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,15 +220,11 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
     std::vector<MiningStats> comp_stats(eval_count);
     const auto evaluate = [&](std::size_t i) {
       Rng rng(DeriveSeed(params.seed, entry_counter_ + i));
-      comps[i] = ctx.closure->CertifyAt(
+      comps[i] = ctx.engine->EvaluateAt(
           params.pfct, level_[i].items, level_[i].tids, level_[i].pr_f, rng,
           &comp_stats[i], &units[i]);
     };
-    if (ctx.exec->pool != nullptr && ctx.exec->pool->num_threads() > 1) {
-      ctx.exec->pool->ParallelFor(eval_count, evaluate, /*grain=*/1);
-    } else {
-      for (std::size_t i = 0; i < eval_count; ++i) evaluate(i);
-    }
+    ParallelFor(ctx.exec->pool, eval_count, evaluate);
     entry_counter_ += level_.size();
 
     std::uint64_t level_samples = 0;
@@ -308,8 +284,7 @@ void LevelSyncBfsFrontier::Merge(const SearchContext& ctx,
 }
 
 void LevelSyncBfsFrontier::RestoreState(const SearchContext& ctx,
-                                        const RunSnapshot& snapshot,
-                                        MiningResult& result) {
+                                        const RunSnapshot& snapshot) {
   level_.clear();
   for (const WeightedItemset& element : snapshot.frontier) {
     LevelEntry entry;
@@ -319,13 +294,9 @@ void LevelSyncBfsFrontier::RestoreState(const SearchContext& ctx,
     level_.push_back(std::move(entry));
   }
   entry_counter_ = snapshot.cursor;
-  SeedResultFromSnapshot(snapshot, result);
 }
 
-void LevelSyncBfsFrontier::SaveState(const SearchContext& ctx,
-                                     const MiningResult& result,
-                                     RunSnapshot& snapshot) const {
-  (void)ctx;
+void LevelSyncBfsFrontier::SaveState(RunSnapshot& snapshot) const {
   snapshot.frontier.clear();
   for (const LevelEntry& entry : level_) {
     WeightedItemset element;
@@ -334,8 +305,6 @@ void LevelSyncBfsFrontier::SaveState(const SearchContext& ctx,
     snapshot.frontier.push_back(std::move(element));
   }
   snapshot.cursor = entry_counter_;
-  snapshot.entries = result.itemsets;
-  snapshot.base = result.stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -454,16 +423,15 @@ void TopKFrontier::Merge(const SearchContext& ctx, MiningResult& result) {
 }
 
 void TopKFrontier::RestoreState(const SearchContext& ctx,
-                                const RunSnapshot& snapshot,
-                                MiningResult& result) {
+                                const RunSnapshot& snapshot) {
   (void)ctx;
   candidates_.clear();
   for (const WeightedItemset& element : snapshot.frontier) {
     candidates_.push_back(element.items[0]);
   }
   // The pool rides in the snapshot's entries (Merge moves it into the
-  // result at the end of every session, suspended or not), so only the
-  // base counters seed the result here.
+  // result at the end of every session, suspended or not, replacing the
+  // entries the driver seeded).
   top_ = snapshot.entries;
   if (k_ > 0 && top_.size() >= k_) RecomputeWorst();
   next_candidate_ = static_cast<std::size_t>(snapshot.cursor);
@@ -471,13 +439,9 @@ void TopKFrontier::RestoreState(const SearchContext& ctx,
     rng_state_ = snapshot.rng;
     have_rng_state_ = true;
   }
-  AddBaseStats(snapshot.base, &result.stats);
 }
 
-void TopKFrontier::SaveState(const SearchContext& ctx,
-                             const MiningResult& result,
-                             RunSnapshot& snapshot) const {
-  (void)ctx;
+void TopKFrontier::SaveState(RunSnapshot& snapshot) const {
   snapshot.frontier.clear();
   for (Item item : candidates_) {
     WeightedItemset element;
@@ -489,8 +453,6 @@ void TopKFrontier::SaveState(const SearchContext& ctx,
     snapshot.has_rng = true;
     snapshot.rng = rng_state_;
   }
-  snapshot.entries = result.itemsets;
-  snapshot.base = result.stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -498,15 +460,17 @@ void TopKFrontier::SaveState(const SearchContext& ctx,
 
 void FlatCheckFrontier::BuildCandidates(const SearchContext& ctx,
                                         MiningResult& result) {
-  // Stage 1 of Fig. 5: all probabilistic frequent itemsets. The node
-  // budget is consumed here (the PFI enumeration is the run's search
-  // tree); in suspend mode the whole stage is one unit, noted into the
-  // budget before the checks fan out.
+  // Stage 1 of Fig. 5: all probabilistic frequent itemsets, over the
+  // run's own index and evaluator. The strawman always qualifies with
+  // the Lemma 4.1 bound on, whatever params.pruning.chernoff says. The
+  // node budget is consumed here (the PFI enumeration is the run's
+  // search tree); in suspend mode the whole stage is one unit, noted
+  // into the budget before the checks fan out.
+  const CandidateOracle oracle(*ctx.index, *ctx.freq, /*use_chernoff=*/true,
+                               FrequencyMode::kExactDp, ctx.exec->warm_start);
   const std::uint64_t nodes_before = result.stats.nodes_visited;
-  pfis_ = EnumeratePfis(*ctx.db, ctx.params->min_sup, ctx.params->pfct,
-                        /*use_chernoff=*/true, FrequencyMode::kExactDp,
-                        &result.stats, TidSetPolicyFor(*ctx.params), ctx.rt,
-                        ctx.exec);
+  pfis_ = EnumeratePfis(*ctx.index, oracle, ctx.params->pfct, &result.stats,
+                        ctx.rt);
   enumerated_nodes_ = result.stats.nodes_visited - nodes_before;
 }
 
@@ -553,17 +517,12 @@ void FlatCheckFrontier::Search(const SearchContext& ctx,
       }
     }
     checks_[i] = ApproxFcp(pfis_[i].pr_f, events, params.epsilon,
-                           params.delta, rng, /*pool=*/nullptr,
-                           ctx.exec->deterministic, rt);
+                           params.delta, rng, /*pool=*/nullptr, rt);
     if (checks_[i].aborted) undecided_[i] = 1;
     NoteUnitWork(rt, 0, checks_[i].samples);
     if (ctx.exec->progress != nullptr) ctx.exec->progress->AddNodes();
   };
-  if (ctx.exec->pool != nullptr && ctx.exec->pool->num_threads() > 1) {
-    ctx.exec->pool->ParallelFor(pfis_.size(), check, /*grain=*/1);
-  } else {
-    for (std::size_t i = 0; i < pfis_.size(); ++i) check(i);
-  }
+  ParallelFor(ctx.exec->pool, pfis_.size(), check);
 }
 
 void FlatCheckFrontier::Merge(const SearchContext& ctx, MiningResult& result) {
@@ -590,8 +549,7 @@ void FlatCheckFrontier::Merge(const SearchContext& ctx, MiningResult& result) {
 }
 
 void FlatCheckFrontier::RestoreState(const SearchContext& ctx,
-                                     const RunSnapshot& snapshot,
-                                     MiningResult& result) {
+                                     const RunSnapshot& snapshot) {
   pfis_.clear();
   for (const WeightedItemset& element : snapshot.frontier) {
     PfiEntry entry;
@@ -603,13 +561,9 @@ void FlatCheckFrontier::RestoreState(const SearchContext& ctx,
   restored_done_ = snapshot.done;
   restored_done_.resize(pfis_.size(), 0);
   enumerated_nodes_ = 0;  // This session did not enumerate.
-  SeedResultFromSnapshot(snapshot, result);
 }
 
-void FlatCheckFrontier::SaveState(const SearchContext& ctx,
-                                  const MiningResult& result,
-                                  RunSnapshot& snapshot) const {
-  (void)ctx;
+void FlatCheckFrontier::SaveState(RunSnapshot& snapshot) const {
   snapshot.frontier.clear();
   snapshot.done.clear();
   for (std::size_t i = 0; i < pfis_.size(); ++i) {
@@ -623,8 +577,6 @@ void FlatCheckFrontier::SaveState(const SearchContext& ctx,
         undecided_.size() == pfis_.size() && undecided_[i] == 0;
     snapshot.done.push_back(was_done || decided_now ? 1 : 0);
   }
-  snapshot.entries = result.itemsets;
-  snapshot.base = result.stats;
 }
 
 }  // namespace pfci

@@ -1,7 +1,7 @@
 // The four frontier policies of the unified search kernel (DESIGN.md
 // §12): how each miner walks the set-enumeration space, with every
-// qualification, closure, and certification decision delegated to the
-// CandidateOracle / ClosureOperator layers.
+// qualification and certification decision delegated to the
+// CandidateOracle and the FcpEngine.
 #ifndef PFCI_CORE_SEARCH_FRONTIER_POLICIES_H_
 #define PFCI_CORE_SEARCH_FRONTIER_POLICIES_H_
 
@@ -30,11 +30,9 @@ class WorkStealingDfsFrontier : public FrontierPolicy {
 
   /// Snapshot layout: frontier = first-level candidates (singleton
   /// itemsets weighted by PrF), done = per-unit subtree completion bits.
-  bool SupportsResume() const override { return true; }
-  void RestoreState(const SearchContext& ctx, const RunSnapshot& snapshot,
-                    MiningResult& result) override;
-  void SaveState(const SearchContext& ctx, const MiningResult& result,
-                 RunSnapshot& snapshot) const override;
+  void RestoreState(const SearchContext& ctx,
+                    const RunSnapshot& snapshot) override;
+  void SaveState(RunSnapshot& snapshot) const override;
 
  private:
   std::vector<Item> candidates_;
@@ -63,11 +61,9 @@ class LevelSyncBfsFrontier : public FrontierPolicy {
   /// lists are recomputed on restore without counter bumps), cursor = the
   /// global entry counter at the level's start (the per-entry RNG streams
   /// derive from it).
-  bool SupportsResume() const override { return true; }
-  void RestoreState(const SearchContext& ctx, const RunSnapshot& snapshot,
-                    MiningResult& result) override;
-  void SaveState(const SearchContext& ctx, const MiningResult& result,
-                 RunSnapshot& snapshot) const override;
+  void RestoreState(const SearchContext& ctx,
+                    const RunSnapshot& snapshot) override;
+  void SaveState(RunSnapshot& snapshot) const override;
 
  private:
   /// One level entry: a probabilistic frequent itemset with its tid-list.
@@ -101,11 +97,9 @@ class TopKFrontier : public FrontierPolicy {
   /// position, entries = the current pool, rng = the shared stream's
   /// state (the run is one logical unit; the state carries across
   /// sessions so later draws match an uninterrupted run exactly).
-  bool SupportsResume() const override { return true; }
-  void RestoreState(const SearchContext& ctx, const RunSnapshot& snapshot,
-                    MiningResult& result) override;
-  void SaveState(const SearchContext& ctx, const MiningResult& result,
-                 RunSnapshot& snapshot) const override;
+  void RestoreState(const SearchContext& ctx,
+                    const RunSnapshot& snapshot) override;
+  void SaveState(RunSnapshot& snapshot) const override;
 
  private:
   /// The output order: descending FCP, ties broken by ascending itemset.
@@ -146,10 +140,6 @@ class TopKFrontier : public FrontierPolicy {
 class FlatCheckFrontier : public FrontierPolicy {
  public:
   const char* phase_name() const override { return "sampling"; }
-  /// The PFI stage owns its own fail-soft winding-down (and its nested
-  /// index build's memory-budget charges), so it runs even after a
-  /// global stop — exactly like the pre-kernel miner.
-  bool candidates_when_stopped() const override { return true; }
   void BuildCandidates(const SearchContext& ctx,
                        MiningResult& result) override;
   void Search(const SearchContext& ctx, MiningResult& result) override;
@@ -159,11 +149,9 @@ class FlatCheckFrontier : public FrontierPolicy {
   /// lists recomputed on restore without counter bumps), done = per-check
   /// decision bits — a restored-done check is neither re-sampled nor
   /// re-counted in Merge (its entry and counters arrived via the base).
-  bool SupportsResume() const override { return true; }
-  void RestoreState(const SearchContext& ctx, const RunSnapshot& snapshot,
-                    MiningResult& result) override;
-  void SaveState(const SearchContext& ctx, const MiningResult& result,
-                 RunSnapshot& snapshot) const override;
+  void RestoreState(const SearchContext& ctx,
+                    const RunSnapshot& snapshot) override;
+  void SaveState(RunSnapshot& snapshot) const override;
 
  private:
   std::vector<PfiEntry> pfis_;

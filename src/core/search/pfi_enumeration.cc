@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/frequent_probability.h"
-#include "src/core/index_handle.h"
-#include "src/core/search/candidate_oracle.h"
-#include "src/data/vertical_index.h"
 #include "src/util/failpoint.h"
 
 namespace pfci {
@@ -15,26 +11,15 @@ namespace {
 
 class PfiEnumeration {
  public:
-  PfiEnumeration(const UncertainDatabase& db, std::size_t min_sup, double pft,
-                 bool use_chernoff, FrequencyMode mode, MiningStats* stats,
-                 const TidSetPolicy& policy, RunController* runtime,
-                 const ExecutionContext* session)
-      : pft_(pft),
+  PfiEnumeration(const VerticalIndex& index, const CandidateOracle& oracle,
+                 double pft, MiningStats* stats, RunController* runtime)
+      : index_(&index),
+        oracle_(&oracle),
+        pft_(pft),
         stats_(stats),
-        rt_(runtime),
-        exec_(MakeContext(session, runtime)),
-        index_(db, policy, exec_),
-        freq_(index_.get(), min_sup, exec_.eval_cache, exec_.table_floor),
-        oracle_(index_.get(), freq_, use_chernoff, mode,
-                // Warm-start proofs are exact-PrF statements: sound to
-                // prune with only when the run itself evaluates exactly.
-                mode == FrequencyMode::kExactDp ? exec_.warm_start
-                                                : nullptr) {}
+        rt_(runtime) {}
 
   std::vector<PfiEntry> Run() {
-    // Index bytes were charged by the handle; fail an undersized memory
-    // budget before any search work.
-    CheckpointAtRunStart(rt_);
     // Sequential enumeration: one logical work unit owns the whole
     // budget.
     unit_ = rt_ != nullptr ? rt_->UnitBudget(0, 1) : WorkUnitBudget{};
@@ -45,7 +30,7 @@ class PfiEnumeration {
         QualifyRequest req;
         req.threshold = pft_;
         req.warm_item = &item;
-        const double pr_f = oracle_.Qualify(tids, req, stats_);
+        const double pr_f = oracle_->Qualify(tids, req, stats_);
         if (pr_f > pft_) {
           candidates_.push_back(item);
           Emit(Itemset{item}, std::move(tids), pr_f);
@@ -62,12 +47,6 @@ class PfiEnumeration {
     if (unit_.truncated && rt_ != nullptr) {
       rt_->RecordTruncation(Outcome::kBudgetExhausted);
     }
-    if (stats_ != nullptr) {
-      stats_->dp_runs += freq_.dp_runs();
-      stats_->cache_hits += freq_.cache_hits();
-      stats_->cache_misses += freq_.cache_misses();
-      stats_->dp_reused += freq_.dp_reused();
-    }
     std::sort(result_.begin(), result_.end());
     return std::move(result_);
   }
@@ -80,16 +59,6 @@ class PfiEnumeration {
     return static_cast<std::size_t>(
         std::lower_bound(candidates_.begin(), candidates_.end(), item) -
         candidates_.begin());
-  }
-
-  /// The context the index handle and cache read session hooks from; the
-  /// runtime is overridden so the handle charges the same controller the
-  /// search polls.
-  static ExecutionContext MakeContext(const ExecutionContext* session,
-                                      RunController* runtime) {
-    ExecutionContext exec = session != nullptr ? *session : ExecutionContext{};
-    exec.runtime = runtime;
-    return exec;
   }
 
   void Emit(Itemset items, TidSet tids, double pr_f) {
@@ -114,7 +83,7 @@ class PfiEnumeration {
       if (stats_ != nullptr) ++stats_->intersections;
       QualifyRequest req;
       req.threshold = pft_;
-      const double pr_f = oracle_.Qualify(child_tids, req, stats_);
+      const double pr_f = oracle_->Qualify(child_tids, req, stats_);
       if (pr_f <= pft_) continue;
       const Itemset child = x.WithItem(item);
       Emit(child, child_tids, pr_f);
@@ -122,13 +91,11 @@ class PfiEnumeration {
     }
   }
 
+  const VerticalIndex* index_;
+  const CandidateOracle* oracle_;
   double pft_;
   MiningStats* stats_;
   RunController* rt_;
-  ExecutionContext exec_;
-  IndexHandle index_;
-  FrequentProbability freq_;
-  CandidateOracle oracle_;
   WorkUnitBudget unit_;
   std::vector<Item> candidates_;
   std::vector<PfiEntry> result_;
@@ -136,15 +103,11 @@ class PfiEnumeration {
 
 }  // namespace
 
-std::vector<PfiEntry> EnumeratePfis(const UncertainDatabase& db,
-                                    std::size_t min_sup, double pft,
-                                    bool use_chernoff, FrequencyMode mode,
+std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
+                                    const CandidateOracle& oracle, double pft,
                                     MiningStats* stats,
-                                    const TidSetPolicy& policy,
-                                    RunController* runtime,
-                                    const ExecutionContext* session) {
-  PfiEnumeration search(db, min_sup, pft, use_chernoff, mode, stats, policy,
-                        runtime, session);
+                                    RunController* runtime) {
+  PfiEnumeration search(index, oracle, pft, stats, runtime);
   return search.Run();
 }
 

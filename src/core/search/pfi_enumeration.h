@@ -12,11 +12,10 @@
 
 #include <vector>
 
-#include "src/core/execution.h"
 #include "src/core/mining_result.h"
+#include "src/core/search/candidate_oracle.h"
 #include "src/data/tidset.h"
-#include "src/data/uncertain_database.h"
-#include "src/prob/tail_approximations.h"
+#include "src/data/vertical_index.h"
 #include "src/util/runtime.h"
 
 namespace pfci {
@@ -33,24 +32,19 @@ struct PfiEntry {
   }
 };
 
-/// Enumerates all itemsets with PrF(X) > pft at the support threshold
-/// `min_sup` (>= 1), sorted canonically. `mode` selects the frequency
-/// evaluation (kExactDp, or a distributional tail approximation);
-/// `use_chernoff` gates the Lemma 4.1 stage. `stats` (optional)
-/// accumulates pruning counters; `policy` selects the tid-set
-/// representation (never affects results). `runtime` (optional) makes the
-/// enumeration fail-soft: the DFS polls it at node expansion and winds
-/// down with a verified prefix when a limit trips. `session` (optional)
-/// carries a MiningSession's shared index, evaluation cache, and
-/// warm-start proofs (DESIGN.md §11); warm-start proofs only apply under
-/// kExactDp, the one mode they are sound against.
-std::vector<PfiEntry> EnumeratePfis(const UncertainDatabase& db,
-                                    std::size_t min_sup, double pft,
-                                    bool use_chernoff, FrequencyMode mode,
+/// Enumerates all itemsets of `index` with PrF(X) > pft, sorted
+/// canonically, qualifying every node through `oracle` (which fixes the
+/// support threshold, the frequency evaluation and the Lemma 4.1 stage).
+/// The caller owns the index and evaluators: it charges the index to the
+/// memory budget, checkpoints before calling, and folds the evaluator's
+/// work counters. `stats` (optional) accumulates pruning counters.
+/// `runtime` (optional) makes the enumeration fail-soft: the DFS polls it
+/// at node expansion and winds down with a verified prefix when a limit
+/// trips.
+std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
+                                    const CandidateOracle& oracle, double pft,
                                     MiningStats* stats,
-                                    const TidSetPolicy& policy,
-                                    RunController* runtime,
-                                    const ExecutionContext* session);
+                                    RunController* runtime);
 
 }  // namespace pfci
 

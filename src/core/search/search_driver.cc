@@ -23,10 +23,9 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   const FcpEngine engine(index, freq, params, exec);
   const CandidateOracle oracle(index, freq, params.pruning.chernoff,
                                FrequencyMode::kExactDp, exec.warm_start);
-  const ClosureOperator closure(index, engine);
   RunController* rt = exec.runtime;
-  const SearchContext ctx{&db,   &params, &exec,    &index,
-                          &freq, &oracle, &closure, rt};
+  const SearchContext ctx{&db,   &params, &exec,   &index,
+                          &freq, &oracle, &engine, rt};
 
   // The index (built or session-borrowed) was charged into the memory
   // budget by the handle; checkpoint so an undersized budget fails
@@ -34,17 +33,18 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   CheckpointAtRunStart(rt);
 
   // Resume replaces the candidate build: the frontier policy reloads the
-  // suspended run's candidates, frontier, decided entries, and base
-  // counters under the same trace span, so a resumed run's trace shape is
-  // identical to an uninterrupted run's.
+  // suspended run's candidates and frontier, and the decided entries and
+  // base counters seed the result, under the same trace span, so a
+  // resumed run's trace shape is identical to an uninterrupted run's.
   const RunSnapshot* resume = exec.resume_snapshot;
-  const bool restoring =
-      resume != nullptr && resume->has_frontier && policy.SupportsResume();
-  if (restoring || policy.candidates_when_stopped() || !StopRequested(rt)) {
+  const bool restoring = resume != nullptr && resume->has_frontier;
+  if (restoring || !StopRequested(rt)) {
     TraceSpan span(exec.trace, "candidate_build",
                    &result.stats.candidate_seconds);
     if (restoring) {
-      policy.RestoreState(ctx, *resume, result);
+      policy.RestoreState(ctx, *resume);
+      result.itemsets = resume->entries;
+      AddBaseStats(resume->base, &result.stats);
     } else {
       policy.BuildCandidates(ctx, result);
     }
@@ -58,9 +58,8 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
     TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
     policy.Merge(ctx, result);
     // The shared-evaluator counters fold once, on the coordinating
-    // thread. Added (not assigned): a policy whose candidate phase ran a
-    // nested enumeration (Naive's PFI stage) already accumulated that
-    // stage's evaluator counts.
+    // thread. Added (not assigned): a resumed run's base counters
+    // already hold the suspended sessions' counts.
     result.stats.dp_runs += freq.dp_runs();
     result.stats.cache_hits += freq.cache_hits();
     result.stats.cache_misses += freq.cache_misses();
@@ -74,9 +73,12 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   // to persist. The post-merge result.stats are exactly the snapshot's
   // base: no unit was half-done, so nothing needs attribution.
   if (exec.save_snapshot != nullptr && rt != nullptr && rt->suspend_armed() &&
-      rt->SuspendRequested() && policy.SupportsResume()) {
-    policy.SaveState(ctx, result, *exec.save_snapshot);
-    exec.save_snapshot->has_frontier = true;
+      rt->SuspendRequested()) {
+    RunSnapshot& snapshot = *exec.save_snapshot;
+    policy.SaveState(snapshot);
+    snapshot.entries = result.itemsets;
+    snapshot.base = result.stats;
+    snapshot.has_frontier = true;
   }
   result.stats.seconds = timer.ElapsedSeconds();
   result.stats.EmitTrace(exec.trace);
@@ -89,6 +91,24 @@ std::uint64_t SubtreeSeed(std::uint64_t seed, const Itemset& x) {
 }
 
 namespace {
+
+/// Lemma 4.2: some item e < last(X), e not in X, has count(X+e) ==
+/// count(X) -> X and its whole prefix subtree have frequent closed
+/// probability 0. Charges the subset tests to stats.intersections; the
+/// caller bumps pruned_by_superset on a hit.
+bool SupersetPruned(const VerticalIndex& index, const Itemset& x,
+                    const TidSet& tids, MiningStats& stats) {
+  const Item last = x.LastItem();
+  for (Item item : index.occurring_items()) {
+    if (item >= last) break;
+    if (x.Contains(item)) continue;
+    const TidSet& item_tids = index.TidsOfItem(item);
+    if (item_tids.size() < tids.size()) continue;
+    ++stats.intersections;
+    if (IsSubsetOf(tids, item_tids)) return true;
+  }
+  return false;
+}
 
 /// One forked child subtree: its own RNG scope and partial result, folded
 /// into the parent in spawn order. A spawned fork also gets a private
@@ -126,7 +146,7 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   if (ctx.exec->progress != nullptr) ctx.exec->progress->AddNodes();
 
   if (ctx.params->pruning.superset &&
-      ctx.closure->SupersetPruned(x, tids, stats)) {
+      SupersetPruned(*ctx.index, x, tids, stats)) {
     ++stats.pruned_by_superset;
     return;
   }
@@ -178,9 +198,8 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
     ++stats.pruned_by_subset;
     return;
   }
-  const FcpComputation comp =
-      ctx.closure->CertifyAt(dfs.threshold(), x, tids, pr_f, *dfs.rng, &stats,
-                             dfs.unit);
+  const FcpComputation comp = ctx.engine->EvaluateAt(
+      dfs.threshold(), x, tids, pr_f, *dfs.rng, &stats, dfs.unit);
   if (comp.undecided || !comp.is_pfci) return;
   if (ctx.exec->progress != nullptr) ctx.exec->progress->AddItemsets();
   dfs.emit(MakePfciEntry(x, comp));

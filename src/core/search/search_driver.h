@@ -26,7 +26,6 @@
 #include "src/core/mining_params.h"
 #include "src/core/mining_result.h"
 #include "src/core/search/candidate_oracle.h"
-#include "src/core/search/closure_operator.h"
 #include "src/core/search/run_snapshot.h"
 #include "src/data/uncertain_database.h"
 #include "src/data/vertical_index.h"
@@ -37,8 +36,9 @@ namespace pfci {
 
 class ThreadPool;
 
-/// Read-only run state the driver hands to its policy: the request, the
-/// shared evaluators, and the kernel layers built over them.
+/// Read-only run state the driver hands to its policy: the request and
+/// the shared evaluators (qualification oracle, FCP certification
+/// engine) built over the run's one index.
 struct SearchContext {
   const UncertainDatabase* db;
   const MiningParams* params;
@@ -46,7 +46,7 @@ struct SearchContext {
   const VerticalIndex* index;
   const FrequentProbability* freq;
   const CandidateOracle* oracle;
-  const ClosureOperator* closure;
+  const FcpEngine* engine;
   RunController* rt;  ///< exec->runtime (null: unlimited).
 };
 
@@ -60,11 +60,6 @@ class FrontierPolicy {
   /// Search-phase trace span name ("dfs", "bfs", "sampling").
   virtual const char* phase_name() const = 0;
 
-  /// Whether the candidate phase must run even after a global stop
-  /// (Naive's PFI stage owns its own fail-soft winding-down, including
-  /// the memory-budget charges of its nested index build).
-  virtual bool candidates_when_stopped() const { return false; }
-
   /// Filters the first level (runs under the "candidate_build" span).
   virtual void BuildCandidates(const SearchContext& ctx,
                                MiningResult& result) = 0;
@@ -76,35 +71,27 @@ class FrontierPolicy {
   /// span; the driver folds the shared evaluator counters afterwards).
   virtual void Merge(const SearchContext& ctx, MiningResult& result) = 0;
 
-  /// Checkpoint/resume (DESIGN.md §14). A policy that supports resume
-  /// implements all three; the driver then replaces BuildCandidates with
-  /// RestoreState when ExecutionContext::resume_snapshot is set (same
-  /// trace span, so the resumed run's trace shape matches an
-  /// uninterrupted run) and calls SaveState after Merge when a
-  /// suspend-armed run drained. RestoreState must rebuild the candidate /
-  /// frontier state WITHOUT recomputation-visible counter bumps — the
-  /// suspended run's counters arrive wholesale via AddBaseStats, and the
-  /// resumed totals must equal an uninterrupted run's.
-  virtual bool SupportsResume() const { return false; }
+  /// Checkpoint/resume (DESIGN.md §14). When
+  /// ExecutionContext::resume_snapshot carries a frontier, the driver
+  /// calls RestoreState instead of BuildCandidates (same trace span, so
+  /// the resumed run's trace shape matches an uninterrupted run) and
+  /// itself seeds the result with the snapshot's entries and base
+  /// counters. RestoreState rebuilds the candidate / frontier state
+  /// WITHOUT recomputation-visible counter bumps — the suspended run's
+  /// counters arrive wholesale via AddBaseStats, and the resumed totals
+  /// must equal an uninterrupted run's. When a suspend-armed run drained,
+  /// the driver calls SaveState after Merge, then writes the merged
+  /// entries and counters into the snapshot itself.
   virtual void RestoreState(const SearchContext& ctx,
-                            const RunSnapshot& snapshot,
-                            MiningResult& result) {
-    (void)ctx;
-    (void)snapshot;
-    (void)result;
-  }
-  virtual void SaveState(const SearchContext& ctx, const MiningResult& result,
-                         RunSnapshot& snapshot) const {
-    (void)ctx;
-    (void)result;
-    (void)snapshot;
-  }
+                            const RunSnapshot& snapshot) = 0;
+  virtual void SaveState(RunSnapshot& snapshot) const = 0;
 };
 
 /// Runs one mining request through `policy`, replaying the shared
 /// contract: run-start checkpoint, the candidate_build / phase / merge
-/// trace spans, the shared-evaluator counter fold, outcome stamping, and
-/// post-merge counter telemetry. `params` must already be validated.
+/// trace spans, the shared-evaluator counter fold, outcome stamping,
+/// snapshot restore/save, and post-merge counter telemetry. `params`
+/// must already be validated.
 MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
                        const ExecutionContext& exec, FrontierPolicy& policy);
 
@@ -154,8 +141,9 @@ struct ClosedDfsContext {
 };
 
 /// The set-enumeration-tree DFS shared by the work-stealing and top-k
-/// frontiers: checkpoint, superset pruning, child qualification through
-/// the oracle, subset pruning, and endgame certification (Fig. 1's
+/// frontiers: checkpoint, superset pruning (Lemma 4.2), child
+/// qualification through the oracle, subset pruning (Lemma 4.3), and
+/// endgame certification through the engine (Fig. 1's
 /// Bounding-Pruning-Checking per node). `x` extends only with candidate
 /// items after position `last_candidate_pos`. A node waits for its forked
 /// children and folds their partials, in spawn order, before certifying

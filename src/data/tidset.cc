@@ -92,6 +92,11 @@ namespace {
 
 constexpr std::size_t kWordBits = 64;
 
+/// The adaptive rule (TidSetPolicy): dense iff size * kDenseDivisor >=
+/// universe, and never below kMinDenseUniverse.
+constexpr std::size_t kDenseDivisor = 16;
+constexpr std::size_t kMinDenseUniverse = 256;
+
 std::size_t NumWords(std::size_t universe) {
   return (universe + kWordBits - 1) / kWordBits;
 }
@@ -104,8 +109,8 @@ bool ShouldBeDense(std::size_t size, std::size_t universe,
     case TidSetMode::kDense:
       return true;
     case TidSetMode::kAdaptive:
-      return universe >= policy.min_dense_universe &&
-             size * policy.dense_divisor >= universe;
+      return universe >= kMinDenseUniverse &&
+             size * kDenseDivisor >= universe;
   }
   return false;
 }

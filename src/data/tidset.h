@@ -43,15 +43,13 @@ const char* TidSetModeName(TidSetMode mode);
 bool ParseTidSetMode(const std::string& text, TidSetMode* mode);
 
 /// Representation policy shared by all TidSets of one index. The adaptive
-/// rule picks the bitmap when size * dense_divisor >= universe (a bitmap
-/// of u bits costs u/64 words; a sparse set of s 32-bit tids costs ~s/2
-/// words, so the bitmap is smaller from s >= u/32 on and its word-parallel
-/// operations win a little earlier), but never for tiny universes where a
-/// short merge beats any fixed setup cost.
+/// rule picks the bitmap when size * 16 >= universe (a bitmap of u bits
+/// costs u/64 words; a sparse set of s 32-bit tids costs ~s/2 words, so
+/// the bitmap is smaller from s >= u/32 on and its word-parallel
+/// operations win a little earlier), but never for universes below 256,
+/// where a short merge beats any fixed setup cost.
 struct TidSetPolicy {
   TidSetMode mode = TidSetMode::kAdaptive;
-  std::uint32_t dense_divisor = 16;
-  std::uint32_t min_dense_universe = 256;
 };
 
 /// A set of transaction ids over the universe [0, universe()).

@@ -159,8 +159,6 @@ constexpr Shape kShapes[] = {
 
 }  // namespace
 
-std::size_t FuzzShapeCount() { return std::size(kShapes); }
-
 FuzzCase MakeFuzzCase(std::uint64_t seed) {
   FuzzCase fuzz;
   Rng rng(DeriveSeed(0xfca11ed5eedULL, seed));

@@ -26,9 +26,6 @@ struct FuzzCase {
   std::string shape;
 };
 
-/// Number of distinct generation shapes MakeFuzzCase cycles through.
-std::size_t FuzzShapeCount();
-
 /// Deterministically derives a case from `seed`: the shape rotates with
 /// the seed and every quantity (sizes, densities, probability atoms,
 /// thresholds) is drawn from an Rng seeded by it. Databases stay small

@@ -2,9 +2,9 @@
 //
 // A CompletionLatch is the minimal rendezvous between a producer that
 // finishes exactly once and any number of consumers that wait for it:
-// Signal() flips the latch permanently, Wait()/WaitFor() block until it
-// flips, and done() polls without blocking. Unlike a condition variable
-// used bare, the latch owns its predicate, so consumers can never miss a
+// Signal() flips the latch permanently, Wait() blocks until it flips,
+// and done() polls without blocking. Unlike a condition variable used
+// bare, the latch owns its predicate, so consumers can never miss a
 // signal that happened before they started waiting.
 //
 // This is the primitive RunHandle (src/serve/run_handle.h) is built on:
@@ -20,7 +20,6 @@
 #ifndef PFCI_UTIL_COMPLETION_H_
 #define PFCI_UTIL_COMPLETION_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -50,15 +49,6 @@ class CompletionLatch {
   void Wait() const {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return done_; });
-  }
-
-  /// Waits at most `seconds`; true when the latch is done, false on
-  /// timeout. `seconds` <= 0 is a non-blocking poll.
-  bool WaitFor(double seconds) const {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (seconds <= 0.0) return done_;
-    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-                        [this] { return done_; });
   }
 
   /// Non-blocking: whether Signal() has been called. A true return also

@@ -156,25 +156,12 @@ void ThreadPool::TaskGroup::Wait() {
   if (pool_ != nullptr) pool_->WaitUntilZero(open_);
 }
 
-void ThreadPool::ParallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& body,
-                             std::size_t grain) {
-  if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
+void ParallelFor(ThreadPool* pool, std::size_t count,
+                 const std::function<void(std::size_t)>& body) {
+  ThreadPool::TaskGroup group(pool);
+  for (std::size_t i = 0; i < count; ++i) {
+    group.Spawn([&body, i] { body(i); });
   }
-  if (grain == 0) {
-    grain = std::max<std::size_t>(1, count / (4 * num_threads_));
-  }
-  TaskGroup group(this);
-  for (std::size_t begin = 0; begin < count; begin += grain) {
-    const std::size_t end = std::min(count, begin + grain);
-    group.Spawn([&body, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    });
-  }
-  group.Wait();
 }
 
 }  // namespace pfci

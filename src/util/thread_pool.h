@@ -1,14 +1,14 @@
 // Work-stealing thread pool for the parallel mining paths.
 //
-// The pool owns `num_threads - 1` worker threads (the caller of
-// ParallelFor is the remaining thread and always participates). Work is
+// The pool owns `num_threads - 1` worker threads (the thread that waits
+// on a group is the remaining thread and always participates). Work is
 // distributed as tasks over per-worker deques: an owner pops from the
 // back of its own deque (LIFO, cache-friendly for nested spawns) while
 // idle workers steal from the front of a victim's deque (FIFO, oldest and
 // therefore largest-granularity work first).
 //
 // Fork-join: a TaskGroup spawns tasks and waits for them; ParallelFor is
-// one TaskGroup over index chunks. Groups nest — a task may open its own
+// one TaskGroup with a task per index. Groups nest — a task may open its own
 // group on the same pool. A waiting thread first helps: it runs pending
 // tasks (its group's or anybody's), so nested waits cannot deadlock the
 // pool. Only when no task is left to steal does it block on a condition
@@ -48,16 +48,6 @@ class ThreadPool {
 
   /// Number of threads that may execute tasks (workers + caller).
   std::size_t num_threads() const { return num_threads_; }
-
-  /// Runs body(i) for every i in [0, count) and returns when all calls
-  /// have completed. Indices are grouped into chunks of `grain` (0 = pick
-  /// automatically); chunks are executed by the caller and the workers
-  /// with dynamic load balancing. `body` must be safe to invoke
-  /// concurrently from multiple threads. Reentrant: `body` may itself
-  /// call ParallelFor on the same pool.
-  void ParallelFor(std::size_t count,
-                   const std::function<void(std::size_t)>& body,
-                   std::size_t grain = 0);
 
   /// A fork-join scope. Spawn() hands a task to the pool; Wait() (also
   /// run by the destructor) returns once every spawned task has finished,
@@ -127,6 +117,14 @@ class ThreadPool {
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> next_slot_{0};
 };
+
+/// Runs body(i) for every i in [0, count) as one task per index and
+/// returns when all calls have completed. Like a TaskGroup, it runs inline
+/// in index order when `pool` is null or has one thread. `body` must be
+/// safe to invoke concurrently from multiple threads. Reentrant: `body`
+/// may itself call ParallelFor on the same pool.
+void ParallelFor(ThreadPool* pool, std::size_t count,
+                 const std::function<void(std::size_t)>& body);
 
 }  // namespace pfci
 

@@ -1,6 +1,6 @@
-// Parallel determinism: with execution.deterministic (the default),
-// Mine() must produce bit-identical results — items, pr_f, and *sampled*
-// fcp values included — for every thread count. See DESIGN.md §7 for the
+// Parallel determinism: Mine() must produce bit-identical results —
+// items, pr_f, and *sampled* fcp values included — for every thread
+// count. See DESIGN.md §7 for the
 // seed-derivation and in-order-merge scheme that makes this hold.
 #include <gtest/gtest.h>
 

@@ -4,9 +4,8 @@
 // counters — for every resumable algorithm, across tid-set modes and
 // thread counts, including resumes under a DIFFERENT thread count or
 // tid-set mode than the suspended run. Also pins the refusal paths
-// (fingerprint/algorithm mismatch, torn or missing snapshots,
-// nondeterministic execution) and the round-trip of boundary
-// probabilities (1e-12 and exactly 1.0).
+// (fingerprint/algorithm mismatch, torn or missing snapshots) and the
+// round-trip of boundary probabilities (1e-12 and exactly 1.0).
 #include <unistd.h>
 
 #include <cstdint>
@@ -328,15 +327,6 @@ TEST(ResumeDeterminism, MismatchedResumesAreRefused) {
   MiningRequest missing = base;
   missing.snapshot.resume_path = path + ".does-not-exist";
   EXPECT_EQ(Mine(db, missing).outcome(), Outcome::kInvalidRequest);
-
-  // Nondeterministic execution: refused up front for save AND resume.
-  MiningRequest nondet = base;
-  nondet.execution.deterministic = false;
-  nondet.snapshot.resume_path = path;
-  EXPECT_EQ(Mine(db, nondet).outcome(), Outcome::kInvalidRequest);
-  nondet.snapshot.resume_path.clear();
-  nondet.snapshot.save_path = path;
-  EXPECT_EQ(Mine(db, nondet).outcome(), Outcome::kInvalidRequest);
 }
 
 TEST(ResumeDeterminism, BoundaryProbabilitiesRoundTripBitExactly) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mine.h"
+#include "src/data/vertical_index.h"
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
 #include "src/exact/charm_miner.h"
@@ -220,6 +221,28 @@ TEST(RuntimeBudget, MemoryBudgetTripsOnTheVerticalIndex) {
   EXPECT_EQ(result.outcome(), Outcome::kBudgetExhausted);
   EXPECT_TRUE(result.itemsets.empty());
   EXPECT_EQ(result.stats.nodes_visited, 0u);
+}
+
+TEST(RuntimeBudget, NaiveChargesOneVerticalIndex) {
+  // Naive's PFI stage mines over the run's own index, so a memory budget
+  // with room for one index (but not for two) lets a standalone run
+  // complete with the unbudgeted answer.
+  const UncertainDatabase db = MakeTestDb(7);
+  MiningRequest request = BaseRequest(7);
+  request.algorithm = Algorithm::kNaive;
+  request.params.min_sup = 10;
+  request.params.pfct = 0.4;
+  request.params.epsilon = 0.5;
+  request.params.delta = 0.3;
+  const MiningResult full = Mine(db, request);
+  ASSERT_EQ(full.outcome(), Outcome::kComplete);
+  ASSERT_FALSE(full.itemsets.empty());
+
+  const VerticalIndex index(db, TidSetPolicyFor(request.params));
+  request.budget.max_resident_bytes = index.MemoryBytes() * 3 / 2;
+  const MiningResult budgeted = Mine(db, request);
+  EXPECT_EQ(budgeted.outcome(), Outcome::kComplete);
+  ExpectIdenticalEntries(budgeted, full);
 }
 
 TEST(RuntimeBudget, DeadlinePressureDegradesExactFcpToSampler) {

@@ -1,5 +1,5 @@
 // ThreadPool: fork-join groups run every task exactly once at any thread
-// count, a 1-thread pool runs tasks inline in submission order, and a
+// count, a null or 1-thread pool runs tasks inline in submission order, and a
 // thread waiting on a group sleeps instead of spinning.
 #include <sys/resource.h>
 #include <sys/time.h>
@@ -52,7 +52,7 @@ void VisitTree(ThreadPool& pool, std::size_t id, std::size_t depth,
     }
     group.Wait();
   } else {
-    pool.ParallelFor(kFanout, child, /*grain=*/1);
+    ParallelFor(&pool, kFanout, child);
   }
 }
 
@@ -83,36 +83,35 @@ TEST(ThreadPool, ManySmallGroupsNeverHang) {
   EXPECT_EQ(ran.load(), 6000u);
 }
 
-TEST(ThreadPool, SingleThreadRunsTasksInlineInSubmissionOrder) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<int> order;
-  ThreadPool::TaskGroup group(&pool);
-  for (int k = 0; k < 5; ++k) {
-    group.Spawn([&, k] {
+TEST(ThreadPool, InlinePoolsRunTasksInSubmissionOrder) {
+  ThreadPool single(1);
+  for (ThreadPool* pool : {&single, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(pool == nullptr ? "null pool" : "1-thread pool");
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> order;
+    ThreadPool::TaskGroup group(pool);
+    for (int k = 0; k < 5; ++k) {
+      group.Spawn([&, k] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(k);
+        // Nested spawns also run at once, depth-first.
+        ThreadPool::TaskGroup inner(pool);
+        inner.Spawn([&, k] { order.push_back(100 + k); });
+      });
+      // Inline means done by the time Spawn returns.
+      ASSERT_EQ(order.size(), 2u * (k + 1));
+    }
+    group.Wait();
+    EXPECT_EQ(order,
+              (std::vector<int>{0, 100, 1, 101, 2, 102, 3, 103, 4, 104}));
+
+    std::vector<std::size_t> indices;
+    ParallelFor(pool, 4, [&](std::size_t i) {
       EXPECT_EQ(std::this_thread::get_id(), caller);
-      order.push_back(k);
-      // Nested spawns also run at once, depth-first.
-      ThreadPool::TaskGroup inner(&pool);
-      inner.Spawn([&, k] { order.push_back(100 + k); });
+      indices.push_back(i);
     });
-    // Inline means done by the time Spawn returns.
-    ASSERT_EQ(order.size(), 2u * (k + 1));
+    EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2, 3}));
   }
-  group.Wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 100, 1, 101, 2, 102, 3, 103, 4, 104}));
-
-  std::vector<std::size_t> indices;
-  pool.ParallelFor(4, [&](std::size_t i) { indices.push_back(i); });
-  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
-TEST(ThreadPool, NullPoolGroupRunsInline) {
-  std::vector<int> order;
-  ThreadPool::TaskGroup group(nullptr);
-  group.Spawn([&] { order.push_back(1); });
-  group.Spawn([&] { order.push_back(2); });
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 #ifdef RUSAGE_THREAD
@@ -156,7 +155,7 @@ TEST(ThreadPool, WaiterSleepsWhileAnotherThreadRunsTheTask) {
 
 TEST(ThreadPool, IdleWorkersUseNoCpu) {
   ThreadPool pool(4);
-  pool.ParallelFor(8, [](std::size_t) {});  // Workers have run and slept.
+  ParallelFor(&pool, 8, [](std::size_t) {});  // Workers have run and slept.
   rusage before{};
   getrusage(RUSAGE_SELF, &before);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

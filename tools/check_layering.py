@@ -14,8 +14,9 @@ rot back into a cycle.
 
 Mine() dispatches straight to the kernel's frontier policies, so the
 per-algorithm facades that once sat between them (mpfci_miner.h,
-bfs_miner.h, naive_miner.h, topk_miner.h) must not come back: neither
-the files nor an include of them anywhere in the source tree.
+bfs_miner.h, naive_miner.h, topk_miner.h) must not come back, nor the
+search kernel's pass-through closure_operator.h: neither the files nor
+an include of them anywhere in the source tree.
 
 `src/harness/oracle/` is the differential-testing leaf: library code
 must never include it (only tests/ and tools/ consume it).
@@ -68,18 +69,28 @@ FACADE_HEADERS = {
     "src/core/item_uncertain_miners.h",
 }
 
-# Per-algorithm facades folded into Mine()'s direct dispatch to the
-# frontier policies (src/core/search/frontier_policies.h). Each stem is
+# Files removed on purpose, each with what replaced it. Each stem is
 # checked as both a header and a source file, and as an include target
 # in every source directory (library, tests, benches, examples, tools,
 # and the repository benchmark).
-REMOVED_FACADES = (
-    "src/core/mpfci_miner",
-    "src/core/bfs_miner",
-    "src/core/naive_miner",
-    "src/core/topk_miner",
-)
-REMOVED_FACADE_HEADERS = {stem + ".h" for stem in REMOVED_FACADES}
+REMOVED_STEMS = {
+    # Per-algorithm facades folded into Mine()'s direct dispatch to the
+    # frontier policies (src/core/search/frontier_policies.h).
+    "src/core/mpfci_miner": "Mine() dispatches to the frontier policies "
+                            "directly; use src/core/mine.h",
+    "src/core/bfs_miner": "Mine() dispatches to the frontier policies "
+                          "directly; use src/core/mine.h",
+    "src/core/naive_miner": "Mine() dispatches to the frontier policies "
+                            "directly; use src/core/mine.h",
+    "src/core/topk_miner": "Mine() dispatches to the frontier policies "
+                           "directly; use src/core/mine.h",
+    # A pass-through over FcpEngine::EvaluateAt; the search kernel calls
+    # the engine itself.
+    "src/core/search/closure_operator": "the search kernel calls "
+                                        "FcpEngine::EvaluateAt directly; "
+                                        "use src/core/fcp_engine.h",
+}
+REMOVED_HEADERS = {stem + ".h": stem for stem in REMOVED_STEMS}
 INCLUDE_SCAN_DIRS = ("src", "tests", "bench", "examples", "tools",
                      "perfbench")
 
@@ -127,15 +138,14 @@ def iter_sources(src_root):
                 yield os.path.join(dirpath, name)
 
 
-def check_removed_facades(repo_root):
-    """Violations for any removed facade file or include that came back."""
+def check_removed_files(repo_root):
+    """Violations for any removed file or include that came back."""
     violations = []
-    for stem in REMOVED_FACADES:
+    for stem, reason in REMOVED_STEMS.items():
         for ext in (".h", ".cc"):
             if os.path.exists(os.path.join(repo_root, stem + ext)):
                 violations.append(
-                    f"{stem}{ext}: removed miner facade exists again "
-                    f"(Mine() dispatches to the frontier policies directly)")
+                    f"{stem}{ext}: removed file exists again ({reason})")
     for top in INCLUDE_SCAN_DIRS:
         root = os.path.join(repo_root, top)
         if not os.path.isdir(root):
@@ -145,10 +155,11 @@ def check_removed_facades(repo_root):
             with open(path, encoding="utf-8") as f:
                 for lineno, line in enumerate(f, 1):
                     m = INCLUDE_RE.match(line)
-                    if m and m.group(1) in REMOVED_FACADE_HEADERS:
+                    if m and m.group(1) in REMOVED_HEADERS:
+                        reason = REMOVED_STEMS[REMOVED_HEADERS[m.group(1)]]
                         violations.append(
-                            f"{rel}:{lineno}: includes removed miner "
-                            f"facade '{m.group(1)}' (use src/core/mine.h)")
+                            f"{rel}:{lineno}: includes removed header "
+                            f"'{m.group(1)}' ({reason})")
     return violations
 
 
@@ -228,7 +239,7 @@ def check(repo_root):
                         f"search kernel; miner dispatch stays behind "
                         f"Mine())")
 
-    violations.extend(check_removed_facades(repo_root))
+    violations.extend(check_removed_files(repo_root))
     for v in violations:
         print(v)
     if violations:
