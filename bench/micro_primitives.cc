@@ -1,8 +1,9 @@
 // Micro-benchmarks of the library's primitives (google-benchmark): the
-// Poisson-binomial DP, tid-list intersection, conditional sampling,
-// extension-event construction, FCP bounds vs exact vs sampled, and the
-// exact miners. These quantify the constants behind the figure-level
-// results (e.g. why Lemma 4.4's O(m^2) bounds beat one ApproxFCP call).
+// Poisson-binomial DP, conditional sampling, extension-event
+// construction, FCP bounds vs exact vs sampled, and the exact miners
+// (tid-set operations have their own driver, bench/tidset_ops). These
+// quantify the constants behind the figure-level results (e.g. why
+// Lemma 4.4's O(m^2) bounds beat one ApproxFCP call).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -74,20 +75,6 @@ void BM_PoissonBinomialPmf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoissonBinomialPmf)->Range(64, 2048);
-
-void BM_TidListIntersect(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  TidList a, b;
-  for (Tid t = 0; t < n; ++t) {
-    if (rng.NextBernoulli(0.6)) a.push_back(t);
-    if (rng.NextBernoulli(0.6)) b.push_back(t);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectTids(a, b));
-  }
-}
-BENCHMARK(BM_TidListIntersect)->Range(256, 65536);
 
 void BM_ConditionalSamplerBuild(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -58,7 +58,6 @@ struct WorkloadRecord {
   std::uint64_t cache_bytes = 0;
   std::uint64_t cache_entries = 0;
   std::uint64_t cache_evictions = 0;
-  std::size_t warm_items = 0;
 };
 
 /// Ten strictly increasing absolute thresholds forming a fine-grained
@@ -163,7 +162,6 @@ WorkloadRecord RunWorkload(const UncertainDatabase& db, Algorithm algorithm,
   workload.cache_bytes = session.cache_bytes();
   workload.cache_entries = session.cache_entries();
   workload.cache_evictions = session.cache_evictions();
-  workload.warm_items = session.warm_items_recorded();
   return workload;
 }
 
@@ -194,15 +192,14 @@ void WriteJson(const char* path, const UncertainDatabase& db,
                  "    {\"algorithm\": \"%s\", \"cold_seconds\": %.6f, "
                  "\"warm_seconds\": %.6f, \"identical\": %s,\n"
                  "     \"cache\": {\"bytes\": %llu, \"entries\": %llu, "
-                 "\"evictions\": %llu, \"warm_items\": %zu},\n"
+                 "\"evictions\": %llu},\n"
                  "     \"per_threshold\": [\n",
                  workload.algorithm.c_str(), workload.cold_seconds,
                  workload.warm_seconds,
                  workload.identical ? "true" : "false",
                  static_cast<unsigned long long>(workload.cache_bytes),
                  static_cast<unsigned long long>(workload.cache_entries),
-                 static_cast<unsigned long long>(workload.cache_evictions),
-                 workload.warm_items);
+                 static_cast<unsigned long long>(workload.cache_evictions));
     for (std::size_t i = 0; i < workload.thresholds.size(); ++i) {
       const ThresholdRecord& rec = workload.thresholds[i];
       std::fprintf(

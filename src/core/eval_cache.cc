@@ -1,7 +1,6 @@
 #include "src/core/eval_cache.h"
 
-#include <algorithm>
-#include <limits>
+#include <iterator>
 #include <utility>
 
 #include "src/util/check.h"
@@ -198,42 +197,6 @@ void EvalCache::EndPinScope() {
     }
     EvictLocked(shard);
   }
-}
-
-void ItemWarmStart::RecordBound(Item item, std::size_t min_sup,
-                                double bound) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Proof>& proofs = proofs_[item];
-  // Dominated if an existing proof applies at least as widely (smaller or
-  // equal min_sup) with an at-least-as-tight bound.
-  for (const Proof& proof : proofs) {
-    if (proof.min_sup <= min_sup && proof.bound <= bound) return;
-  }
-  // The new proof may dominate existing ones in turn.
-  proofs.erase(std::remove_if(proofs.begin(), proofs.end(),
-                              [&](const Proof& proof) {
-                                return min_sup <= proof.min_sup &&
-                                       bound <= proof.bound;
-                              }),
-               proofs.end());
-  proofs.push_back(Proof{min_sup, bound});
-}
-
-double ItemWarmStart::BoundFor(Item item, std::size_t min_sup) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = proofs_.find(item);
-  if (it == proofs_.end()) return std::numeric_limits<double>::infinity();
-  double best = std::numeric_limits<double>::infinity();
-  for (const Proof& proof : it->second) {
-    // Anti-monotonicity: a proof at min_sup s bounds every s' >= s.
-    if (proof.min_sup <= min_sup) best = std::min(best, proof.bound);
-  }
-  return best;
-}
-
-std::size_t ItemWarmStart::items_recorded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return proofs_.size();
 }
 
 }  // namespace pfci

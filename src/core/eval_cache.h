@@ -1,4 +1,4 @@
-// Cross-request evaluation caches for the serving layer (DESIGN.md §11).
+// Cross-request evaluation cache for the serving layer (DESIGN.md §11).
 //
 // A MiningSession answers many requests over one fixed database, and the
 // dominant cost of every request is re-deriving the same per-tidset
@@ -18,14 +18,9 @@
 // wrong answer. The cache is sharded (one mutex + LRU list per shard) and
 // bounded by a byte budget with least-recently-used eviction.
 //
-// ItemWarmStart keeps per-item infrequency proofs for threshold sweeps:
-// a verified statement "PrF({item}; min_sup) <= bound" answers any later
-// request with min_sup' >= min_sup by the paper's anti-monotonicity
-// (Lemma: PrF is non-increasing in min_sup), letting candidate builders
-// reject the item without touching the index. Proofs are true statements
-// about the database, so warm-start pruning never changes which
-// candidates survive — results stay bit-identical; only per-run work
-// counters (dp_runs, cache probes) shrink.
+// The cache is the session's only cross-request reuse store: a later
+// request at an equal or lower min_sup answers from an entry's table, and
+// one at a higher min_sup upgrades the entry with a larger table.
 #ifndef PFCI_CORE_EVAL_CACHE_H_
 #define PFCI_CORE_EVAL_CACHE_H_
 
@@ -37,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/data/item.h"
 #include "src/data/tidlist.h"
 #include "src/data/tidset.h"
 
@@ -185,41 +179,6 @@ class EvalCache {
 /// Representation-independent: sparse and dense sets with equal contents
 /// hash equal.
 std::uint64_t TidSetFingerprint(const TidSet& tids);
-
-/// Per-item infrequency proofs for warm-starting threshold sweeps. Each
-/// proof (min_sup, bound) asserts PrF({item}; min_sup) <= bound; by
-/// anti-monotonicity it also bounds PrF at every min_sup' >= min_sup.
-/// Only a Pareto frontier (ascending min_sup, descending bound) is kept.
-/// Thread-safe.
-class ItemWarmStart {
- public:
-  ItemWarmStart() = default;
-  ItemWarmStart(const ItemWarmStart&) = delete;
-  ItemWarmStart& operator=(const ItemWarmStart&) = delete;
-
-  /// Records the verified statement PrF({item}; min_sup) <= bound (e.g.
-  /// the exact PrF computed when a candidate builder rejected the item,
-  /// or its Chernoff upper bound).
-  void RecordBound(Item item, std::size_t min_sup, double bound);
-
-  /// Tightest provable upper bound on PrF({item}; min_sup) from the
-  /// recorded proofs, or +infinity when nothing applies. Callers prune
-  /// with their own comparison (`<= pfct` for MPFCI-family candidate
-  /// tests, `< pft` for PFI's strict threshold).
-  double BoundFor(Item item, std::size_t min_sup) const;
-
-  /// Number of items with at least one recorded proof.
-  std::size_t items_recorded() const;
-
- private:
-  struct Proof {
-    std::size_t min_sup;
-    double bound;
-  };
-
-  mutable std::mutex mutex_;
-  std::unordered_map<Item, std::vector<Proof>> proofs_;
-};
 
 }  // namespace pfci
 

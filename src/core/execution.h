@@ -24,7 +24,6 @@ namespace pfci {
 class ThreadPool;
 class VerticalIndex;
 class EvalCache;
-class ItemWarmStart;
 struct RunSnapshot;
 
 /// How a mining request is executed.
@@ -130,10 +129,6 @@ struct ExecutionContext {
   /// the cache on or off; only work counters (dp_runs, cache_hits, ...)
   /// differ.
   EvalCache* eval_cache = nullptr;
-
-  /// Cross-request per-item infrequency proofs; null disables
-  /// warm-starting. Like the cache, affects work done, never results.
-  ItemWarmStart* warm_start = nullptr;
 
   /// Minimum threshold up to which freshly computed DP tail tables are
   /// extended before being cached (0: just the run's min_sup). A sweep

@@ -63,8 +63,12 @@ class FrequentProbability {
 
   /// Number of exact DP executions so far (work accounting). The counter
   /// is atomic so one evaluator can be shared by all tasks of a parallel
-  /// mining run; the total is deterministic (the set of DPs executed does
-  /// not depend on scheduling), only the increment order varies.
+  /// mining run. Without a cache the total is deterministic (the set of
+  /// DPs executed does not depend on scheduling), only the increment
+  /// order varies. With a shared EvalCache it is not: evaluations that
+  /// race on the same tid-set each miss and each run the DP, whether they
+  /// come from tasks of one run or from a batch's concurrently running
+  /// groups. Values stay exact either way.
   std::uint64_t dp_runs() const {
     return dp_runs_.load(std::memory_order_relaxed);
   }
@@ -74,8 +78,8 @@ class FrequentProbability {
   /// DP; dp_reused: the subset of hits served from a stored tail table
   /// (the rest were short-circuit replays off the cached mu);
   /// cache_misses: probes that had to gather probabilities and compute.
-  /// Unlike dp_runs' total, these can vary with scheduling when worker
-  /// threads race on the same first evaluation — values stay exact.
+  /// Like dp_runs with a cache, these can vary with scheduling when
+  /// evaluations race on the same first evaluation — values stay exact.
   std::uint64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }

@@ -1,11 +1,12 @@
 // Borrow-or-build handle for the per-run VerticalIndex.
 //
 // Standalone Mine() calls build a fresh index per run; a MiningSession
-// prepares one per tid-set mode up front and shares it through
+// prepares one adaptive index at Open() and shares it through
 // ExecutionContext::shared_index. The handle borrows the shared index
 // when it covers the request (same database object, same tid-set mode)
-// and falls back to an owned build otherwise, so miners are oblivious to
-// which serving mode they run under. Either way the index's resident
+// and falls back to an owned build otherwise (a session request that
+// forces another mode), so miners are oblivious to which serving mode
+// they run under. Either way the index's resident
 // bytes are charged to the run's memory budget for the handle's lifetime
 // — a borrowed index is still resident while the run uses it.
 #ifndef PFCI_CORE_INDEX_HANDLE_H_

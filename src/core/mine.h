@@ -209,9 +209,6 @@ struct SessionBindings {
   /// Cross-request PrF/esup evaluation cache.
   EvalCache* eval_cache = nullptr;
 
-  /// Cross-request per-item infrequency proofs.
-  ItemWarmStart* warm_start = nullptr;
-
   /// Extend freshly cached DP tail tables to at least this threshold
   /// (0: just the run's min_sup). See ExecutionContext::table_floor.
   std::size_t table_floor = 0;

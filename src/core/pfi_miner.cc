@@ -25,11 +25,7 @@ std::vector<PfiEntry> RunPfi(const UncertainDatabase& db, std::size_t min_sup,
   const IndexHandle index(db, policy, exec);
   const FrequentProbability freq(index.get(), min_sup, exec.eval_cache,
                                  exec.table_floor);
-  // Warm-start proofs are exact-PrF statements: sound to prune with only
-  // when the run itself evaluates exactly.
-  const CandidateOracle oracle(
-      index.get(), freq, use_chernoff, mode,
-      mode == FrequencyMode::kExactDp ? exec.warm_start : nullptr);
+  const CandidateOracle oracle(index.get(), freq, use_chernoff, mode);
   // Index bytes were charged by the handle; fail an undersized memory
   // budget before any search work.
   CheckpointAtRunStart(runtime);

@@ -26,8 +26,8 @@ namespace pfci {
 /// makes the enumeration fail-soft: the DFS polls it at node expansion
 /// and winds down with a verified prefix of the answer when a limit
 /// trips (the caller reads the outcome off the controller). `session`
-/// (optional) carries a MiningSession's shared index, evaluation cache,
-/// and warm-start proofs (DESIGN.md §11); null mines standalone.
+/// (optional) carries a MiningSession's shared index and evaluation
+/// cache (DESIGN.md §11); null mines standalone.
 std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
                               std::size_t min_sup, double pft,
                               bool use_chernoff = true,

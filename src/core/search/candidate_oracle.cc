@@ -13,25 +13,12 @@ double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
     return 0.0;
   }
 
-  // Session warm start: a proof recorded by an earlier run rejects the
-  // item before any bound work. Sound by anti-monotonicity — the cold run
-  // would reject it too, so the candidate set (and every downstream RNG
-  // stream) is unchanged.
-  if (warm_ != nullptr && req.warm_item != nullptr &&
-      warm_->BoundFor(*req.warm_item, freq_->min_sup()) <= req.threshold) {
-    if (stats != nullptr) ++stats->pruned_by_frequency;
-    return 0.0;
-  }
-
   // Lemma 4.1: the Chernoff-Hoeffding upper bound settles most
   // rejections without a DP.
   if (use_chernoff_) {
     const double upper = freq_->PrFUpperBound(tids);
     if (upper <= req.threshold) {
       if (stats != nullptr) ++stats->pruned_by_chernoff;
-      if (warm_ != nullptr && req.warm_item != nullptr) {
-        warm_->RecordBound(*req.warm_item, freq_->min_sup(), upper);
-      }
       return 0.0;
     }
   }
@@ -48,11 +35,8 @@ double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
     index_->GatherProbs(tids, &probs);
     pr_f = TailAtLeastWithMode(probs, freq_->min_sup(), mode_);
   }
-  if (pr_f <= req.threshold) {
-    if (stats != nullptr) ++stats->pruned_by_frequency;
-    if (warm_ != nullptr && req.warm_item != nullptr) {
-      warm_->RecordBound(*req.warm_item, freq_->min_sup(), pr_f);
-    }
+  if (pr_f <= req.threshold && stats != nullptr) {
+    ++stats->pruned_by_frequency;
   }
   return pr_f;
 }

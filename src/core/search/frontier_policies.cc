@@ -41,12 +41,10 @@ bool DrainPending(const RunController* rt) {
 void WorkStealingDfsFrontier::BuildCandidates(const SearchContext& ctx,
                                               MiningResult& result) {
   // Phase 1 of Fig. 1: the candidate set of probabilistic frequent single
-  // items (Lemma 4.1 + exact check), with session warm-start proofs
-  // applied and recorded by the oracle.
+  // items (Lemma 4.1 + exact check).
   for (Item item : ctx.index->occurring_items()) {
     QualifyRequest req;
     req.threshold = ctx.params->pfct;
-    req.warm_item = &item;
     const double pr_f =
         ctx.oracle->Qualify(ctx.index->TidsOfItem(item), req, &result.stats);
     if (pr_f > req.threshold) {
@@ -159,7 +157,6 @@ void LevelSyncBfsFrontier::BuildCandidates(const SearchContext& ctx,
     entry.tids = ctx.index->TidsOfItem(item);
     QualifyRequest req;
     req.threshold = ctx.params->pfct;
-    req.warm_item = &item;
     entry.pr_f = ctx.oracle->Qualify(entry.tids, req, &result.stats);
     if (entry.pr_f > req.threshold) level_.push_back(std::move(entry));
   }
@@ -467,7 +464,7 @@ void FlatCheckFrontier::BuildCandidates(const SearchContext& ctx,
   // search tree); in suspend mode the whole stage is one unit, noted
   // into the budget before the checks fan out.
   const CandidateOracle oracle(*ctx.index, *ctx.freq, /*use_chernoff=*/true,
-                               FrequencyMode::kExactDp, ctx.exec->warm_start);
+                               FrequencyMode::kExactDp);
   const std::uint64_t nodes_before = result.stats.nodes_visited;
   pfis_ = EnumeratePfis(*ctx.index, oracle, ctx.params->pfct, &result.stats,
                         ctx.rt);

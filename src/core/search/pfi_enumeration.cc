@@ -29,7 +29,6 @@ class PfiEnumeration {
         TidSet tids = index_->TidsOfItem(item);
         QualifyRequest req;
         req.threshold = pft_;
-        req.warm_item = &item;
         const double pr_f = oracle_->Qualify(tids, req, stats_);
         if (pr_f > pft_) {
           candidates_.push_back(item);

@@ -22,7 +22,7 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
                                  exec.table_floor);
   const FcpEngine engine(index, freq, params, exec);
   const CandidateOracle oracle(index, freq, params.pruning.chernoff,
-                               FrequencyMode::kExactDp, exec.warm_start);
+                               FrequencyMode::kExactDp);
   RunController* rt = exec.runtime;
   const SearchContext ctx{&db,   &params, &exec,   &index,
                           &freq, &oracle, &engine, rt};

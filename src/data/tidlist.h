@@ -1,13 +1,12 @@
-// Sorted transaction-id lists and their set algebra.
+// Sorted transaction-id lists.
 //
 // The miners use an Eclat-style vertical representation: each itemset X is
-// carried through the search together with Tids(X), the sorted list of
-// transactions possibly containing X. Counts (Definition 4.2) are tid-list
-// lengths, and extending X by an item is a tid-list intersection.
+// carried through the search together with Tids(X), the transactions
+// possibly containing X (a TidSet). TidList is the plain sorted form those
+// sets are built from and exported to.
 #ifndef PFCI_DATA_TIDLIST_H_
 #define PFCI_DATA_TIDLIST_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "src/data/item.h"
@@ -16,18 +15,6 @@ namespace pfci {
 
 /// Sorted, duplicate-free list of transaction ids.
 using TidList = std::vector<Tid>;
-
-/// Intersection of two sorted tid-lists.
-TidList IntersectTids(const TidList& a, const TidList& b);
-
-/// Size of the intersection without materializing it.
-std::size_t IntersectTidsSize(const TidList& a, const TidList& b);
-
-/// Elements of `a` not present in `b` (a \ b).
-TidList DifferenceTids(const TidList& a, const TidList& b);
-
-/// Whether `a` is a subset of `b`.
-bool TidsSubset(const TidList& a, const TidList& b);
 
 }  // namespace pfci
 

@@ -509,10 +509,8 @@ std::vector<OracleFinding> CheckDatabase(const UncertainDatabase& db,
   // (cold fill, then a warm replay answered from the cache).
   if (options.check_session_cache) {
     EvalCache cache(EvalCache::Options{});
-    ItemWarmStart warm_start;
     SessionBindings bindings;
     bindings.eval_cache = &cache;
-    bindings.warm_start = &warm_start;
     bindings.table_floor = params.min_sup + 2;
     CompareBitwise(reference, MineWithBindings(db, base, bindings),
                    "invariance/cache", "unbound vs cold eval cache", base,

@@ -77,8 +77,8 @@ struct OracleOptions {
   /// a pass; fuzz drivers run it on a fraction of seeds).
   bool check_naive = true;
 
-  /// Runs the session-binding checks (eval cache cold + warm, item
-  /// warm start) — bit-identical to the unbound run.
+  /// Runs the session-binding checks (eval cache cold + warm) —
+  /// bit-identical to the unbound run.
   bool check_session_cache = true;
 
   /// Runs the transaction-permutation invariance check.

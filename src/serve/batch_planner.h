@@ -7,11 +7,12 @@
 // same tidsets, and a tail table computed at the group's WEAKEST
 // (largest) threshold answers every member via the EvalCache's monotone
 // reuse rule. The planner makes that sharing explicit: it partitions a
-// batch into compatibility groups keyed by (algorithm, tid-set mode),
-// orders each group's members on the kernel's ThresholdLadder
-// (ascending min_sup, stable), and assigns the group the ladder's
-// table_floor so the first member's freshly computed tables are
-// extended far enough to answer everyone behind it.
+// batch into groups keyed by algorithm, orders each group's members by
+// ascending min_sup (stable), and assigns the group the largest member
+// threshold as its table_floor so the first member's freshly computed
+// tables are extended far enough to answer everyone behind it. The
+// tid-set mode does not split a group: cache entries are keyed by tid
+// contents, so requests in different modes share them.
 //
 // Planning is pure and deterministic — same requests, same plan — and
 // never changes results: grouping only decides who pays for shared DP
@@ -28,16 +29,13 @@
 
 namespace pfci {
 
-/// One compatibility group of a planned batch: members share one
-/// algorithm and tid-set mode, so one shared pass serves all of them.
+/// One group of a planned batch: members share one algorithm, so one
+/// shared pass serves all of them.
 struct BatchGroup {
-  Algorithm algorithm = Algorithm::kMpfci;
-  TidSetMode tidset_mode = TidSetMode::kAdaptive;
-
   /// Request indexes (positions in the planned span) in execution
   /// order: ascending min_sup, ties in submission order. members[0] is
-  /// the group leader — the run that pays for the shared index build
-  /// and DP tables the others reuse.
+  /// the group leader — the run that pays for the shared DP tables the
+  /// others reuse.
   std::vector<std::size_t> members;
 
   /// The group's weakest (largest) threshold: every member runs with
@@ -49,8 +47,8 @@ struct BatchGroup {
 /// time. Every request index appears exactly once — either in one
 /// group's members or in `invalid`.
 struct BatchPlan {
-  /// Groups in first-appearance order of their (algorithm, mode) key,
-  /// so the plan is deterministic in the submission order.
+  /// Groups in first-appearance order of their algorithm, so the plan
+  /// is deterministic in the submission order.
   std::vector<BatchGroup> groups;
 
   /// Requests rejected before execution, with the validation diagnosis
@@ -63,7 +61,7 @@ struct BatchPlan {
   std::size_t size = 0;
 };
 
-/// Plans `requests` into compatibility groups. A request that fails
+/// Plans `requests` into per-algorithm groups. A request that fails
 /// ValidateRequest lands in `invalid` instead of a group.
 BatchPlan PlanBatch(std::span<const MiningRequest> requests);
 

@@ -64,13 +64,9 @@ MiningSession MiningSession::Open(const UncertainDatabase& db,
     cache_options.shards = options.cache_shards;
     state->cache = std::make_unique<EvalCache>(cache_options);
   }
-  if (options.warm_start) {
-    state->warm = std::make_unique<ItemWarmStart>();
-  }
-  // Prepare the default-mode index up front: the session's first request
-  // pays index cost at Open, not at serve time.
-  state->indexes.emplace(TidSetMode::kAdaptive,
-                         std::make_unique<VerticalIndex>(db, TidSetPolicy{}));
+  // Prepare the index up front: the session's first request pays index
+  // cost at Open, not at serve time.
+  state->index = std::make_unique<VerticalIndex>(db, TidSetPolicy{});
   return MiningSession(std::move(state));
 }
 
@@ -97,20 +93,6 @@ void MiningSession::DrainSubmitted(State& state) {
   for (std::thread& worker : workers) {
     if (worker.joinable()) worker.join();
   }
-}
-
-const VerticalIndex& MiningSession::IndexFor(State& state,
-                                             const MiningParams& params) {
-  const TidSetPolicy policy = TidSetPolicyFor(params);
-  std::lock_guard<std::mutex> lock(state.index_mutex);
-  auto it = state.indexes.find(policy.mode);
-  if (it == state.indexes.end()) {
-    it = state.indexes
-             .emplace(policy.mode,
-                      std::make_unique<VerticalIndex>(*state.db, policy))
-             .first;
-  }
-  return *it->second;
 }
 
 MiningResult MiningSession::Mine(const MiningRequest& request) {
@@ -182,9 +164,8 @@ MiningResult MiningSession::MineStep(State& state,
     ~SlotGuard() { Release(*state); }
   } guard{&state};
   SessionBindings bindings;
-  bindings.index = &IndexFor(state, request.params);
+  bindings.index = state.index.get();
   bindings.eval_cache = state.cache.get();
-  bindings.warm_start = state.warm.get();
   bindings.table_floor = table_floor;
   MiningResult result = MineWithBindings(*state.db, request, bindings);
   result.stats.cache_bytes =
@@ -202,7 +183,7 @@ void MiningSession::RunSubmitted(State* state,
   MiningResult result;
   if (ticket->cancel.cancelled()) {
     // Cancelled before the run started: answered without touching the
-    // index or caches, like an admission rejection.
+    // index or cache, like an admission rejection.
     result.stats.outcome = Outcome::kCancelled;
     result.stats.truncated = true;
     result.status_message = "cancelled via RunHandle::Cancel before start";
@@ -307,10 +288,6 @@ std::uint64_t MiningSession::cache_entries() const {
 
 std::uint64_t MiningSession::cache_evictions() const {
   return state_->cache != nullptr ? state_->cache->evictions() : 0;
-}
-
-std::size_t MiningSession::warm_items_recorded() const {
-  return state_->warm != nullptr ? state_->warm->items_recorded() : 0;
 }
 
 std::size_t MiningSession::inflight() const {

@@ -6,34 +6,33 @@
 // across requests against the SAME database — the dominant serving
 // pattern (threshold sweeps, parameter exploration, dashboards):
 //
-//   * the tid-set index layer is built once per tid-set mode and shared
-//     by every request (borrowed through ExecutionContext::shared_index);
+//   * the adaptive tid-set index is built once at Open() and shared by
+//     every request (borrowed through ExecutionContext::shared_index); a
+//     request that forces another tid-set mode builds its own index, as
+//     a standalone Mine() does;
 //   * per-tidset evaluation results (expected support mu, Poisson-
 //     binomial tail tables) persist in a bounded EvalCache; a tail table
 //     computed at one min_sup answers every smaller min_sup without
-//     re-running the DP (monotonicity-aware reuse);
-//   * per-item infrequency proofs persist in an ItemWarmStart, letting
-//     later runs at equal-or-higher min_sup reject items up front
-//     (anti-monotonicity).
+//     re-running the DP (monotonicity-aware reuse).
 //
-// Determinism: session state never changes results. Cached values are
-// bit-identical to what a cold run computes (see FrequentProbability and
-// PoissonBinomialTailTable), warm-start proofs only skip work whose
-// outcome they already verified, and sampled FCP values are seed-derived
-// per run and never cached. A session run differs from a cold run only in
+// Those two are the session's only reuse state. Determinism: session
+// state never changes results. Cached values are bit-identical to what a
+// cold run computes (see FrequentProbability and
+// PoissonBinomialTailTable), and sampled FCP values are seed-derived per
+// run and never cached. A session run differs from a cold run only in
 // the work counters (dp_runs, cache_hits, cache_misses, dp_reused,
 // cache_bytes).
 //
 // Beyond one-at-a-time Mine(), the session serves whole workloads
 // (DESIGN.md §15): MineBatch() plans a set of requests into shared-scan
-// groups (BatchPlanner) so compatible requests pay for candidate-index
-// builds and DP tail tables once at the group's weakest threshold, and
+// groups (BatchPlanner) so compatible requests pay for DP tail tables
+// once at the group's weakest threshold, and
 // Submit() runs one request asynchronously behind a RunHandle. Both
 // compose with admission control and keep every per-request result
 // bit-identical to a standalone Mine() of the same request.
 //
 // Thread safety: one session may serve concurrent Mine() calls; the
-// caches are internally synchronized and the index map is mutex-guarded.
+// cache is internally synchronized and the index is read-only.
 // The database must outlive the session and stay unmodified.
 #ifndef PFCI_SERVE_MINING_SESSION_H_
 #define PFCI_SERVE_MINING_SESSION_H_
@@ -41,7 +40,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -51,7 +49,6 @@
 
 #include "src/core/eval_cache.h"
 #include "src/core/mine.h"
-#include "src/data/tidset.h"
 #include "src/data/uncertain_database.h"
 #include "src/data/vertical_index.h"
 #include "src/serve/run_handle.h"
@@ -67,9 +64,6 @@ struct SessionOptions {
 
   /// Lock shards of the evaluation cache (>= 1 when the cache is on).
   std::size_t cache_shards = 8;
-
-  /// Keep per-item infrequency proofs across requests.
-  bool warm_start = true;
 
   /// Admission control (DESIGN.md §14): maximum number of concurrently
   /// executing runs (Mine(), Submit(), and MineBatch members). 0 disables admission control
@@ -94,7 +88,7 @@ std::string ValidateSessionOptions(const SessionOptions& options);
 class MiningSession {
  public:
   /// Opens a session over `db` (kept by reference; must outlive the
-  /// session) and prepares the default tid-set index layer up front.
+  /// session) and prepares the adaptive tid-set index up front.
   /// CHECK-fails on invalid options — validate first when they come from
   /// user input.
   static MiningSession Open(const UncertainDatabase& db,
@@ -111,24 +105,24 @@ class MiningSession {
   /// never dangles into freed session state.
   ~MiningSession();
 
-  /// Serves one request with the session's shared index and caches.
+  /// Serves one request with the session's shared index and cache.
   /// Identical results to Mine(db, request) — see the determinism note
   /// above — with stats.cache_* reporting the session's cache work.
   MiningResult Mine(const MiningRequest& request);
 
   /// Resumes a suspended run from the snapshot at `path` through the
-  /// session's shared index and caches: serves `request` with
+  /// session's shared index and cache: serves `request` with
   /// snapshot.resume_path bound to `path`. Verification (algorithm +
   /// database/request fingerprint) and the bit-identical resume contract
   /// are Mine()'s (see SnapshotPolicy); a mismatch comes back as
-  /// kInvalidRequest. Note the cross-request caches can change dp_runs
+  /// kInvalidRequest. Note the cross-request cache can change dp_runs
   /// relative to a cold resume — results are unaffected.
   MiningResult ResumeFrom(const std::string& path,
                           const MiningRequest& request);
 
   /// Submits one request for asynchronous execution and returns a handle
   /// immediately; the run executes on a session worker thread through
-  /// the same admission control, index, and caches as Mine(). All
+  /// the same admission control, index, and cache as Mine(). All
   /// failures are error-as-data through the handle (kInvalidRequest,
   /// kRejected, kCancelled, ...) — Submit itself never blocks on the
   /// run. The handle owns cancellation (RunHandle::Cancel), so a request
@@ -137,8 +131,8 @@ class MiningSession {
   RunHandle Submit(const MiningRequest& request);
 
   /// Serves a whole batch with shared-scan planning (DESIGN.md §15):
-  /// PlanBatch groups compatible requests (same algorithm + tid-set
-  /// mode), each group runs ascending-threshold with DP tail tables
+  /// PlanBatch groups compatible requests (same algorithm), each group
+  /// runs ascending-threshold with DP tail tables
   /// extended to the group's weakest threshold, and distinct groups run
   /// concurrently (their work units interleave on the shared
   /// work-stealing pool under fair-share UnitQuota). Results come back
@@ -157,9 +151,6 @@ class MiningSession {
   std::uint64_t cache_entries() const;
   std::uint64_t cache_evictions() const;
 
-  /// Items with a recorded warm-start proof (0 with warm_start off).
-  std::size_t warm_items_recorded() const;
-
   /// Admission observability: currently executing runs / total requests
   /// rejected by admission control since Open.
   std::size_t inflight() const;
@@ -171,16 +162,12 @@ class MiningSession {
   struct State {
     const UncertainDatabase* db = nullptr;
     SessionOptions options;
-    std::unique_ptr<EvalCache> cache;      ///< Null when cache_bytes == 0.
-    std::unique_ptr<ItemWarmStart> warm;   ///< Null when warm_start off.
-
-    /// One prepared index per tid-set mode, built on first use.
-    std::mutex index_mutex;
-    std::map<TidSetMode, std::unique_ptr<VerticalIndex>> indexes;
+    std::unique_ptr<EvalCache> cache;  ///< Null when cache_bytes == 0.
+    std::unique_ptr<VerticalIndex> index;  ///< Adaptive, built at Open.
 
     /// Admission control state (all under admission_mutex). Admission
-    /// never touches the caches or the index map, so a rejection can
-    /// never perturb an in-flight run.
+    /// never touches the cache or the index, so a rejection can never
+    /// perturb an in-flight run.
     std::mutex admission_mutex;
     std::condition_variable admission_cv;
     std::size_t inflight = 0;
@@ -196,19 +183,14 @@ class MiningSession {
   explicit MiningSession(std::unique_ptr<State> state)
       : state_(std::move(state)) {}
 
-  /// The session index for this request's tid-set policy (built under the
-  /// mutex on first use; stable address afterwards).
+  /// One request with session bindings attached; `table_floor` extends
+  /// freshly cached DP tables for sweep/batch prefilling (0 outside
+  /// planned execution).
   ///
   /// These helpers are static over State rather than members: Submit()
   /// workers and batch group threads outlast any particular `this` (the
   /// session is movable), so everything they touch goes through the
   /// stable State address.
-  static const VerticalIndex& IndexFor(State& state,
-                                       const MiningParams& params);
-
-  /// One request with session bindings attached; `table_floor` extends
-  /// freshly cached DP tables for sweep/batch prefilling (0 outside
-  /// planned execution).
   static MiningResult MineStep(State& state, const MiningRequest& request,
                                std::size_t table_floor);
 

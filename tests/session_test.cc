@@ -141,19 +141,18 @@ TEST(MiningSession, EvictionKeepsResultsExactUnderTinyByteBudget) {
   EXPECT_LE(session.cache_bytes(), 8192u);
 }
 
-TEST(MiningSession, WarmStartRecordsInfrequencyProofs) {
+TEST(MiningSession, RisingThresholdsThroughMineStayBitIdentical) {
   const UncertainDatabase db = MakeQuestDb(17);
   MiningSession session = MiningSession::Open(db);
 
-  // Proofs are recorded for singletons whose tid count clears min_sup
-  // but whose PrF does not — pick a threshold between the typical
-  // expected support (~16 here) and the typical tid count (~22).
+  // A threshold between the typical expected support (~16 here) and the
+  // typical tid count (~22): singletons clear the count floor, and the
+  // exact DP rejects some of them.
   const MiningRequest high = BaseRequest(Algorithm::kMpfci, 20);
   ExpectIdenticalResults(Mine(db, high), session.Mine(high));
-  EXPECT_GT(session.warm_items_recorded(), 0u);
 
-  // A later run at min_sup' >= min_sup may consume the proofs; results
-  // stay bit-identical to a cold run (anti-monotonicity).
+  // The tables cached at 20 stop short of 21, so this run upgrades the
+  // entries it meets again; results stay bit-identical to a cold run.
   const MiningRequest higher = BaseRequest(Algorithm::kMpfci, 21);
   ExpectIdenticalResults(Mine(db, higher), session.Mine(higher));
 }
@@ -172,7 +171,6 @@ TEST(MiningSession, CacheDisabledSessionStillServes) {
   const UncertainDatabase db = MakeQuestDb(19);
   SessionOptions options;
   options.cache_bytes = 0;
-  options.warm_start = false;
   MiningSession session = MiningSession::Open(db, options);
   const MiningRequest request = BaseRequest(Algorithm::kMpfci, 6);
   const MiningResult warm = session.Mine(request);
@@ -180,7 +178,6 @@ TEST(MiningSession, CacheDisabledSessionStillServes) {
   EXPECT_EQ(warm.stats.cache_hits, 0u);
   EXPECT_EQ(warm.stats.cache_misses, 0u);
   EXPECT_EQ(session.cache_bytes(), 0u);
-  EXPECT_EQ(session.warm_items_recorded(), 0u);
 }
 
 /// The acceptance matrix: session (cache on) vs standalone (cache off)
@@ -781,10 +778,12 @@ TEST(MiningSession, ConcurrentSubmitsAllMatchTheirReferences) {
 /// ---- MineBatch(): shared-scan batch planning ----
 
 /// The batch acceptance matrix (DESIGN.md §15): one mixed batch per
-/// (tid-set mode, thread count) cell holding every tuple-level algorithm
-/// at two thresholds, submitted descending (the planner reorders).
-/// Every member must be bit-identical to a standalone Mine() of the same
-/// request, with the batch counters stamped on every member.
+/// (tid-set modes, thread count) cell holding every tuple-level algorithm
+/// at two thresholds, submitted descending (the planner reorders), in
+/// each mode of the cell. The last cell mixes all three modes in one
+/// batch: groups are keyed by algorithm alone, so the mode never splits
+/// one. Every member must be bit-identical to a standalone Mine() of the
+/// same request, with the batch counters stamped on every member.
 TEST(MiningSession, MineBatchBitIdenticalToSequentialEverywhere) {
   const UncertainDatabase db = MakePaperExampleDb();
   const std::vector<Algorithm> algorithms = {
@@ -794,27 +793,38 @@ TEST(MiningSession, MineBatchBitIdenticalToSequentialEverywhere) {
       Algorithm::kExpectedSupportFpGrowth,
       Algorithm::kBruteForce,
   };
-  for (const TidSetMode mode :
-       {TidSetMode::kAdaptive, TidSetMode::kSparse, TidSetMode::kDense}) {
+  const std::vector<std::vector<TidSetMode>> mode_cells = {
+      {TidSetMode::kAdaptive},
+      {TidSetMode::kSparse},
+      {TidSetMode::kDense},
+      {TidSetMode::kAdaptive, TidSetMode::kSparse, TidSetMode::kDense},
+  };
+  for (const std::vector<TidSetMode>& modes : mode_cells) {
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                   " threads=" + std::to_string(threads));
+      std::string cell = "modes=";
+      for (const TidSetMode mode : modes) {
+        cell += std::to_string(static_cast<int>(mode));
+      }
+      SCOPED_TRACE(cell + " threads=" + std::to_string(threads));
       std::vector<MiningRequest> requests;
       for (const Algorithm algorithm : algorithms) {
-        for (const std::size_t min_sup : {3u, 2u}) {
-          MiningRequest request = BaseRequest(algorithm, min_sup);
-          request.params.tidset_mode = mode;
-          request.execution.num_threads = threads;
-          requests.push_back(request);
+        for (const TidSetMode mode : modes) {
+          for (const std::size_t min_sup : {3u, 2u}) {
+            MiningRequest request = BaseRequest(algorithm, min_sup);
+            request.params.tidset_mode = mode;
+            request.execution.num_threads = threads;
+            requests.push_back(request);
+          }
         }
       }
       MiningSession session = MiningSession::Open(db);
       const std::vector<MiningResult> batch = session.MineBatch(requests);
       ASSERT_EQ(batch.size(), requests.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        SCOPED_TRACE(std::string(AlgorithmName(requests[i].algorithm)) +
-                     " min_sup=" +
-                     std::to_string(requests[i].params.min_sup));
+        SCOPED_TRACE(
+            std::string(AlgorithmName(requests[i].algorithm)) + " mode=" +
+            std::to_string(static_cast<int>(requests[i].params.tidset_mode)) +
+            " min_sup=" + std::to_string(requests[i].params.min_sup));
         ASSERT_EQ(batch[i].outcome(), Outcome::kComplete)
             << batch[i].status_message;
         ExpectIdenticalResults(Mine(db, requests[i]), batch[i]);
@@ -939,21 +949,6 @@ TEST(EvalCache, PinScopesNestAndTheRaiiWrapperIsNullSafe) {
     EXPECT_EQ(cache.pinned_entries(), 1u);
   }
   EXPECT_EQ(cache.pinned_entries(), 0u);
-}
-
-TEST(ItemWarmStart, ProofsApplyByAntiMonotonicity) {
-  ItemWarmStart warm;
-  EXPECT_GT(warm.BoundFor(3, 5), 1.0);  // +inf: nothing recorded.
-  warm.RecordBound(3, 5, 0.4);
-  // Applies at the recorded threshold and above, never below.
-  EXPECT_EQ(warm.BoundFor(3, 5), 0.4);
-  EXPECT_EQ(warm.BoundFor(3, 9), 0.4);
-  EXPECT_GT(warm.BoundFor(3, 4), 1.0);
-  // A tighter later proof wins where it applies.
-  warm.RecordBound(3, 7, 0.1);
-  EXPECT_EQ(warm.BoundFor(3, 7), 0.1);
-  EXPECT_EQ(warm.BoundFor(3, 5), 0.4);
-  EXPECT_EQ(warm.items_recorded(), 1u);
 }
 
 }  // namespace

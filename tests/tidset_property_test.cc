@@ -1,5 +1,5 @@
 // Randomized cross-validation of the TidSet algebra against the plain
-// sorted-vector reference (src/data/tidlist.cc) over seeded random
+// sorted-vector reference (tests/tidlist_reference.h) over seeded random
 // universes: sparse, dense, and densities straddling the adaptive
 // threshold, in every representation pairing.
 #include <gtest/gtest.h>
@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "src/data/tidlist.h"
 #include "src/data/tidset.h"
 #include "src/util/random.h"
+#include "tests/tidlist_reference.h"
 
 namespace pfci {
 namespace {

@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/data/tidlist.h"
+#include "tests/tidlist_reference.h"
 
 namespace pfci {
 namespace {

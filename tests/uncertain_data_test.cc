@@ -9,10 +9,10 @@
 #include "src/data/database_io.h"
 #include "src/data/database_stats.h"
 #include "src/data/possible_world.h"
-#include "src/data/tidlist.h"
 #include "src/data/uncertain_database.h"
 #include "src/data/vertical_index.h"
 #include "src/data/world_enumerator.h"
+#include "tests/tidlist_reference.h"
 #include "src/harness/dataset_factory.h"
 
 namespace pfci {

@@ -66,7 +66,7 @@ def check_workload(workload, index, errors):
 
     cache = require(workload, "cache", dict, errors, where)
     if cache is not None:
-        for key in ("bytes", "entries", "evictions", "warm_items"):
+        for key in ("bytes", "entries", "evictions"):
             require(cache, key, int, errors, f"{where}.cache")
 
     thresholds = require(workload, "per_threshold", list, errors, where)

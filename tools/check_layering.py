@@ -89,6 +89,11 @@ REMOVED_STEMS = {
     "src/core/search/closure_operator": "the search kernel calls "
                                         "FcpEngine::EvaluateAt directly; "
                                         "use src/core/fcp_engine.h",
+    # One caller and no state: a stable sort plus a max, inlined into the
+    # batch planner.
+    "src/core/search/threshold_ladder": "PlanBatch orders each group "
+                                        "itself; see "
+                                        "src/serve/batch_planner.cc",
 }
 REMOVED_HEADERS = {stem + ".h": stem for stem in REMOVED_STEMS}
 INCLUDE_SCAN_DIRS = ("src", "tests", "bench", "examples", "tools",
@@ -96,11 +101,10 @@ INCLUDE_SCAN_DIRS = ("src", "tests", "bench", "examples", "tools",
 
 # The serving layer's batch/async building blocks (the planner that
 # groups requests and the handle that carries an async result) compose
-# over the unified request vocabulary (src/core/mine.h) and the search
-# kernel's planning helpers only. Reaching into a per-algorithm miner
-# facade from these files would re-couple scheduling policy to
-# individual miners — dispatch stays behind Mine()/MineStep, never in
-# the planner.
+# over the unified request vocabulary (src/core/mine.h) only. Reaching
+# into a per-algorithm miner facade from these files would re-couple
+# scheduling policy to individual miners — dispatch stays behind
+# Mine()/MineStep, never in the planner.
 SERVE_BATCH_PREFIXES = ("src/serve/batch_planner", "src/serve/run_handle")
 SERVE_BATCH_ALLOWED_FACADE = {"src/core/mine.h"}
 
