@@ -23,12 +23,11 @@ namespace {
 constexpr std::uint64_t kWorldsPerRange = 16384;
 
 /// Splits [0, NumWorlds(db)) into fixed-size ranges and runs
-/// `process(range_index, begin, end)` for each, over `exec.pool`.
-/// Returns the number of ranges.
+/// `process(range_index, begin, end)` for each, over `pool`, polling `rt`
+/// at every range. Returns the number of ranges.
 template <typename Process>
-std::uint64_t ForEachWorldRange(const UncertainDatabase& db,
-                                const ExecutionContext& exec,
-                                const Process& process) {
+std::uint64_t ForEachWorldRange(const UncertainDatabase& db, ThreadPool* pool,
+                                RunController& rt, const Process& process) {
   const std::uint64_t total = NumWorlds(db);
   const std::uint64_t num_ranges =
       total == 0 ? 0 : (total + kWorldsPerRange - 1) / kWorldsPerRange;
@@ -38,12 +37,12 @@ std::uint64_t ForEachWorldRange(const UncertainDatabase& db,
     // verified partial (the probabilities would simply be wrong), so the
     // callers discard everything when the run was stopped.
     PFCI_FAILPOINT("brute/range");
-    if (exec.runtime != nullptr && exec.runtime->Checkpoint()) return;
+    if (rt.Checkpoint()) return;
     const std::uint64_t begin = r * kWorldsPerRange;
     const std::uint64_t end = std::min(total, begin + kWorldsPerRange);
     process(r, begin, end);
   };
-  ParallelFor(exec.pool, static_cast<std::size_t>(num_ranges), run);
+  ParallelFor(pool, static_cast<std::size_t>(num_ranges), run);
   return num_ranges;
 }
 
@@ -52,12 +51,16 @@ std::uint64_t ForEachWorldRange(const UncertainDatabase& db,
 WorldProbabilities BruteForceItemsetProbabilities(
     const UncertainDatabase& db, const Itemset& x, std::size_t min_sup,
     const ExecutionContext& exec) {
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  RunController& rt = exec.runtime != nullptr ? *exec.runtime : unlimited;
   std::vector<WorldProbabilities> partial;
   const std::uint64_t total = NumWorlds(db);
   partial.resize(static_cast<std::size_t>(
       total == 0 ? 0 : (total + kWorldsPerRange - 1) / kWorldsPerRange));
   ForEachWorldRange(
-      db, exec, [&](std::size_t r, std::uint64_t begin, std::uint64_t end) {
+      db, exec.pool, rt,
+      [&](std::size_t r, std::uint64_t begin, std::uint64_t end) {
         WorldProbabilities& sums = partial[r];
         EnumerateWorldsRange(
             db, begin, end, [&](const PossibleWorld& world, double prob) {
@@ -69,9 +72,7 @@ WorldProbabilities BruteForceItemsetProbabilities(
               if (frequent && closed) sums.pr_fc += prob;
             });
       });
-  if (exec.runtime != nullptr && exec.runtime->StopRequested()) {
-    return WorldProbabilities{};
-  }
+  if (rt.StopRequested()) return WorldProbabilities{};
   WorldProbabilities result;
   for (const WorldProbabilities& sums : partial) {
     result.pr_f += sums.pr_f;
@@ -85,13 +86,17 @@ std::vector<FcpGroundTruth> BruteForceAllFcp(const UncertainDatabase& db,
                                              std::size_t min_sup,
                                              const ExecutionContext& exec) {
   PFCI_CHECK(min_sup >= 1);
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  RunController& rt = exec.runtime != nullptr ? *exec.runtime : unlimited;
   using FcpMap = std::unordered_map<Itemset, double, ItemsetHash>;
   std::vector<FcpMap> partial;
   const std::uint64_t total = NumWorlds(db);
   partial.resize(static_cast<std::size_t>(
       total == 0 ? 0 : (total + kWorldsPerRange - 1) / kWorldsPerRange));
   ForEachWorldRange(
-      db, exec, [&](std::size_t r, std::uint64_t begin, std::uint64_t end) {
+      db, exec.pool, rt,
+      [&](std::size_t r, std::uint64_t begin, std::uint64_t end) {
         FcpMap& fcp = partial[r];
         EnumerateWorldsRange(
             db, begin, end, [&](const PossibleWorld& world, double prob) {
@@ -103,7 +108,7 @@ std::vector<FcpGroundTruth> BruteForceAllFcp(const UncertainDatabase& db,
                                      });
             });
       });
-  if (exec.runtime != nullptr && exec.runtime->StopRequested()) return {};
+  if (rt.StopRequested()) return {};
   // Merge in range order: each itemset's probability is accumulated over
   // ranges in the same sequence regardless of which thread mined what.
   FcpMap fcp;

@@ -29,10 +29,11 @@ struct WorldProbabilities {
 /// partial sums merge in range order, so the result does not depend on
 /// the thread count.
 ///
-/// Fail-soft: `exec.runtime`, when set, is polled at world-range
-/// boundaries. A sum missing worlds would simply be wrong — no partial
-/// answer exists here — so a stopped run returns a zeroed/empty result
-/// (the caller reads the stop reason off the controller).
+/// Fail-soft: `exec.runtime` (null: a local unlimited controller) is
+/// polled at world-range boundaries. A sum missing worlds would simply
+/// be wrong — no partial answer exists here — so a stopped run returns a
+/// zeroed/empty result (the caller reads the stop reason off the
+/// controller).
 WorldProbabilities BruteForceItemsetProbabilities(
     const UncertainDatabase& db, const Itemset& x, std::size_t min_sup,
     const ExecutionContext& exec = ExecutionContext{});

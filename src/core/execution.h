@@ -112,10 +112,12 @@ struct ExecutionContext {
   /// schema and DESIGN.md §9 for the architecture).
   TraceSink* trace = nullptr;
 
-  /// Fail-soft runtime state (cancellation, deadline, budgets); null
-  /// means unlimited. Miners poll it at cooperative checkpoints and wind
-  /// down with a verified partial result when it says stop (DESIGN.md
-  /// §10).
+  /// Fail-soft runtime state (cancellation, deadline, budgets). Mine()
+  /// wires its controller into every run, limited or not; a standalone
+  /// entry point handed a context without one substitutes a local
+  /// unlimited controller at entry, so no miner below tests for null.
+  /// Miners poll it at cooperative checkpoints and wind down with a
+  /// verified partial result when it says stop (DESIGN.md §10).
   RunController* runtime = nullptr;
 
   /// Session-provided VerticalIndex over the run's database (DESIGN.md

@@ -46,24 +46,19 @@ class EsupEvaluator {
   std::uint64_t misses_ = 0;
 };
 
-/// Whether the fail-soft run should wind down.
-bool EsupStopped(RunController* rt, const WorkUnitBudget& unit) {
-  return unit.truncated || (rt != nullptr && rt->StopRequested());
-}
-
 void Dfs(const VerticalIndex& index, EsupEvaluator& ev, double min_esup,
          const std::vector<Item>& candidates, const Itemset& x,
          const TidSet& tids, std::size_t candidate_pos,
          std::vector<ExpectedSupportEntry>* out, MiningStats* stats,
-         RunController* rt, WorkUnitBudget& unit) {
+         RunController& rt, WorkUnitBudget& unit) {
   // Node-expansion checkpoint: entries emit before recursing, so cutting
   // here leaves a verified prefix in `*out`.
   PFCI_FAILPOINT("esup/node");
-  if (rt != nullptr && rt->Checkpoint()) return;
+  if (rt.Checkpoint()) return;
   if (!unit.TakeNode()) return;
   if (stats != nullptr) ++stats->nodes_visited;
   for (std::size_t c = candidate_pos + 1; c < candidates.size(); ++c) {
-    if (EsupStopped(rt, unit)) return;
+    if (unit.truncated || rt.StopRequested()) return;
     const Item item = candidates[c];
     TidSet child_tids = Intersect(tids, index.TidsOfItem(item));
     if (stats != nullptr) ++stats->intersections;
@@ -268,22 +263,24 @@ std::vector<ExpectedSupportEntry> MineExpectedSupportFpGrowth(
 
 std::vector<ExpectedSupportEntry> MineExpectedSupport(
     const UncertainDatabase& db, double min_esup, MiningStats* stats,
-    RunController* runtime, const TidSetPolicy& policy,
-    const ExecutionContext* session) {
+    const TidSetPolicy& policy, const ExecutionContext* caller_exec) {
   PFCI_CHECK(min_esup > 0.0);
-  ExecutionContext exec = session != nullptr ? *session : ExecutionContext{};
-  exec.runtime = runtime;
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  ExecutionContext exec =
+      caller_exec != nullptr ? *caller_exec : ExecutionContext{};
+  if (exec.runtime == nullptr) exec.runtime = &unlimited;
+  RunController& rt = *exec.runtime;
   const IndexHandle index_handle(db, policy, exec);
   const VerticalIndex& index = index_handle.get();
   EsupEvaluator ev(index, exec.eval_cache);
   // Index bytes were charged by the handle; fail an undersized memory
   // budget before any search work.
-  if (runtime != nullptr && runtime->active()) runtime->Checkpoint();
-  WorkUnitBudget unit =
-      runtime != nullptr ? runtime->UnitBudget(0, 1) : WorkUnitBudget{};
+  rt.Checkpoint();
+  WorkUnitBudget unit = rt.UnitBudget(0, 1);
   std::vector<ExpectedSupportEntry> result;
   std::vector<Item> candidates;
-  if (runtime == nullptr || !runtime->StopRequested()) {
+  if (!rt.StopRequested()) {
     for (Item item : index.occurring_items()) {
       const double esup = ev.Esup(index.TidsOfItem(item));
       if (esup >= min_esup) {
@@ -296,19 +293,17 @@ std::vector<ExpectedSupportEntry> MineExpectedSupport(
   }
   const std::size_t num_singletons = result.size();
   for (std::size_t s = 0;
-       s < num_singletons && !EsupStopped(runtime, unit); ++s) {
+       s < num_singletons && !(unit.truncated || rt.StopRequested()); ++s) {
     const ExpectedSupportEntry seed = result[s];
     const std::size_t pos = static_cast<std::size_t>(
         std::lower_bound(candidates.begin(), candidates.end(),
                          seed.items.LastItem()) -
         candidates.begin());
     Dfs(index, ev, min_esup, candidates, seed.items,
-        index.TidsOfItem(seed.items.LastItem()), pos, &result, stats,
-        runtime, unit);
+        index.TidsOfItem(seed.items.LastItem()), pos, &result, stats, rt,
+        unit);
   }
-  if (unit.truncated && runtime != nullptr) {
-    runtime->RecordTruncation(Outcome::kBudgetExhausted);
-  }
+  if (unit.truncated) rt.RecordTruncation(Outcome::kBudgetExhausted);
   if (stats != nullptr) {
     stats->cache_hits += ev.hits();
     stats->cache_misses += ev.misses();

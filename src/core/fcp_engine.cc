@@ -31,7 +31,9 @@ PfciEntry MakePfciEntry(const Itemset& x, const FcpComputation& comp) {
 FcpEngine::FcpEngine(const VerticalIndex& index,
                      const FrequentProbability& freq,
                      const MiningParams& params, const ExecutionContext& exec)
-    : index_(&index), freq_(&freq), params_(params), exec_(exec) {}
+    : index_(&index), freq_(&freq), params_(params), exec_(exec) {
+  if (exec_.runtime == nullptr) exec_.runtime = &unlimited_;
+}
 
 FcpComputation FcpEngine::Evaluate(const Itemset& x, const TidSet& tids,
                                    double pr_f, Rng& rng, MiningStats* stats,
@@ -103,8 +105,7 @@ FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
   const bool exact_eligible =
       !params_.force_sampling && events.size() <= params_.exact_event_limit &&
       events.size() <= kMaxInclusionExclusionEvents;
-  const bool degraded = exact_eligible && exec_.runtime != nullptr &&
-                        exec_.runtime->ShouldDegradeFcp();
+  const bool degraded = exact_eligible && exec_.runtime->ShouldDegradeFcp();
   if (exact_eligible && !degraded) {
     out.fcp = ExactFcpByInclusionExclusion(pr_f, events);
     out.method = FcpMethod::kExact;

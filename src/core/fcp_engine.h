@@ -52,7 +52,8 @@ class FcpEngine {
  public:
   /// `index` and `freq` must outlive the engine. `exec.pool`, when set,
   /// parallelizes the ApproxFCP sample batches; `exec.progress` is unused
-  /// here.
+  /// here. Without `exec.runtime` the engine runs under its own unlimited
+  /// controller.
   FcpEngine(const VerticalIndex& index, const FrequentProbability& freq,
             const MiningParams& params,
             const ExecutionContext& exec = ExecutionContext{});
@@ -63,7 +64,7 @@ class FcpEngine {
   /// `unit`, when given, is the caller's logical sample ledger: the full
   /// Karp-Luby sample requirement is claimed from it before the sampler
   /// runs, so an estimate is complete or not attempted (result.undecided).
-  /// Under deadline pressure (exec.runtime->ShouldDegradeFcp()) exact
+  /// Under deadline pressure (RunController::ShouldDegradeFcp()) exact
   /// inclusion-exclusion evaluations degrade to the ApproxFCP sampler,
   /// counted in stats->degraded_fcp_evals.
   FcpComputation Evaluate(const Itemset& x, const TidSet& tids, double pr_f,
@@ -92,7 +93,8 @@ class FcpEngine {
   const VerticalIndex* index_;
   const FrequentProbability* freq_;
   MiningParams params_;
-  ExecutionContext exec_;
+  RunController unlimited_;
+  ExecutionContext exec_;  ///< exec_.runtime is never null.
 };
 
 }  // namespace pfci

@@ -52,6 +52,9 @@ class PositionMask {
 ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
                           double epsilon, double delta, Rng& rng,
                           ThreadPool* pool, RunController* runtime) {
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  RunController& rt = runtime != nullptr ? *runtime : unlimited;
   ApproxFcpResult result;
   const std::size_t m = events.size();
   if (m == 0) {
@@ -130,7 +133,7 @@ ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
     // Sample-batch checkpoint: a cancelled/expired run abandons its
     // remaining batches; the whole estimate is then discarded (aborted).
     PFCI_FAILPOINT("sampler/batch");
-    if (runtime != nullptr && runtime->Checkpoint()) {
+    if (rt.Checkpoint()) {
       aborted.store(true, std::memory_order_relaxed);
       return;
     }

@@ -46,12 +46,12 @@ struct ApproxFcpResult {
 /// (`pool == nullptr`) or on any number of threads. Exactly one value is
 /// consumed from `rng` per call (when events is non-empty).
 ///
-/// `runtime`, when set, is polled at sample-batch boundaries: a global
-/// stop abandons the remaining batches and returns with `aborted` set
-/// (fail-soft checkpoints, DESIGN.md §10). Logical sample budgets are NOT
-/// enforced here — callers pre-claim the full required sample count from
-/// their WorkUnitBudget before calling (see FcpEngine), so an estimate is
-/// either complete or skipped whole.
+/// `runtime` (null: a local unlimited controller) is polled at
+/// sample-batch boundaries: a global stop abandons the remaining batches
+/// and returns with `aborted` set (fail-soft checkpoints, DESIGN.md §10).
+/// Logical sample budgets are NOT enforced here — callers pre-claim the
+/// full required sample count from their WorkUnitBudget before calling
+/// (see FcpEngine), so an estimate is either complete or skipped whole.
 ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
                           double epsilon, double delta, Rng& rng,
                           ThreadPool* pool = nullptr,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/eval_cache.h"
+#include "src/core/mining_result.h"
 #include "src/prob/poisson_binomial.h"
 #include "src/prob/tail_bounds.h"
 #include "src/util/check.h"
@@ -122,6 +123,13 @@ double FrequentProbability::PrFUpperBound(const TidSet& tids) const {
   if (tids.size() < min_sup_) return 0.0;
   return BestUpperTailBound(index_->SumProbsOf(tids), tids.size(),
                             static_cast<double>(min_sup_));
+}
+
+void FrequentProbability::AddCountersTo(MiningStats& stats) const {
+  stats.dp_runs += dp_runs();
+  stats.cache_hits += cache_hits();
+  stats.cache_misses += cache_misses();
+  stats.dp_reused += dp_reused();
 }
 
 }  // namespace pfci

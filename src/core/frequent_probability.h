@@ -22,6 +22,7 @@
 namespace pfci {
 
 class EvalCache;
+struct MiningStats;
 
 /// Scratch for one PrF evaluation, grown to the run's high-water mark.
 struct DpWorkspace {
@@ -89,6 +90,12 @@ class FrequentProbability {
   std::uint64_t dp_reused() const {
     return dp_reused_.load(std::memory_order_relaxed);
   }
+
+  /// Adds the four counters above into `stats`: the one fold a run makes
+  /// of its evaluator, once, on the coordinating thread. Added (not
+  /// assigned): a resumed run's base counters already hold the suspended
+  /// sessions' counts.
+  void AddCountersTo(MiningStats& stats) const;
 
  private:
   /// The Chernoff-Hoeffding short circuits at min_sup for a tid-set of

@@ -7,8 +7,9 @@
 // and falls back to an owned build otherwise (a session request that
 // forces another mode), so miners are oblivious to which serving mode
 // they run under. Either way the index's resident
-// bytes are charged to the run's memory budget for the handle's lifetime
-// — a borrowed index is still resident while the run uses it.
+// bytes are charged to the run's memory budget (`exec.runtime`, which
+// must be set) for the handle's lifetime — a borrowed index is still
+// resident while the run uses it.
 #ifndef PFCI_CORE_INDEX_HANDLE_H_
 #define PFCI_CORE_INDEX_HANDLE_H_
 
@@ -25,7 +26,7 @@ class IndexHandle {
  public:
   IndexHandle(const UncertainDatabase& db, const TidSetPolicy& policy,
               const ExecutionContext& exec)
-      : runtime_(exec.runtime) {
+      : runtime_(*exec.runtime) {
     const VerticalIndex* shared = exec.shared_index;
     if (shared != nullptr && &shared->db() == &db &&
         shared->policy().mode == policy.mode) {
@@ -34,15 +35,11 @@ class IndexHandle {
       owned_.emplace(db, policy);
       index_ = &*owned_;
     }
-    if (runtime_ != nullptr) {
-      charged_ = index_->MemoryBytes();
-      runtime_->ChargeBytes(charged_);
-    }
+    charged_ = index_->MemoryBytes();
+    runtime_.ChargeBytes(charged_);
   }
 
-  ~IndexHandle() {
-    if (runtime_ != nullptr) runtime_->ReleaseBytes(charged_);
-  }
+  ~IndexHandle() { runtime_.ReleaseBytes(charged_); }
 
   IndexHandle(const IndexHandle&) = delete;
   IndexHandle& operator=(const IndexHandle&) = delete;
@@ -56,7 +53,7 @@ class IndexHandle {
  private:
   std::optional<VerticalIndex> owned_;
   const VerticalIndex* index_ = nullptr;
-  RunController* runtime_ = nullptr;
+  RunController& runtime_;
   std::uint64_t charged_ = 0;
 };
 

@@ -110,13 +110,6 @@ MiningResult InvalidRequestResult(const std::string& why) {
   return result;
 }
 
-/// Stamps the fail-soft outcome of a finished run into its stats.
-void StampOutcome(MiningResult* result, const RunController* runtime) {
-  if (runtime == nullptr) return;
-  result->stats.outcome = runtime->outcome();
-  result->stats.truncated = runtime->truncated();
-}
-
 /// Entry conversions of the flat miners. The frequentness-only miners
 /// (PFI, expected support, and their item-level counterparts) report
 /// their measure in pr_f with fcp 0; the possible-world oracle reports
@@ -179,7 +172,8 @@ MiningResult RunFlat(const ExecutionContext& exec, Fill fill) {
     TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
     result.Sort();
   }
-  StampOutcome(&result, exec.runtime);
+  result.stats.outcome = exec.runtime->outcome();
+  result.stats.truncated = exec.runtime->truncated();
   result.stats.seconds = timer.ElapsedSeconds();
   result.stats.EmitTrace(exec.trace);
   return result;
@@ -213,14 +207,13 @@ MiningResult Dispatch(const UncertainDatabase& db,
       return RunFlat(exec, [&](MiningStats* stats) {
         return ToPfciEntries(MinePfi(db, params.min_sup, params.pfct,
                                      params.pruning.chernoff, stats,
-                                     TidSetPolicyFor(params), exec.runtime,
-                                     &exec));
+                                     TidSetPolicyFor(params), &exec));
       });
     case Algorithm::kExpectedSupport:
       return RunFlat(exec, [&](MiningStats* stats) {
-        return ToPfciEntries(MineExpectedSupport(
-            db, EffectiveMinEsup(request), stats, exec.runtime,
-            TidSetPolicyFor(params), &exec));
+        return ToPfciEntries(MineExpectedSupport(db, EffectiveMinEsup(request),
+                                                 stats, TidSetPolicyFor(params),
+                                                 &exec));
       });
     case Algorithm::kExpectedSupportFpGrowth:
       // The weighted FP-growth baseline: same answer, no fail-soft hooks.
@@ -331,8 +324,7 @@ MiningResult MineImpl(const UncertainDatabase& db,
   // A save path arms drain-at-unit-boundary suspension for the
   // frontier-resumable algorithms: a stop request then lets in-flight
   // units finish (refusing new ones), so the captured frontier needs no
-  // attribution surgery. Arming makes the controller active, so the
-  // runtime is always wired when a snapshot may be written.
+  // attribution surgery.
   RunSnapshot save_snapshot;
   const bool save_requested = !request.snapshot.save_path.empty();
   if (save_requested && SupportsFrontierResume(request.algorithm)) {
@@ -343,7 +335,7 @@ MiningResult MineImpl(const UncertainDatabase& db,
   exec.pool = pool;
   exec.progress = sink.get();
   exec.trace = request.trace;
-  if (controller.active()) exec.runtime = &controller;
+  exec.runtime = &controller;
   if (resuming) exec.resume_snapshot = &resume_snapshot;
   if (save_requested) exec.save_snapshot = &save_snapshot;
   if (bindings != nullptr) {

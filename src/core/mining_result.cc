@@ -1,6 +1,7 @@
 #include "src/core/mining_result.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/util/string_util.h"
 
@@ -22,95 +23,65 @@ const char* FcpMethodName(FcpMethod method) {
   return "unknown";
 }
 
-// Counter-count guard for MergeCounters: 22 std::uint64_t counters + 4
-// doubles + (Outcome + 2 bools, padded to one word). Adding a field
-// changes the size and fails this assert — update MergeCounters (and
-// ToString / ToJson / EmitTrace) before adjusting the constant, so a new
-// counter can never silently skip the merge. The batch_* / queued_micros
-// quartet (schema v6) is deliberately NOT merged: the serving layer
-// stamps it once per member after the deterministic merge.
+// Table guard: every std::uint64_t field of MiningStats has a
+// kStatsCounters row, plus 4 doubles and (Outcome + 2 bools, padded to
+// one word). A counter added without a row changes the size and fails
+// this assert.
 static_assert(sizeof(MiningStats) ==
-                  22 * sizeof(std::uint64_t) + 4 * sizeof(double) + 8,
-              "MiningStats layout changed: audit MergeCounters, ToString, "
-              "ToJson, and EmitTrace, then update this size guard");
+                  std::size(kStatsCounters) * sizeof(std::uint64_t) +
+                      4 * sizeof(double) + 8,
+              "MiningStats layout changed: add the new counter's "
+              "kStatsCounters row");
+
+// The snapshot slots are a permutation of 0..kNumSnapshotCounters-1.
+static_assert([] {
+  std::size_t seen = 0;
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.snapshot_slot < 0) continue;
+    const std::size_t slot = static_cast<std::size_t>(row.snapshot_slot);
+    if (slot >= kNumSnapshotCounters || (seen >> slot & 1) != 0) return false;
+    seen |= std::size_t{1} << slot;
+  }
+  return true;
+}());
 
 void MiningStats::MergeCounters(const MiningStats& part) {
-  nodes_visited += part.nodes_visited;
-  pruned_by_chernoff += part.pruned_by_chernoff;
-  pruned_by_frequency += part.pruned_by_frequency;
-  pruned_by_superset += part.pruned_by_superset;
-  pruned_by_subset += part.pruned_by_subset;
-  decided_by_bounds += part.decided_by_bounds;
-  zero_by_count += part.zero_by_count;
-  exact_fcp_computations += part.exact_fcp_computations;
-  sampled_fcp_computations += part.sampled_fcp_computations;
-  total_samples += part.total_samples;
-  intersections += part.intersections;
-  degraded_fcp_evals += part.degraded_fcp_evals;
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.merged) this->*row.member += part.*row.member;
+  }
 }
 
 std::string MiningStats::ToString() const {
-  return "nodes=" + std::to_string(nodes_visited) +
-         " ch_pruned=" + std::to_string(pruned_by_chernoff) +
-         " freq_pruned=" + std::to_string(pruned_by_frequency) +
-         " super_pruned=" + std::to_string(pruned_by_superset) +
-         " sub_pruned=" + std::to_string(pruned_by_subset) +
-         " bounds_decided=" + std::to_string(decided_by_bounds) +
-         " zero_by_count=" + std::to_string(zero_by_count) +
-         " exact_fcp=" + std::to_string(exact_fcp_computations) +
-         " sampled_fcp=" + std::to_string(sampled_fcp_computations) +
-         " samples=" + std::to_string(total_samples) +
-         " dp_runs=" + std::to_string(dp_runs) +
-         " intersections=" + std::to_string(intersections) +
-         " degraded_fcp=" + std::to_string(degraded_fcp_evals) +
-         " cache_hits=" + std::to_string(cache_hits) +
-         " cache_misses=" + std::to_string(cache_misses) +
-         " dp_reused=" + std::to_string(dp_reused) +
-         " outcome=" + OutcomeName(outcome) +
-         (resumed ? " resumed=1" : "") +
-         (snapshot_bytes > 0
-              ? " snapshot_bytes=" + std::to_string(snapshot_bytes)
-              : "") +
-         (batch_size > 0
-              ? " batch=" + std::to_string(batch_size) + "/" +
-                    std::to_string(batch_groups) +
-                    " shared_dp_hits=" + std::to_string(shared_dp_hits) +
-                    " queued_micros=" + std::to_string(queued_micros)
-              : "") +
-         " time=" + FormatDouble(seconds, 4) + "s";
+  std::string out;
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.text == nullptr) continue;
+    if (!out.empty()) out += ' ';
+    out += row.text;
+    out += '=' + std::to_string(this->*row.member);
+  }
+  out += " outcome=";
+  out += OutcomeName(outcome);
+  if (resumed) out += " resumed=1";
+  if (snapshot_bytes > 0) {
+    out += " snapshot_bytes=" + std::to_string(snapshot_bytes);
+  }
+  if (batch_size > 0) {
+    out += " batch=" + std::to_string(batch_size) + "/" +
+           std::to_string(batch_groups) +
+           " shared_dp_hits=" + std::to_string(shared_dp_hits) +
+           " queued_micros=" + std::to_string(queued_micros);
+  }
+  out += " time=" + FormatDouble(seconds, 4) + "s";
+  return out;
 }
 
 std::string MiningStats::ToJson() const {
-  std::string out = "{";
-  const auto field = [&out](const char* name, std::uint64_t value) {
-    if (out.size() > 1) out += ",";
-    out += "\"";
-    out += name;
-    out += "\":" + std::to_string(value);
-  };
-  field("schema", 6);
-  field("nodes_visited", nodes_visited);
-  field("pruned_by_chernoff", pruned_by_chernoff);
-  field("pruned_by_frequency", pruned_by_frequency);
-  field("pruned_by_superset", pruned_by_superset);
-  field("pruned_by_subset", pruned_by_subset);
-  field("decided_by_bounds", decided_by_bounds);
-  field("zero_by_count", zero_by_count);
-  field("exact_fcp_computations", exact_fcp_computations);
-  field("sampled_fcp_computations", sampled_fcp_computations);
-  field("total_samples", total_samples);
-  field("dp_runs", dp_runs);
-  field("intersections", intersections);
-  field("degraded_fcp_evals", degraded_fcp_evals);
-  field("cache_hits", cache_hits);
-  field("cache_misses", cache_misses);
-  field("dp_reused", dp_reused);
-  field("cache_bytes", cache_bytes);
-  field("snapshot_bytes", snapshot_bytes);
-  field("batch_size", batch_size);
-  field("batch_groups", batch_groups);
-  field("shared_dp_hits", shared_dp_hits);
-  field("queued_micros", queued_micros);
+  std::string out = "{\"schema\":6";
+  for (const StatsCounter& row : kStatsCounters) {
+    out += ",\"";
+    out += row.json;
+    out += "\":" + std::to_string(this->*row.member);
+  }
   out += ",\"outcome\":\"";
   out += OutcomeName(outcome);
   out += "\"";
@@ -131,22 +102,9 @@ std::string MiningStats::ToJson() const {
 
 void MiningStats::EmitTrace(TraceSink* sink) const {
   if (sink == nullptr) return;
-  // The paper's per-rule pruning attribution, under stable wire names
-  // (pruned_by_frequency is "threshold_pruned": the exact PrF <= pfct
-  // rejection; total_samples is "samples_drawn": the FPRAS budget).
-  TraceCounter(sink, "nodes_expanded", nodes_visited);
-  TraceCounter(sink, "chernoff_pruned", pruned_by_chernoff);
-  TraceCounter(sink, "threshold_pruned", pruned_by_frequency);
-  TraceCounter(sink, "superset_pruned", pruned_by_superset);
-  TraceCounter(sink, "subset_pruned", pruned_by_subset);
-  TraceCounter(sink, "bounds_decided", decided_by_bounds);
-  TraceCounter(sink, "zero_by_count", zero_by_count);
-  TraceCounter(sink, "exact_fcp", exact_fcp_computations);
-  TraceCounter(sink, "sampled_fcp", sampled_fcp_computations);
-  TraceCounter(sink, "samples_drawn", total_samples);
-  TraceCounter(sink, "dp_runs", dp_runs);
-  TraceCounter(sink, "intersections", intersections);
-  TraceCounter(sink, "degraded_fcp_evals", degraded_fcp_evals);
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.trace != nullptr) TraceCounter(sink, row.trace, this->*row.member);
+  }
   TraceCounter(sink, "truncated", truncated ? 1 : 0);
 }
 

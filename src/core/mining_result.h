@@ -2,6 +2,7 @@
 #ifndef PFCI_CORE_MINING_RESULT_H_
 #define PFCI_CORE_MINING_RESULT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -121,15 +122,12 @@ struct MiningStats {
   /// deterministic counters match an uninterrupted run's.
   bool resumed = false;
 
-  /// Adds `part`'s per-work counters (nodes_visited through
-  /// intersections above) into this object. This is the single merge
-  /// point for per-task / per-evaluation counter partials: dp_runs and
-  /// the cache_* counters are excluded (they live on the shared
-  /// FrequentProbability evaluator and are folded in once by the
-  /// coordinating thread), as are the wall-clock and outcome fields. A
-  /// size guard in mining_result.cc makes the merge exhaustive by
-  /// construction: growing MiningStats without updating MergeCounters
-  /// fails the build.
+  /// Adds `part`'s per-work counters (the kStatsCounters rows marked
+  /// `merged`) into this object. This is the single merge point for
+  /// per-task / per-evaluation counter partials: dp_runs and the cache_*
+  /// counters are excluded (they live on the shared FrequentProbability
+  /// evaluator and are folded in once by the coordinating thread), as
+  /// are the batch stamps and the wall-clock and outcome fields.
   void MergeCounters(const MiningStats& part);
 
   std::string ToString() const;
@@ -139,15 +137,82 @@ struct MiningStats {
   /// `schema` field is 6 and the key set is append-only).
   std::string ToJson() const;
 
-  /// Emits one `counter` trace event per work counter under the canonical
-  /// telemetry names (`chernoff_pruned`, `threshold_pruned`,
-  /// `superset_pruned`, `subset_pruned`, `bounds_decided`,
-  /// `zero_by_count`, `exact_fcp`, `sampled_fcp`, `samples_drawn`,
-  /// `dp_runs`, `intersections`, `nodes_expanded`, `degraded_fcp_evals`,
-  /// `truncated`). Call after the deterministic merge so values are
-  /// thread-count independent. No-op when `sink` is null.
+  /// Emits one `counter` trace event per traced kStatsCounters row, in
+  /// table order, then `truncated`. Call after the deterministic merge
+  /// so values are thread-count independent. No-op when `sink` is null.
   void EmitTrace(TraceSink* sink) const;
 };
+
+/// One row of the MiningStats counter table.
+struct StatsCounter {
+  std::uint64_t MiningStats::*member;
+  const char* json;   ///< ToJson key.
+  const char* text;   ///< ToString key; null: not on the text line.
+  const char* trace;  ///< Trace counter name; null: not traced.
+  bool merged;        ///< Summed by MergeCounters.
+  int snapshot_slot;  ///< Position on the snapshot v1 `stats` line; -1: none.
+};
+
+/// Every std::uint64_t counter of MiningStats, in ToJson key order. The
+/// single list behind MergeCounters, ToString, ToJson, EmitTrace and the
+/// run snapshot's base counters: a new counter is one field plus one row
+/// (a size guard in mining_result.cc fails the build otherwise). The
+/// wire names and orders are frozen: the goldens pin the JSON keys and
+/// trace names, and snapshots written by older builds must still parse,
+/// so snapshot slots keep their v1 order (degraded_fcp_evals before
+/// intersections).
+inline constexpr StatsCounter kStatsCounters[] = {
+    // The paper's per-rule pruning attribution, under stable trace names
+    // (pruned_by_frequency is "threshold_pruned": the exact PrF <= pfct
+    // rejection; total_samples is "samples_drawn": the FPRAS budget).
+    {&MiningStats::nodes_visited, "nodes_visited", "nodes", "nodes_expanded",
+     true, 0},
+    {&MiningStats::pruned_by_chernoff, "pruned_by_chernoff", "ch_pruned",
+     "chernoff_pruned", true, 1},
+    {&MiningStats::pruned_by_frequency, "pruned_by_frequency", "freq_pruned",
+     "threshold_pruned", true, 2},
+    {&MiningStats::pruned_by_superset, "pruned_by_superset", "super_pruned",
+     "superset_pruned", true, 3},
+    {&MiningStats::pruned_by_subset, "pruned_by_subset", "sub_pruned",
+     "subset_pruned", true, 4},
+    {&MiningStats::decided_by_bounds, "decided_by_bounds", "bounds_decided",
+     "bounds_decided", true, 5},
+    {&MiningStats::zero_by_count, "zero_by_count", "zero_by_count",
+     "zero_by_count", true, 6},
+    {&MiningStats::exact_fcp_computations, "exact_fcp_computations",
+     "exact_fcp", "exact_fcp", true, 7},
+    {&MiningStats::sampled_fcp_computations, "sampled_fcp_computations",
+     "sampled_fcp", "sampled_fcp", true, 8},
+    {&MiningStats::total_samples, "total_samples", "samples", "samples_drawn",
+     true, 9},
+    {&MiningStats::dp_runs, "dp_runs", "dp_runs", "dp_runs", false, 10},
+    {&MiningStats::intersections, "intersections", "intersections",
+     "intersections", true, 12},
+    {&MiningStats::degraded_fcp_evals, "degraded_fcp_evals", "degraded_fcp",
+     "degraded_fcp_evals", true, 11},
+    {&MiningStats::cache_hits, "cache_hits", "cache_hits", nullptr, false, -1},
+    {&MiningStats::cache_misses, "cache_misses", "cache_misses", nullptr,
+     false, -1},
+    {&MiningStats::dp_reused, "dp_reused", "dp_reused", nullptr, false, -1},
+    {&MiningStats::cache_bytes, "cache_bytes", nullptr, nullptr, false, -1},
+    {&MiningStats::snapshot_bytes, "snapshot_bytes", nullptr, nullptr, false,
+     -1},
+    {&MiningStats::batch_size, "batch_size", nullptr, nullptr, false, -1},
+    {&MiningStats::batch_groups, "batch_groups", nullptr, nullptr, false, -1},
+    {&MiningStats::shared_dp_hits, "shared_dp_hits", nullptr, nullptr, false,
+     -1},
+    {&MiningStats::queued_micros, "queued_micros", nullptr, nullptr, false,
+     -1},
+};
+
+/// Counters carried on the snapshot v1 `stats` line (rows with a slot).
+inline constexpr std::size_t kNumSnapshotCounters = [] {
+  std::size_t n = 0;
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.snapshot_slot >= 0) ++n;
+  }
+  return n;
+}();
 
 /// Output of a miner: the qualifying itemsets plus run statistics.
 struct MiningResult {

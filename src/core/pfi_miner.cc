@@ -10,33 +10,28 @@ namespace pfci {
 namespace {
 
 /// The one place a PFI run builds its index and evaluators: borrow or
-/// build the index (charged to `runtime`'s memory budget), enumerate, and
+/// build the index (charged to the run's memory budget), enumerate, and
 /// fold the evaluator's work counters into `stats`.
 std::vector<PfiEntry> RunPfi(const UncertainDatabase& db, std::size_t min_sup,
                              double pft, bool use_chernoff, FrequencyMode mode,
                              MiningStats* stats, const TidSetPolicy& policy,
-                             RunController* runtime,
-                             const ExecutionContext* session) {
+                             const ExecutionContext* caller_exec) {
   PFCI_CHECK(min_sup >= 1);
-  // The runtime is overridden so the handle charges the same controller
-  // the search polls.
-  ExecutionContext exec = session != nullptr ? *session : ExecutionContext{};
-  exec.runtime = runtime;
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  ExecutionContext exec =
+      caller_exec != nullptr ? *caller_exec : ExecutionContext{};
+  if (exec.runtime == nullptr) exec.runtime = &unlimited;
   const IndexHandle index(db, policy, exec);
   const FrequentProbability freq(index.get(), min_sup, exec.eval_cache,
                                  exec.table_floor);
   const CandidateOracle oracle(index.get(), freq, use_chernoff, mode);
   // Index bytes were charged by the handle; fail an undersized memory
   // budget before any search work.
-  CheckpointAtRunStart(runtime);
+  exec.runtime->Checkpoint();
   std::vector<PfiEntry> pfis =
-      EnumeratePfis(index.get(), oracle, pft, stats, runtime);
-  if (stats != nullptr) {
-    stats->dp_runs += freq.dp_runs();
-    stats->cache_hits += freq.cache_hits();
-    stats->cache_misses += freq.cache_misses();
-    stats->dp_reused += freq.dp_reused();
-  }
+      EnumeratePfis(index.get(), oracle, pft, stats, *exec.runtime);
+  if (stats != nullptr) freq.AddCountersTo(*stats);
   return pfis;
 }
 
@@ -46,22 +41,18 @@ std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
                               std::size_t min_sup, double pft,
                               bool use_chernoff, MiningStats* stats,
                               const TidSetPolicy& policy,
-                              RunController* runtime,
-                              const ExecutionContext* session) {
+                              const ExecutionContext* exec) {
   return RunPfi(db, min_sup, pft, use_chernoff, FrequencyMode::kExactDp,
-                stats, policy, runtime, session);
+                stats, policy, exec);
 }
 
 std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
                                          std::size_t min_sup, double pft,
-                                         FrequencyMode mode,
-                                         MiningStats* stats,
-                                         const TidSetPolicy& policy,
-                                         RunController* runtime) {
+                                         FrequencyMode mode) {
   // The Chernoff bound stays valid (it bounds the true tail, and every
   // approximation is consistent with it on the scales where it prunes).
-  return RunPfi(db, min_sup, pft, /*use_chernoff=*/true, mode, stats, policy,
-                runtime, /*session=*/nullptr);
+  return RunPfi(db, min_sup, pft, /*use_chernoff=*/true, mode,
+                /*stats=*/nullptr, TidSetPolicy{}, /*caller_exec=*/nullptr);
 }
 
 }  // namespace pfci

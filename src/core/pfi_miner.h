@@ -22,19 +22,19 @@ namespace pfci {
 
 /// Mines all itemsets with PrF(X) > pft at support threshold min_sup.
 /// `stats` (optional) accumulates pruning counters; `policy` selects the
-/// tid-set representation (never affects results). `runtime` (optional)
-/// makes the enumeration fail-soft: the DFS polls it at node expansion
-/// and winds down with a verified prefix of the answer when a limit
-/// trips (the caller reads the outcome off the controller). `session`
-/// (optional) carries a MiningSession's shared index and evaluation
-/// cache (DESIGN.md §11); null mines standalone.
+/// tid-set representation (never affects results). `exec` (optional)
+/// carries the run's controller, which makes the enumeration fail-soft:
+/// the DFS polls it at node expansion and winds down with a verified
+/// prefix of the answer when a limit trips (the caller reads the outcome
+/// off the controller). Under a MiningSession it also carries the shared
+/// index and evaluation cache (DESIGN.md §11). Null, or a context
+/// without a controller, mines standalone and unlimited.
 std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
                               std::size_t min_sup, double pft,
                               bool use_chernoff = true,
                               MiningStats* stats = nullptr,
                               const TidSetPolicy& policy = TidSetPolicy{},
-                              RunController* runtime = nullptr,
-                              const ExecutionContext* session = nullptr);
+                              const ExecutionContext* exec = nullptr);
 
 /// Approximate PFI mining in the spirit of [3]: the exact frequent-
 /// probability DP is replaced by a distributional approximation of the
@@ -43,11 +43,7 @@ std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
 /// borderline itemsets. kExactDp reproduces MinePfi.
 std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
                                          std::size_t min_sup, double pft,
-                                         FrequencyMode mode,
-                                         MiningStats* stats = nullptr,
-                                         const TidSetPolicy& policy =
-                                             TidSetPolicy{},
-                                         RunController* runtime = nullptr);
+                                         FrequencyMode mode);
 
 }  // namespace pfci
 

@@ -29,8 +29,8 @@ TidSet TidsOfItemset(const VerticalIndex& index, const Itemset& items) {
 /// Unit-entry drain gate: true when a suspend-armed controller has a
 /// pending drain. Unarmed runs never see it, so pre-snapshot behavior
 /// (and the kernel parity goldens) are untouched.
-bool DrainPending(const RunController* rt) {
-  return rt != nullptr && rt->suspend_armed() && !rt->ShouldStartUnit();
+bool DrainPending(const RunController& rt) {
+  return rt.suspend_armed() && !rt.ShouldStartUnit();
 }
 
 }  // namespace
@@ -68,8 +68,7 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     Rng rng(SubtreeSeed(ctx.params->seed, root));
     // Fair-share logical budgets: the quota depends only on the request
     // and the candidate count, never on scheduling.
-    WorkUnitBudget unit =
-        ctx.rt != nullptr ? ctx.rt->UnitBudget(c, n) : WorkUnitBudget{};
+    WorkUnitBudget unit = ctx.rt.UnitBudget(c, n);
     MiningResult& part = subtree_[c];
     ClosedDfsContext dfs;
     dfs.ctx = &ctx;
@@ -89,14 +88,12 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     dfs.fork_pool = unit.Unlimited() ? ctx.exec->pool : nullptr;
     ClosedDfs(dfs, root, ctx.index->TidsOfItem(candidates_[c]),
               candidate_pr_f_[c], c);
-    if (unit.truncated && ctx.rt != nullptr) {
-      ctx.rt->RecordTruncation(Outcome::kBudgetExhausted);
-    }
+    if (unit.truncated) ctx.rt.RecordTruncation(Outcome::kBudgetExhausted);
     // Suspend mode: a drained unit ran to its natural end (armed
     // checkpoints never stop mid-unit), so it is complete by
     // construction; note its work against the unit-granular budgets.
     done_[c] = 1;
-    NoteUnitWork(ctx.rt, part.stats.nodes_visited, part.stats.total_samples);
+    ctx.rt.NoteUnitWork(part.stats.nodes_visited, part.stats.total_samples);
   };
   // One task per subtree: first-level subtrees vary wildly in cost, and
   // stealing at single-subtree granularity is what balances them.
@@ -165,11 +162,10 @@ void LevelSyncBfsFrontier::BuildCandidates(const SearchContext& ctx,
 void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
                                   MiningResult& result) {
   const MiningParams& params = *ctx.params;
-  RunController* rt = ctx.rt;
+  RunController& rt = ctx.rt;
   // Logical budgets, consumed in global level order (entry_counter
   // order) so the truncation point is a pure function of the request.
-  WorkUnitBudget node_ledger =
-      rt != nullptr ? rt->UnitBudget(0, 1) : WorkUnitBudget{};
+  WorkUnitBudget node_ledger = rt.UnitBudget(0, 1);
   std::uint64_t samples_remaining = node_ledger.sample_quota;
 
   // Global position of the first entry of the current level across the
@@ -182,7 +178,7 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
     // breaks here too — the level boundary is the suspend-mode unit
     // boundary, and the intact level_ becomes the snapshot frontier.
     PFCI_FAILPOINT("bfs/level");
-    if (CheckpointNow(rt)) break;
+    if (rt.Checkpoint()) break;
     if (DrainPending(rt)) break;
 
     // Node budget, taken in level order: a refusal cuts the level's
@@ -191,7 +187,7 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
     for (std::size_t i = 0; i < level_.size(); ++i) {
       if (!node_ledger.TakeNode()) {
         eval_count = i;
-        rt->RecordTruncation(Outcome::kBudgetExhausted);
+        rt.RecordTruncation(Outcome::kBudgetExhausted);
         break;
       }
     }
@@ -228,13 +224,13 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
     for (std::size_t i = 0; i < eval_count; ++i) {
       level_samples += units[i].samples_used;
     }
-    NoteUnitWork(rt, eval_count, level_samples);
+    rt.NoteUnitWork(eval_count, level_samples);
 
     for (std::size_t i = 0; i < eval_count; ++i) {
       if (samples_remaining != kUnlimitedQuota) {
         samples_remaining -= units[i].samples_used;
         if (units[i].truncated) {
-          rt->RecordTruncation(Outcome::kBudgetExhausted);
+          rt.RecordTruncation(Outcome::kBudgetExhausted);
         }
       }
       result.stats.MergeCounters(comp_stats[i]);
@@ -375,8 +371,7 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
   // at candidate boundaries, so the state is a candidate-boundary state).
   Rng rng(ctx.params->seed);
   if (have_rng_state_) rng.RestoreState(rng_state_);
-  WorkUnitBudget unit =
-      ctx.rt != nullptr ? ctx.rt->UnitBudget(0, 1) : WorkUnitBudget{};
+  WorkUnitBudget unit = ctx.rt.UnitBudget(0, 1);
 
   ClosedDfsContext dfs;
   dfs.ctx = &ctx;
@@ -390,7 +385,7 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
   dfs.emit = [this](PfciEntry entry) { Offer(std::move(entry)); };
 
   std::size_t c = next_candidate_;
-  for (; c < candidates_.size() && !(unit.truncated || StopRequested(ctx.rt));
+  for (; c < candidates_.size() && !(unit.truncated || ctx.rt.StopRequested());
        ++c) {
     if (DrainPending(ctx.rt)) break;
     const std::uint64_t nodes_before = result.stats.nodes_visited;
@@ -401,15 +396,13 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
     if (pr_f > Threshold(floor)) {
       ClosedDfs(dfs, Itemset{item}, tids, pr_f, c);
     }
-    NoteUnitWork(ctx.rt, result.stats.nodes_visited - nodes_before,
-                 result.stats.total_samples - samples_before);
+    ctx.rt.NoteUnitWork(result.stats.nodes_visited - nodes_before,
+                        result.stats.total_samples - samples_before);
   }
   next_candidate_ = c;
   rng_state_ = rng.SaveState();
   have_rng_state_ = true;
-  if (unit.truncated && ctx.rt != nullptr) {
-    ctx.rt->RecordTruncation(Outcome::kBudgetExhausted);
-  }
+  if (unit.truncated) ctx.rt.RecordTruncation(Outcome::kBudgetExhausted);
 }
 
 void TopKFrontier::Merge(const SearchContext& ctx, MiningResult& result) {
@@ -475,7 +468,7 @@ void FlatCheckFrontier::Search(const SearchContext& ctx,
                                MiningResult& result) {
   (void)result;
   const MiningParams& params = *ctx.params;
-  RunController* rt = ctx.rt;
+  RunController& rt = ctx.rt;
   // Stage 2: check each PFI's frequent closed probability by sampling.
   // Independent per PFI, so the checks fan out over the pool; the i-th
   // check's RNG derives from (seed, i), and results merge in PFI order,
@@ -487,11 +480,11 @@ void FlatCheckFrontier::Search(const SearchContext& ctx,
   // pre-split fair-share across the checks: a refused check stays
   // undecided (unemitted) without disturbing its neighbours' streams.
   undecided_.assign(pfis_.size(), 0);
-  NoteUnitWork(rt, enumerated_nodes_, 0);
+  rt.NoteUnitWork(enumerated_nodes_, 0);
   const auto check = [&](std::size_t i) {
     if (restored_done_.size() == pfis_.size() && restored_done_[i]) return;
     PFCI_FAILPOINT("naive/check");
-    if (CheckpointNow(rt)) {
+    if (rt.Checkpoint()) {
       undecided_[i] = 1;
       return;
     }
@@ -504,19 +497,19 @@ void FlatCheckFrontier::Search(const SearchContext& ctx,
     Rng rng(DeriveSeed(params.seed, i));
     const ExtensionEventSet events(*ctx.index, *ctx.freq, pfis_[i].items,
                                    pfis_[i].tids);
-    if (rt != nullptr && events.size() > 0) {
-      WorkUnitBudget unit = rt->UnitBudget(i, pfis_.size());
+    if (events.size() > 0) {
+      WorkUnitBudget unit = rt.UnitBudget(i, pfis_.size());
       if (!unit.TakeSamples(KarpLubyRequiredSamples(
               events.size(), params.epsilon, params.delta))) {
         undecided_[i] = 1;
-        rt->RecordTruncation(Outcome::kBudgetExhausted);
+        rt.RecordTruncation(Outcome::kBudgetExhausted);
         return;
       }
     }
     checks_[i] = ApproxFcp(pfis_[i].pr_f, events, params.epsilon,
-                           params.delta, rng, /*pool=*/nullptr, rt);
+                           params.delta, rng, /*pool=*/nullptr, &rt);
     if (checks_[i].aborted) undecided_[i] = 1;
-    NoteUnitWork(rt, 0, checks_[i].samples);
+    rt.NoteUnitWork(0, checks_[i].samples);
     if (ctx.exec->progress != nullptr) ctx.exec->progress->AddNodes();
   };
   ParallelFor(ctx.exec->pool, pfis_.size(), check);

@@ -12,19 +12,15 @@ namespace {
 class PfiEnumeration {
  public:
   PfiEnumeration(const VerticalIndex& index, const CandidateOracle& oracle,
-                 double pft, MiningStats* stats, RunController* runtime)
-      : index_(&index),
-        oracle_(&oracle),
-        pft_(pft),
-        stats_(stats),
-        rt_(runtime) {}
+                 double pft, MiningStats* stats, RunController& rt)
+      : index_(&index), oracle_(&oracle), pft_(pft), stats_(stats), rt_(rt) {}
 
   std::vector<PfiEntry> Run() {
     // Sequential enumeration: one logical work unit owns the whole
     // budget.
-    unit_ = rt_ != nullptr ? rt_->UnitBudget(0, 1) : WorkUnitBudget{};
+    unit_ = rt_.UnitBudget(0, 1);
 
-    if (!StopRequested(rt_)) {
+    if (!rt_.StopRequested()) {
       for (Item item : index_->occurring_items()) {
         TidSet tids = index_->TidsOfItem(item);
         QualifyRequest req;
@@ -43,16 +39,14 @@ class PfiEnumeration {
       const PfiEntry seed = result_[s];
       Dfs(seed.items, seed.tids, IndexOfCandidate(seed.items.LastItem()));
     }
-    if (unit_.truncated && rt_ != nullptr) {
-      rt_->RecordTruncation(Outcome::kBudgetExhausted);
-    }
+    if (unit_.truncated) rt_.RecordTruncation(Outcome::kBudgetExhausted);
     std::sort(result_.begin(), result_.end());
     return std::move(result_);
   }
 
  private:
   /// Whether the run should wind down (budget cut or global stop).
-  bool Stopped() const { return unit_.truncated || StopRequested(rt_); }
+  bool Stopped() const { return unit_.truncated || rt_.StopRequested(); }
 
   std::size_t IndexOfCandidate(Item item) const {
     return static_cast<std::size_t>(
@@ -72,7 +66,7 @@ class PfiEnumeration {
     // Node-expansion checkpoint: PFIs emit before recursing, so cutting
     // here leaves a verified prefix in `result_`.
     PFCI_FAILPOINT("pfi/node");
-    if (CheckpointNow(rt_)) return;
+    if (rt_.Checkpoint()) return;
     if (!unit_.TakeNode()) return;
     if (stats_ != nullptr) ++stats_->nodes_visited;
     for (std::size_t c = candidate_pos + 1; c < candidates_.size(); ++c) {
@@ -94,7 +88,7 @@ class PfiEnumeration {
   const CandidateOracle* oracle_;
   double pft_;
   MiningStats* stats_;
-  RunController* rt_;
+  RunController& rt_;
   WorkUnitBudget unit_;
   std::vector<Item> candidates_;
   std::vector<PfiEntry> result_;
@@ -104,9 +98,8 @@ class PfiEnumeration {
 
 std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
                                     const CandidateOracle& oracle, double pft,
-                                    MiningStats* stats,
-                                    RunController* runtime) {
-  PfiEnumeration search(index, oracle, pft, stats, runtime);
+                                    MiningStats* stats, RunController& rt) {
+  PfiEnumeration search(index, oracle, pft, stats, rt);
   return search.Run();
 }
 

@@ -37,14 +37,12 @@ struct PfiEntry {
 /// support threshold, the frequency evaluation and the Lemma 4.1 stage).
 /// The caller owns the index and evaluators: it charges the index to the
 /// memory budget, checkpoints before calling, and folds the evaluator's
-/// work counters. `stats` (optional) accumulates pruning counters.
-/// `runtime` (optional) makes the enumeration fail-soft: the DFS polls it
-/// at node expansion and winds down with a verified prefix when a limit
-/// trips.
+/// work counters. `stats` (optional) accumulates pruning counters. The
+/// DFS polls `rt` at node expansion and winds down with a verified prefix
+/// when a limit trips.
 std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
                                     const CandidateOracle& oracle, double pft,
-                                    MiningStats* stats,
-                                    RunController* runtime);
+                                    MiningStats* stats, RunController& rt);
 
 }  // namespace pfci
 

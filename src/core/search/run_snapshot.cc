@@ -16,36 +16,21 @@ namespace {
 constexpr char kHeader[] = "pfci-snapshot v1";
 constexpr char kFooter[] = "end pfci-snapshot v1";
 
-// The deterministic work counters of MiningStats, in serialization order.
-// Cache counters, wall-clock fields, and outcome are not snapshot state.
-constexpr std::size_t kNumBaseCounters = 13;
-
-void GatherBase(const MiningStats& s, std::uint64_t out[kNumBaseCounters]) {
-  const std::uint64_t values[kNumBaseCounters] = {
-      s.nodes_visited,       s.pruned_by_chernoff,
-      s.pruned_by_frequency, s.pruned_by_superset,
-      s.pruned_by_subset,    s.decided_by_bounds,
-      s.zero_by_count,       s.exact_fcp_computations,
-      s.sampled_fcp_computations, s.total_samples,
-      s.dp_runs,             s.degraded_fcp_evals,
-      s.intersections};
-  std::memcpy(out, values, sizeof(values));
+// The deterministic work counters of MiningStats (kStatsCounters rows
+// with a snapshot slot), in slot order. Cache counters, wall-clock
+// fields, and outcome are not snapshot state.
+void GatherBase(const MiningStats& s,
+                std::uint64_t out[kNumSnapshotCounters]) {
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.snapshot_slot >= 0) out[row.snapshot_slot] = s.*row.member;
+  }
 }
 
-void ScatterBase(const std::uint64_t in[kNumBaseCounters], MiningStats* s) {
-  s->nodes_visited = in[0];
-  s->pruned_by_chernoff = in[1];
-  s->pruned_by_frequency = in[2];
-  s->pruned_by_superset = in[3];
-  s->pruned_by_subset = in[4];
-  s->decided_by_bounds = in[5];
-  s->zero_by_count = in[6];
-  s->exact_fcp_computations = in[7];
-  s->sampled_fcp_computations = in[8];
-  s->total_samples = in[9];
-  s->dp_runs = in[10];
-  s->degraded_fcp_evals = in[11];
-  s->intersections = in[12];
+void ScatterBase(const std::uint64_t in[kNumSnapshotCounters],
+                 MiningStats* s) {
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.snapshot_slot >= 0) s->*row.member = in[row.snapshot_slot];
+  }
 }
 
 bool ParseU64(std::string_view text, std::uint64_t* value) {
@@ -172,14 +157,9 @@ class TempFile {
 }  // namespace
 
 void AddBaseStats(const MiningStats& base, MiningStats* stats) {
-  std::uint64_t counters[kNumBaseCounters];
-  std::uint64_t current[kNumBaseCounters];
-  GatherBase(base, counters);
-  GatherBase(*stats, current);
-  for (std::size_t i = 0; i < kNumBaseCounters; ++i) {
-    current[i] += counters[i];
+  for (const StatsCounter& row : kStatsCounters) {
+    if (row.snapshot_slot >= 0) stats->*row.member += base.*row.member;
   }
-  ScatterBase(current, stats);
 }
 
 std::uint64_t FnvMix(std::uint64_t hash, std::uint64_t value) {
@@ -224,10 +204,10 @@ std::string SerializeRunSnapshot(const RunSnapshot& snapshot) {
   out << "algorithm " << snapshot.algorithm << '\n';
   out << "fingerprint " << snapshot.fingerprint << '\n';
   out << "has_frontier " << (snapshot.has_frontier ? 1 : 0) << '\n';
-  std::uint64_t base[kNumBaseCounters];
+  std::uint64_t base[kNumSnapshotCounters];
   GatherBase(snapshot.base, base);
   out << "stats";
-  for (std::size_t i = 0; i < kNumBaseCounters; ++i) out << ' ' << base[i];
+  for (const std::uint64_t value : base) out << ' ' << value;
   out << '\n';
   out << "cursor " << snapshot.cursor << '\n';
   out << "rng " << (snapshot.has_rng ? 1 : 0);
@@ -301,13 +281,13 @@ bool ParseRunSnapshot(std::string_view text, RunSnapshot* snapshot,
   snapshot->has_frontier = flag == 1;
 
   if (!next_fields("stats", &tokens) ||
-      tokens.size() != 1 + kNumBaseCounters) {
-    return Fail(error, reader.lineno(), "expected 'stats' with " +
-                                            std::to_string(kNumBaseCounters) +
-                                            " counters");
+      tokens.size() != 1 + kNumSnapshotCounters) {
+    return Fail(error, reader.lineno(),
+                "expected 'stats' with " +
+                    std::to_string(kNumSnapshotCounters) + " counters");
   }
-  std::uint64_t base[kNumBaseCounters];
-  for (std::size_t i = 0; i < kNumBaseCounters; ++i) {
+  std::uint64_t base[kNumSnapshotCounters];
+  for (std::size_t i = 0; i < kNumSnapshotCounters; ++i) {
     if (!ParseU64(tokens[1 + i], &base[i])) {
       return Fail(error, reader.lineno(), "bad stats counter " + tokens[1 + i]);
     }

@@ -74,9 +74,10 @@ struct RunSnapshot {
   /// reruns from scratch, which is trivially bit-identical).
   bool has_frontier = false;
 
-  /// Deterministic work counters of the suspended run (the 13 merge-able
-  /// counters of MiningStats; cache/wall-clock/outcome fields are not
-  /// snapshot state). Resume seeds the run's stats with these.
+  /// Deterministic work counters of the suspended run (the 13
+  /// kStatsCounters rows with a snapshot slot; cache/wall-clock/outcome
+  /// fields are not snapshot state). Resume seeds the run's stats with
+  /// these.
   MiningStats base;
 
   /// Decided entries of the suspended run (for topk: the current pool,

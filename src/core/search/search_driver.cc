@@ -23,14 +23,14 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   const FcpEngine engine(index, freq, params, exec);
   const CandidateOracle oracle(index, freq, params.pruning.chernoff,
                                FrequencyMode::kExactDp);
-  RunController* rt = exec.runtime;
+  RunController& rt = *exec.runtime;
   const SearchContext ctx{&db,   &params, &exec,   &index,
                           &freq, &oracle, &engine, rt};
 
   // The index (built or session-borrowed) was charged into the memory
   // budget by the handle; checkpoint so an undersized budget fails
   // before any search work.
-  CheckpointAtRunStart(rt);
+  rt.Checkpoint();
 
   // Resume replaces the candidate build: the frontier policy reloads the
   // suspended run's candidates and frontier, and the decided entries and
@@ -38,7 +38,7 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   // resumed run's trace shape is identical to an uninterrupted run's.
   const RunSnapshot* resume = exec.resume_snapshot;
   const bool restoring = resume != nullptr && resume->has_frontier;
-  if (restoring || !StopRequested(rt)) {
+  if (restoring || !rt.StopRequested()) {
     TraceSpan span(exec.trace, "candidate_build",
                    &result.stats.candidate_seconds);
     if (restoring) {
@@ -57,23 +57,15 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   {
     TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
     policy.Merge(ctx, result);
-    // The shared-evaluator counters fold once, on the coordinating
-    // thread. Added (not assigned): a resumed run's base counters
-    // already hold the suspended sessions' counts.
-    result.stats.dp_runs += freq.dp_runs();
-    result.stats.cache_hits += freq.cache_hits();
-    result.stats.cache_misses += freq.cache_misses();
-    result.stats.dp_reused += freq.dp_reused();
+    freq.AddCountersTo(result.stats);
   }
-  if (rt != nullptr) {
-    result.stats.outcome = rt->outcome();
-    result.stats.truncated = rt->truncated();
-  }
+  result.stats.outcome = rt.outcome();
+  result.stats.truncated = rt.truncated();
   // A drained suspend-armed run deposits its frontier state for Mine()
   // to persist. The post-merge result.stats are exactly the snapshot's
   // base: no unit was half-done, so nothing needs attribution.
-  if (exec.save_snapshot != nullptr && rt != nullptr && rt->suspend_armed() &&
-      rt->SuspendRequested()) {
+  if (exec.save_snapshot != nullptr && rt.suspend_armed() &&
+      rt.SuspendRequested()) {
     RunSnapshot& snapshot = *exec.save_snapshot;
     policy.SaveState(snapshot);
     snapshot.entries = result.itemsets;
@@ -140,7 +132,7 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   // evaluation would read a shifted RNG stream and no longer match the
   // unbudgeted run.
   PFCI_FAILPOINT(dfs.failpoint);
-  if (CheckpointNow(ctx.rt)) return;
+  if (ctx.rt.Checkpoint()) return;
   if (!dfs.unit->TakeNode()) return;
   ++stats.nodes_visited;
   if (ctx.exec->progress != nullptr) ctx.exec->progress->AddNodes();
@@ -156,7 +148,7 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   ThreadPool::TaskGroup group(dfs.fork_pool);
   const std::size_t num_candidates = dfs.candidates->size();
   for (std::size_t c = last_candidate_pos + 1; c < num_candidates; ++c) {
-    if (dfs.unit->truncated || StopRequested(ctx.rt)) break;
+    if (dfs.unit->truncated || ctx.rt.StopRequested()) break;
     const Item item = (*dfs.candidates)[c];
     TidSet child_tids = Intersect(tids, ctx.index->TidsOfItem(item));
     ++stats.intersections;
@@ -193,7 +185,7 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
     for (PfciEntry& entry : fork->entries) dfs.emit(std::move(entry));
   }
 
-  if (dfs.unit->truncated || StopRequested(ctx.rt)) return;
+  if (dfs.unit->truncated || ctx.rt.StopRequested()) return;
   if (!x_may_be_closed) {
     ++stats.pruned_by_subset;
     return;

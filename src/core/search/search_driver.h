@@ -47,7 +47,7 @@ struct SearchContext {
   const FrequentProbability* freq;
   const CandidateOracle* oracle;
   const FcpEngine* engine;
-  RunController* rt;  ///< exec->runtime (null: unlimited).
+  RunController& rt;  ///< *exec->runtime.
 };
 
 /// One enumeration strategy. Policies are single-use: a fresh instance

@@ -73,7 +73,7 @@ struct ExtendWork {
 /// properties, recursing into each node's children, then emitting the
 /// (possibly extended) node if no mined closed set subsumes it.
 void Extend(std::vector<ItNode>& group, std::size_t min_sup,
-            ClosedSetStore* store, ExtendWork& work, RunController* rt,
+            ClosedSetStore* store, ExtendWork& work, RunController& rt,
             WorkUnitBudget& unit) {
   // Process in order of increasing tidset size (CHARM's heuristic, and
   // required so closures are mined before their subsumed subsets).
@@ -88,7 +88,7 @@ void Extend(std::vector<ItNode>& group, std::size_t min_sup,
     // it non-closed, so the store stays a verified prefix only if the
     // cut is sticky.
     PFCI_FAILPOINT("charm/node");
-    if (rt != nullptr && rt->Checkpoint()) return;
+    if (rt.Checkpoint()) return;
     if (group[i].erased) continue;
     if (!unit.TakeNode()) return;
     ++work.nodes;
@@ -128,7 +128,7 @@ void Extend(std::vector<ItNode>& group, std::size_t min_sup,
       }
     }
     if (!children.empty()) Extend(children, min_sup, store, work, rt, unit);
-    if (unit.truncated || (rt != nullptr && rt->StopRequested())) return;
+    if (unit.truncated || rt.StopRequested()) return;
     if (!store->Subsumes(xi.items, xi.tids)) {
       store->Insert(xi.items, xi.tids);
     }
@@ -143,10 +143,12 @@ std::vector<SupportedItemset> CharmMineClosedItemsets(
   PFCI_CHECK(min_sup >= 1);
   if (db.empty() || db.size() < min_sup) return {};
 
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  RunController& rt = runtime != nullptr ? *runtime : unlimited;
   ClosedSetStore store;
   ExtendWork work;
-  WorkUnitBudget unit =
-      runtime != nullptr ? runtime->UnitBudget(0, 1) : WorkUnitBudget{};
+  WorkUnitBudget unit = rt.UnitBudget(0, 1);
   {
     TraceSpan span(trace, "charm_extend");
     // Per-item tidsets.
@@ -163,11 +165,9 @@ std::vector<SupportedItemset> CharmMineClosedItemsets(
             Itemset{item}, TidSet(std::move(tids_by_item[item]), db.size())});
       }
     }
-    if (!roots.empty()) Extend(roots, min_sup, &store, work, runtime, unit);
+    if (!roots.empty()) Extend(roots, min_sup, &store, work, rt, unit);
   }
-  if (unit.truncated && runtime != nullptr) {
-    runtime->RecordTruncation(Outcome::kBudgetExhausted);
-  }
+  if (unit.truncated) rt.RecordTruncation(Outcome::kBudgetExhausted);
   TraceCounter(trace, "nodes_expanded", work.nodes);
   TraceCounter(trace, "intersections", work.intersections);
   return store.TakeAll();

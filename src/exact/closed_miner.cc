@@ -74,17 +74,17 @@ struct DfsWork {
 void Dfs(const ExactIndex& index, std::size_t min_sup,
          const std::vector<Item>& closure, const TidSet& tids, long core,
          const std::function<void(const Itemset&, std::size_t)>& emit,
-         DfsWork& work, RunController* rt, WorkUnitBudget& unit) {
+         DfsWork& work, RunController& rt, WorkUnitBudget& unit) {
   // Node-expansion checkpoint: each emitted closed set is final the
   // moment it emits, so cutting here leaves a verified prefix.
   PFCI_FAILPOINT("closed/node");
-  if (rt != nullptr && rt->Checkpoint()) return;
+  if (rt.Checkpoint()) return;
   if (!unit.TakeNode()) return;
   ++work.nodes;
   if (!closure.empty()) emit(Itemset(closure), tids.size());
 
   for (Item j = static_cast<Item>(core + 1); j < index.num_items(); ++j) {
-    if (unit.truncated || (rt != nullptr && rt->StopRequested())) return;
+    if (unit.truncated || rt.StopRequested()) return;
     if (std::binary_search(closure.begin(), closure.end(), j)) continue;
     const TidSet child_tids = Intersect(tids, index.TidsOfItem(j));
     ++work.intersections;
@@ -116,23 +116,21 @@ void MineClosedItemsetsInto(
   PFCI_CHECK(min_sup >= 1);
   // No itemset can have support >= min_sup beyond the database size.
   if (db.empty() || db.size() < min_sup) return;
+  // A standalone call runs under a local unlimited controller.
+  RunController unlimited;
+  RunController& rt = runtime != nullptr ? *runtime : unlimited;
   DfsWork work;
-  WorkUnitBudget unit =
-      runtime != nullptr ? runtime->UnitBudget(0, 1) : WorkUnitBudget{};
+  WorkUnitBudget unit = rt.UnitBudget(0, 1);
   {
     TraceSpan span(trace, "closed_dfs");
     const ExactIndex index(db);
-    if (runtime != nullptr && runtime->active()) runtime->Checkpoint();
-    if (runtime == nullptr || !runtime->StopRequested()) {
+    if (!rt.Checkpoint()) {
       const TidSet all_tids = TidSet::All(db.size());
       const std::vector<Item> root_closure = index.ClosureOf(all_tids);
-      Dfs(index, min_sup, root_closure, all_tids, -1, emit, work, runtime,
-          unit);
+      Dfs(index, min_sup, root_closure, all_tids, -1, emit, work, rt, unit);
     }
   }
-  if (unit.truncated && runtime != nullptr) {
-    runtime->RecordTruncation(Outcome::kBudgetExhausted);
-  }
+  if (unit.truncated) rt.RecordTruncation(Outcome::kBudgetExhausted);
   TraceCounter(trace, "nodes_expanded", work.nodes);
   TraceCounter(trace, "intersections", work.intersections);
 }

@@ -9,15 +9,15 @@
 // trips: only fully-decided entries are emitted, and the stop reason is
 // reported as an Outcome in the MiningResult.
 //
-// Determinism contract (extends DESIGN.md §7/§8 to partial results): in
-// deterministic mode the logical budgets (max_nodes, max_samples) are
-// enforced per unit of parallel work with a fair-share quota that is a
-// pure function of the request, so an interrupted run is bit-identical
-// across thread counts and tid-set modes. Wall-clock deadlines,
-// cancellation, and the memory budget are inherently scheduling-dependent
-// and carry no such guarantee — but the per-entry values of whatever was
-// emitted still match an unbudgeted run, because truncation only ever
-// cuts a suffix of each unit's deterministic work stream.
+// Determinism contract (extends DESIGN.md §7/§8 to partial results): the
+// logical budgets (max_nodes, max_samples) are enforced per unit of
+// parallel work with a fair-share quota that is a pure function of the
+// request, so an interrupted run is bit-identical across thread counts
+// and tid-set modes. Wall-clock deadlines, cancellation, and the memory
+// budget are inherently scheduling-dependent and carry no such guarantee
+// — but the per-entry values of whatever was emitted still match an
+// unbudgeted run, because truncation only ever cuts a suffix of each
+// unit's deterministic work stream.
 #ifndef PFCI_UTIL_RUNTIME_H_
 #define PFCI_UTIL_RUNTIME_H_
 
@@ -71,10 +71,10 @@ struct RunBudget {
   /// checked at checkpoints, so long atomic steps can overshoot.
   double deadline_seconds = 0.0;
 
-  /// Maximum search-tree nodes. Deterministic: in deterministic mode the
-  /// budget is split fair-share across the run's parallel work units
-  /// (e.g. MPFCI first-level subtrees), making the truncation point a
-  /// pure function of the request.
+  /// Maximum search-tree nodes. Deterministic: the budget is split
+  /// fair-share across the run's parallel work units (e.g. MPFCI
+  /// first-level subtrees), making the truncation point a pure function
+  /// of the request.
   std::uint64_t max_nodes = 0;
 
   /// Maximum ApproxFCP Monte-Carlo samples, fair-share split like
@@ -84,10 +84,10 @@ struct RunBudget {
   /// guarantee.
   std::uint64_t max_samples = 0;
 
-  /// Maximum resident bytes of the run's tid-set structures (the
-  /// VerticalIndex plus per-level / per-candidate materializations), as
-  /// reported by the TidSet allocator accounting. Best-effort, like the
-  /// deadline.
+  /// Maximum resident bytes of the run's VerticalIndex (built or borrowed
+  /// from a session), as reported by VerticalIndex::MemoryBytes() and
+  /// charged once at run start. Per-node tid-sets are not counted.
+  /// Best-effort, like the deadline.
   std::uint64_t max_resident_bytes = 0;
 
   /// Degradation point: once elapsed time exceeds this fraction of
@@ -159,13 +159,15 @@ struct WorkUnitBudget {
 };
 
 /// Shared per-run stop/outcome state polled by every miner. One instance
-/// lives for the duration of one Mine() call (ExecutionContext::runtime);
-/// a default-constructed controller is unlimited and never stops.
+/// lives for the duration of one Mine() call (ExecutionContext::runtime)
+/// and is wired into every run, limited or not; a default-constructed
+/// controller is unlimited and never stops.
 ///
 /// Thread-safe: checkpoints may run concurrently from worker threads.
 class RunController {
  public:
-  /// Unlimited, never stops (the wrappers' default).
+  /// Unlimited, never stops: what a standalone entry point called
+  /// without a controller runs under.
   RunController() = default;
 
   /// Starts the run clock immediately.
@@ -173,14 +175,6 @@ class RunController {
       : budget_(budget), cancel_(cancel) {}
 
   const RunBudget& budget() const { return budget_; }
-
-  /// Whether any limit or token is attached (miners may skip budget
-  /// arithmetic entirely when false). A suspend-armed controller is
-  /// always active: snapshot plumbing needs the controller wired through
-  /// even when no limit is set.
-  bool active() const {
-    return cancel_ != nullptr || !budget_.Unlimited() || suspend_armed_;
-  }
 
   /// Fair-share ledger for unit `unit` of `num_units` parallel work units
   /// (see UnitQuota). Sequential miners use UnitBudget(0, 1). In suspend
@@ -203,7 +197,8 @@ class RunController {
   }
 
   /// Cooperative checkpoint: polls the cancel token and the deadline and
-  /// returns whether the caller should stop. Cheap when inactive.
+  /// returns whether the caller should stop. Without a token or deadline
+  /// it reads no clock: two relaxed loads.
   ///
   /// The deadline is checked against a cached steady_clock read rather
   /// than a syscall per call: the poll stride starts at 1 and doubles
@@ -400,44 +395,6 @@ class RunController {
   std::atomic<std::uint64_t> noted_nodes_{0};
   std::atomic<std::uint64_t> noted_samples_{0};
 };
-
-/// Null-tolerant checkpoint helpers: miners carry an optional controller
-/// (ExecutionContext::runtime may be null = unlimited), so every
-/// cooperative poll site needs the same two-step dance. One spelling for
-/// all of them.
-
-/// Whether a global stop (cancel/deadline/memory) has been requested.
-inline bool StopRequested(const RunController* rt) {
-  return rt != nullptr && rt->StopRequested();
-}
-
-/// Polls the controller (deadline, cancellation); true means wind down.
-inline bool CheckpointNow(RunController* rt) {
-  return rt != nullptr && rt->Checkpoint();
-}
-
-/// Run-entry checkpoint: charges already made (e.g. the index build) can
-/// trip an undersized memory budget before any search work starts.
-inline void CheckpointAtRunStart(RunController* rt) {
-  if (rt != nullptr && rt->active()) rt->Checkpoint();
-}
-
-/// Unit-entry gate: false once a stop or (in suspend mode) a drain is
-/// pending. Null controller = unlimited = always start.
-inline bool ShouldStartUnit(const RunController* rt) {
-  return rt == nullptr || rt->ShouldStartUnit();
-}
-
-/// Unit-completion accounting for suspend mode (no-op otherwise).
-inline void NoteUnitWork(RunController* rt, std::uint64_t nodes,
-                         std::uint64_t samples) {
-  if (rt != nullptr) rt->NoteUnitWork(nodes, samples);
-}
-
-/// Whether the run is draining toward a snapshot.
-inline bool SuspendRequested(const RunController* rt) {
-  return rt != nullptr && rt->SuspendRequested();
-}
 
 }  // namespace pfci
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -327,6 +328,54 @@ TEST(ResumeDeterminism, MismatchedResumesAreRefused) {
   MiningRequest missing = base;
   missing.snapshot.resume_path = path + ".does-not-exist";
   EXPECT_EQ(Mine(db, missing).outcome(), Outcome::kInvalidRequest);
+}
+
+TEST(ResumeDeterminism, BaseCountersKeepTheirV1Order) {
+  // The snapshot v1 `stats` line carries the 13 base counters in its own
+  // order (degraded_fcp_evals before intersections, unlike the stats
+  // JSON). Snapshots written by older builds must keep resuming, so the
+  // line is pinned literally.
+  std::uint64_t MiningStats::*const kBase[] = {
+      &MiningStats::nodes_visited,
+      &MiningStats::pruned_by_chernoff,
+      &MiningStats::pruned_by_frequency,
+      &MiningStats::pruned_by_superset,
+      &MiningStats::pruned_by_subset,
+      &MiningStats::decided_by_bounds,
+      &MiningStats::zero_by_count,
+      &MiningStats::exact_fcp_computations,
+      &MiningStats::sampled_fcp_computations,
+      &MiningStats::total_samples,
+      &MiningStats::dp_runs,
+      &MiningStats::intersections,
+      &MiningStats::degraded_fcp_evals,
+  };
+  RunSnapshot snapshot;
+  snapshot.algorithm = "mpfci";
+  for (std::size_t i = 0; i < std::size(kBase); ++i) {
+    snapshot.base.*kBase[i] = 101 + i;
+  }
+  snapshot.base.cache_hits = 999;  // Not snapshot state.
+  const std::string text = SerializeRunSnapshot(snapshot);
+  EXPECT_NE(text.find("\nstats 101 102 103 104 105 106 107 108 109 110 "
+                      "111 113 112\n"),
+            std::string::npos)
+      << text;
+
+  RunSnapshot parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRunSnapshot(text, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.base.cache_hits, 0u);
+
+  // Resume seeding adds all 13, dp_runs included, and nothing else.
+  MiningStats stats;
+  for (const auto member : kBase) stats.*member = 1000;
+  stats.cache_hits = 7;
+  AddBaseStats(parsed.base, &stats);
+  for (std::size_t i = 0; i < std::size(kBase); ++i) {
+    EXPECT_EQ(stats.*kBase[i], 1101 + i) << "base counter " << i;
+  }
+  EXPECT_EQ(stats.cache_hits, 7u);
 }
 
 TEST(ResumeDeterminism, BoundaryProbabilitiesRoundTripBitExactly) {

@@ -162,6 +162,61 @@ TEST(RuntimeBudget, BudgetsApplyToEveryAlgorithm) {
   }
 }
 
+/// The stats JSON with the wall-clock fields zeroed.
+std::string MaskedJson(MiningStats stats) {
+  stats.seconds = 0.0;
+  stats.candidate_seconds = 0.0;
+  stats.search_seconds = 0.0;
+  stats.merge_seconds = 0.0;
+  return stats.ToJson();
+}
+
+TEST(RuntimeBudget, BudgetThatCannotTripIsNeutral) {
+  // Every limit set, none reachable, and a token that never fires: the
+  // run must match the unbudgeted one entry for entry and counter for
+  // counter, at 1 and 4 threads.
+  const UncertainDatabase db = MakeTestDb(1);
+  // Brute force enumerates 2^n worlds: it gets the paper's small example.
+  const UncertainDatabase small = MakePaperExampleDb();
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
+  CancelToken never;
+  for (const Algorithm algorithm :
+       {Algorithm::kMpfci, Algorithm::kMpfciBfs, Algorithm::kNaive,
+        Algorithm::kTopK, Algorithm::kPfi, Algorithm::kExpectedSupport,
+        Algorithm::kBruteForce}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(AlgorithmName(algorithm)) +
+                   " threads=" + std::to_string(threads));
+      MiningRequest request = BaseRequest(1);
+      request.algorithm = algorithm;
+      request.execution.num_threads = threads;
+      // A mid-sized search in which both the exact and the sampled FCP
+      // paths run.
+      request.params.min_sup = 24;
+      request.params.exact_event_limit = 4;
+      request.params.epsilon = 0.4;
+      request.params.delta = 0.3;
+      if (algorithm == Algorithm::kTopK) request.top_k = 5;
+      if (algorithm == Algorithm::kExpectedSupport) request.min_esup = 8.0;
+      const bool brute = algorithm == Algorithm::kBruteForce;
+      if (brute) request.params.min_sup = 2;
+      const UncertainDatabase& input = brute ? small : db;
+      const MiningResult free_run = Mine(input, request);
+      ASSERT_EQ(free_run.outcome(), Outcome::kComplete);
+      ASSERT_FALSE(free_run.itemsets.empty());
+
+      request.budget.deadline_seconds = 1e6;
+      request.budget.max_nodes = kHuge;
+      request.budget.max_samples = kHuge;
+      request.budget.max_resident_bytes = kHuge;
+      request.cancel = &never;
+      const MiningResult budgeted = Mine(input, request);
+      ExpectIdenticalEntries(budgeted, free_run);
+      EXPECT_EQ(MaskedJson(budgeted.stats), MaskedJson(free_run.stats));
+    }
+  }
+}
+
 TEST(RuntimeBudget, NaiveSampleBudgetEmitsBitIdenticalSubset) {
   // Naive stage 2 derives each check's seed from the PFI index, so
   // sample-budget refusals drop entries without shifting anyone else's

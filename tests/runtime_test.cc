@@ -104,7 +104,6 @@ TEST(WorkUnitBudget, TakeSamplesIsAllOrNothing) {
 
 TEST(RunController, DefaultNeverStops) {
   RunController controller;
-  EXPECT_FALSE(controller.active());
   EXPECT_FALSE(controller.Checkpoint());
   EXPECT_FALSE(controller.StopRequested());
   EXPECT_FALSE(controller.truncated());
@@ -117,7 +116,6 @@ TEST(RunController, DefaultNeverStops) {
 TEST(RunController, CheckpointSeesCancellation) {
   CancelToken token;
   RunController controller(RunBudget{}, &token);
-  EXPECT_TRUE(controller.active());
   EXPECT_FALSE(controller.Checkpoint());
   token.RequestCancel();
   EXPECT_TRUE(controller.Checkpoint());
@@ -182,7 +180,6 @@ TEST(RunController, SuspendModeDrainsAtUnitBoundary) {
   budget.max_nodes = 10;
   RunController controller(budget, nullptr);
   controller.ArmSuspend();
-  EXPECT_TRUE(controller.active());
   EXPECT_TRUE(controller.ShouldStartUnit());
   EXPECT_FALSE(controller.SuspendRequested());
 
@@ -202,12 +199,10 @@ TEST(RunController, SuspendModeDrainsAtUnitBoundary) {
   EXPECT_EQ(controller.outcome(), Outcome::kBudgetExhausted);
 }
 
-TEST(RunController, SuspendArmedControllerIsActiveWithoutLimits) {
+TEST(RunController, SuspendArmedControllerWithoutLimitsNeverDrains) {
   RunController controller(RunBudget{}, nullptr);
-  EXPECT_FALSE(controller.active());
   controller.ArmSuspend();
-  EXPECT_TRUE(controller.active())
-      << "snapshot plumbing needs the controller wired even when unlimited";
+  EXPECT_TRUE(controller.suspend_armed());
   controller.NoteUnitWork(1000, 1000);  // No budget: never drains.
   EXPECT_FALSE(controller.SuspendRequested());
 }
