@@ -31,12 +31,6 @@ TidList RandomTids(std::size_t universe, double density, Rng& rng) {
   return tids;
 }
 
-TidSetPolicy Forced(TidSetMode mode) {
-  TidSetPolicy policy;
-  policy.mode = mode;
-  return policy;
-}
-
 std::string FixedPoint(double value, int decimals) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
@@ -76,8 +70,8 @@ void SweepPair(std::size_t universe, double density, std::size_t reps,
   const TidList a_tids = RandomTids(universe, density, rng);
   const TidList b_tids = RandomTids(universe, density, rng);
   for (const TidSetMode mode : {TidSetMode::kSparse, TidSetMode::kDense}) {
-    const TidSet a(a_tids, universe, Forced(mode));
-    const TidSet b(b_tids, universe, Forced(mode));
+    const TidSet a(a_tids, universe, mode);
+    const TidSet b(b_tids, universe, mode);
     const char* name = TidSetModeName(mode);
     const std::size_t isize = IntersectSize(a, b);
     Measure("intersect_size", universe, density, name, reps, isize,
@@ -100,8 +94,8 @@ void SweepSkew(std::size_t universe, std::size_t reps, Rng& rng) {
   const TidList big_tids = RandomTids(universe, big_density, rng);
   const TidList small_tids = RandomTids(universe, small_density, rng);
   for (const TidSetMode mode : {TidSetMode::kSparse, TidSetMode::kDense}) {
-    const TidSet big(big_tids, universe, Forced(mode));
-    const TidSet small_set(small_tids, universe, Forced(mode));
+    const TidSet big(big_tids, universe, mode);
+    const TidSet small_set(small_tids, universe, mode);
     const std::size_t isize = IntersectSize(small_set, big);
     Measure("intersect_skew", universe, small_density, TidSetModeName(mode),
             reps, isize, [&] { g_sink += IntersectSize(small_set, big); });

@@ -2,77 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
-#include "src/core/eval_cache.h"
-#include "src/core/index_handle.h"
-#include "src/data/vertical_index.h"
+#include "src/core/search/pfi_enumeration.h"
 #include "src/util/check.h"
-#include "src/util/failpoint.h"
-#include "src/util/runtime.h"
 
 namespace pfci {
 
 namespace {
-
-/// Expected-support evaluation with optional cross-request mu caching:
-/// the cached mu is the same ascending-tid-order sum SumProbsOf computes,
-/// so cache on/off returns bit-identical values (and one entry serves
-/// both esup requests and PrF short circuits).
-class EsupEvaluator {
- public:
-  EsupEvaluator(const VerticalIndex& index, EvalCache* cache)
-      : index_(index), cache_(cache) {}
-
-  double Esup(const TidSet& tids) {
-    if (cache_ == nullptr) return index_.SumProbsOf(tids);
-    const EvalCache::Lookup hit = cache_->Probe(tids, 0);
-    if (hit.found) {
-      ++hits_;
-      return hit.mu;
-    }
-    ++misses_;
-    const double mu = index_.SumProbsOf(tids);
-    cache_->Insert(tids, mu, 0, {1.0});
-    return mu;
-  }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  const VerticalIndex& index_;
-  EvalCache* cache_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
-void Dfs(const VerticalIndex& index, EsupEvaluator& ev, double min_esup,
-         const std::vector<Item>& candidates, const Itemset& x,
-         const TidSet& tids, std::size_t candidate_pos,
-         std::vector<ExpectedSupportEntry>* out, MiningStats* stats,
-         RunController& rt, WorkUnitBudget& unit) {
-  // Node-expansion checkpoint: entries emit before recursing, so cutting
-  // here leaves a verified prefix in `*out`.
-  PFCI_FAILPOINT("esup/node");
-  if (rt.Checkpoint()) return;
-  if (!unit.TakeNode()) return;
-  if (stats != nullptr) ++stats->nodes_visited;
-  for (std::size_t c = candidate_pos + 1; c < candidates.size(); ++c) {
-    if (unit.truncated || rt.StopRequested()) return;
-    const Item item = candidates[c];
-    TidSet child_tids = Intersect(tids, index.TidsOfItem(item));
-    if (stats != nullptr) ++stats->intersections;
-    const double esup = ev.Esup(child_tids);
-    if (esup < min_esup) {
-      if (stats != nullptr) ++stats->pruned_by_frequency;
-      continue;
-    }
-    const Itemset child = x.WithItem(item);
-    out->push_back(ExpectedSupportEntry{child, esup});
-    Dfs(index, ev, min_esup, candidates, child, child_tids, c, out, stats,
-        rt, unit);
-  }
-}
 
 // ---------------------------------------------------------------------
 // UF-growth-style weighted FP-growth.
@@ -263,53 +200,31 @@ std::vector<ExpectedSupportEntry> MineExpectedSupportFpGrowth(
 
 std::vector<ExpectedSupportEntry> MineExpectedSupport(
     const UncertainDatabase& db, double min_esup, MiningStats* stats,
-    const TidSetPolicy& policy, const ExecutionContext* caller_exec) {
+    TidSetMode tidset_mode, const ExecutionContext* exec) {
   PFCI_CHECK(min_esup > 0.0);
-  // A standalone call runs under a local unlimited controller.
-  RunController unlimited;
-  ExecutionContext exec =
-      caller_exec != nullptr ? *caller_exec : ExecutionContext{};
-  if (exec.runtime == nullptr) exec.runtime = &unlimited;
-  RunController& rt = *exec.runtime;
-  const IndexHandle index_handle(db, policy, exec);
-  const VerticalIndex& index = index_handle.get();
-  EsupEvaluator ev(index, exec.eval_cache);
-  // Index bytes were charged by the handle; fail an undersized memory
-  // budget before any search work.
-  rt.Checkpoint();
-  WorkUnitBudget unit = rt.UnitBudget(0, 1);
-  std::vector<ExpectedSupportEntry> result;
-  std::vector<Item> candidates;
-  if (!rt.StopRequested()) {
-    for (Item item : index.occurring_items()) {
-      const double esup = ev.Esup(index.TidsOfItem(item));
-      if (esup >= min_esup) {
-        candidates.push_back(item);
-        result.push_back(ExpectedSupportEntry{Itemset{item}, esup});
-      } else if (stats != nullptr) {
-        ++stats->pruned_by_frequency;
-      }
-    }
-  }
-  const std::size_t num_singletons = result.size();
-  for (std::size_t s = 0;
-       s < num_singletons && !(unit.truncated || rt.StopRequested()); ++s) {
-    const ExpectedSupportEntry seed = result[s];
-    const std::size_t pos = static_cast<std::size_t>(
-        std::lower_bound(candidates.begin(), candidates.end(),
-                         seed.items.LastItem()) -
-        candidates.begin());
-    Dfs(index, ev, min_esup, candidates, seed.items,
-        index.TidsOfItem(seed.items.LastItem()), pos, &result, stats, rt,
-        unit);
-  }
-  if (unit.truncated) rt.RecordTruncation(Outcome::kBudgetExhausted);
-  if (stats != nullptr) {
-    stats->cache_hits += ev.hits();
-    stats->cache_misses += ev.misses();
-  }
-  std::sort(result.begin(), result.end());
-  return result;
+  // The evaluator only serves expected supports here, which no support
+  // threshold enters: min_sup 1 is a placeholder.
+  return RunFlatEnumeration(
+      db, tidset_mode, /*min_sup=*/1, stats, exec,
+      [&](const VerticalIndex& index, const FrequentProbability& freq,
+          RunController& rt) {
+        const FrequentnessMeasure esup_at_least =
+            [&](const TidSet& tids,
+                MiningStats* counters) -> std::optional<double> {
+          const double esup = freq.ExpectedSupport(tids);
+          if (esup >= min_esup) return esup;
+          if (counters != nullptr) ++counters->pruned_by_frequency;
+          return std::nullopt;
+        };
+        std::vector<ExpectedSupportEntry> result;
+        EnumerateFrequent(
+            index, esup_at_least, "esup/node", stats, rt,
+            [&result](const Itemset& items, const TidSet&, double esup) {
+              result.push_back(ExpectedSupportEntry{items, esup});
+            });
+        std::sort(result.begin(), result.end());
+        return result;
+      });
 }
 
 }  // namespace pfci

@@ -33,10 +33,11 @@ struct ExpectedSupportEntry {
 /// Mines all itemsets with expected support >= min_esup (> 0). Expected
 /// support is anti-monotone, so a DFS with threshold pruning is complete.
 /// `stats` (optional) accumulates nodes_visited, pruned_by_frequency
-/// (esup below threshold) and intersections for telemetry. `policy`
-/// picks the tid-set representation. `exec` (optional) carries the run's
-/// controller, which makes the DFS fail-soft: polled at node expansion,
-/// a stop or exhausted node quota leaves a verified prefix of the answer.
+/// (esup below threshold) and intersections for telemetry.
+/// `tidset_mode` picks the tid-set representation. `exec` (optional)
+/// carries the run's controller, which makes the DFS fail-soft: polled at
+/// node expansion, a stop or exhausted node quota leaves a verified
+/// prefix of the answer.
 /// Under a MiningSession it also carries the shared index and evaluation
 /// cache, whose mu entries answer expected supports exactly (DESIGN.md
 /// §11). Null, or a context without a controller, mines standalone and
@@ -44,7 +45,7 @@ struct ExpectedSupportEntry {
 std::vector<ExpectedSupportEntry> MineExpectedSupport(
     const UncertainDatabase& db, double min_esup,
     MiningStats* stats = nullptr,
-    const TidSetPolicy& policy = TidSetPolicy{},
+    TidSetMode tidset_mode = TidSetMode::kAdaptive,
     const ExecutionContext* exec = nullptr);
 
 namespace internal {

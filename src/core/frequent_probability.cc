@@ -19,12 +19,22 @@ namespace {
 /// short circuit never changes a threshold comparison.
 constexpr double kNegligible = 1e-15;
 
-}  // namespace
+/// Scratch for one PrF evaluation, grown to the run's high-water mark.
+struct DpWorkspace {
+  std::vector<double> probs;  ///< ProbsOf(Tids(X)) gather target.
+  std::vector<double> dp;     ///< Truncated Poisson-binomial DP row.
+};
 
+/// The calling thread's workspace. Safe under the helping scheduler: its
+/// contents are live only inside one PrF evaluation, which never
+/// suspends, so another task run on this thread meanwhile (while a
+/// ParallelFor caller helps) only reaches it between PrF calls.
 DpWorkspace& LocalDpWorkspace() {
   thread_local DpWorkspace workspace;
   return workspace;
 }
+
+}  // namespace
 
 FrequentProbability::FrequentProbability(const VerticalIndex& index,
                                          std::size_t min_sup,
@@ -117,6 +127,19 @@ double FrequentProbability::PrF(const TidSet& tids) const {
   const double result = settled.value_or(table[min_sup_]);
   cache_->Insert(tids, mu, threshold, std::move(table));
   return result;
+}
+
+double FrequentProbability::ExpectedSupport(const TidSet& tids) const {
+  if (cache_ == nullptr) return index_->SumProbsOf(tids);
+  const EvalCache::Lookup lookup = cache_->Probe(tids, 0);
+  if (lookup.found) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return lookup.mu;
+  }
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  const double mu = index_->SumProbsOf(tids);
+  cache_->Insert(tids, mu, 0, {1.0});
+  return mu;
 }
 
 double FrequentProbability::PrFUpperBound(const TidSet& tids) const {

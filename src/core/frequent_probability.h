@@ -6,15 +6,15 @@
 // circuits: when the tail bound already pins the probability to 0 or 1
 // within 1e-15 the DP is skipped (far below any decision threshold).
 //
-// The probability gather and the DP row live in the calling thread's
-// DpWorkspace, so a warm thread evaluates PrF with zero heap allocation.
+// The probability gather and the DP row live in a thread-local workspace
+// private to the evaluator, so a warm thread evaluates PrF with zero heap
+// allocation.
 #ifndef PFCI_CORE_FREQUENT_PROBABILITY_H_
 #define PFCI_CORE_FREQUENT_PROBABILITY_H_
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "src/data/tidset.h"
 #include "src/data/vertical_index.h"
@@ -24,25 +24,14 @@ namespace pfci {
 class EvalCache;
 struct MiningStats;
 
-/// Scratch for one PrF evaluation, grown to the run's high-water mark.
-struct DpWorkspace {
-  std::vector<double> probs;  ///< ProbsOf(Tids(X)) gather target.
-  std::vector<double> dp;     ///< Truncated Poisson-binomial DP row.
-};
-
-/// The calling thread's workspace (thread_local). Safe under the helping
-/// scheduler: its contents are live only inside one PrF evaluation, which
-/// never suspends, so another task run on this thread meanwhile (while a
-/// ParallelFor caller helps) only reaches it between PrF calls.
-DpWorkspace& LocalDpWorkspace();
-
 /// Evaluates frequent probabilities against a fixed database and min_sup.
 ///
 /// With a non-null EvalCache (session runs), PrF(tids) first consults the
 /// cache: a stored tail table answers this min_sup bit-identically to a
 /// direct DP (see PoissonBinomialTailTable), and the cached mu replays
 /// the Chernoff short circuits exactly, so caching never changes a
-/// returned value — only the dp_runs / cache_* work counters.
+/// returned value — only the dp_runs / cache_* work counters. The same
+/// cache tier serves expected supports (ExpectedSupport).
 class FrequentProbability {
  public:
   /// `table_floor` (only meaningful with a cache): freshly computed tail
@@ -55,6 +44,14 @@ class FrequentProbability {
   /// Exact PrF over the transactions in `tids` (modulo the 1e-15 short
   /// circuits described above).
   double PrF(const TidSet& tids) const;
+
+  /// Expected support mu of Tids(X) = `tids`: the ascending-tid-order
+  /// sum of its existence probabilities. With a cache it probes at
+  /// threshold 0 and stores mu-only entries, counted in cache_hits /
+  /// cache_misses; the cached mu is the same sum, so the value is
+  /// bit-identical either way (and one entry serves both expected-support
+  /// requests and PrF short circuits). min_sup plays no part.
+  double ExpectedSupport(const TidSet& tids) const;
 
   /// Cheap upper bound on PrF (Lemma 4.1's Chernoff-Hoeffding bound):
   /// never smaller than the exact value. Allocation-free.
@@ -77,8 +74,9 @@ class FrequentProbability {
   /// Per-evaluator cache accounting (all zero without a cache).
   /// cache_hits: probes answered from a stored entry without running a
   /// DP; dp_reused: the subset of hits served from a stored tail table
-  /// (the rest were short-circuit replays off the cached mu);
-  /// cache_misses: probes that had to gather probabilities and compute.
+  /// (the rest were short-circuit replays or expected supports off the
+  /// cached mu); cache_misses: probes that had to read the probabilities
+  /// and compute.
   /// Like dp_runs with a cache, these can vary with scheduling when
   /// evaluations race on the same first evaluation — values stay exact.
   std::uint64_t cache_hits() const {

@@ -24,15 +24,15 @@ namespace pfci {
 
 class IndexHandle {
  public:
-  IndexHandle(const UncertainDatabase& db, const TidSetPolicy& policy,
+  IndexHandle(const UncertainDatabase& db, TidSetMode mode,
               const ExecutionContext& exec)
       : runtime_(*exec.runtime) {
     const VerticalIndex* shared = exec.shared_index;
     if (shared != nullptr && &shared->db() == &db &&
-        shared->policy().mode == policy.mode) {
+        shared->mode() == mode) {
       index_ = shared;
     } else {
-      owned_.emplace(db, policy);
+      owned_.emplace(db, mode);
       index_ = &*owned_;
     }
     charged_ = index_->MemoryBytes();

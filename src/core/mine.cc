@@ -207,12 +207,12 @@ MiningResult Dispatch(const UncertainDatabase& db,
       return RunFlat(exec, [&](MiningStats* stats) {
         return ToPfciEntries(MinePfi(db, params.min_sup, params.pfct,
                                      params.pruning.chernoff, stats,
-                                     TidSetPolicyFor(params), &exec));
+                                     params.tidset_mode, &exec));
       });
     case Algorithm::kExpectedSupport:
       return RunFlat(exec, [&](MiningStats* stats) {
         return ToPfciEntries(MineExpectedSupport(db, EffectiveMinEsup(request),
-                                                 stats, TidSetPolicyFor(params),
+                                                 stats, params.tidset_mode,
                                                  &exec));
       });
     case Algorithm::kExpectedSupportFpGrowth:

@@ -55,13 +55,6 @@ struct MiningParams {
   TidSetMode tidset_mode = TidSetMode::kAdaptive;
 };
 
-/// The TidSetPolicy a miner should build its VerticalIndex with.
-inline TidSetPolicy TidSetPolicyFor(const MiningParams& params) {
-  TidSetPolicy policy;
-  policy.mode = params.tidset_mode;
-  return policy;
-}
-
 /// Checks every field of `params`; returns an empty string when valid and
 /// a descriptive error otherwise. Mine() and the free-function wrappers
 /// all funnel through this, so invalid usage fails with the same message

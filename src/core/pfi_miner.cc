@@ -1,58 +1,56 @@
 #include "src/core/pfi_miner.h"
 
+#include <optional>
+
 #include "src/core/frequent_probability.h"
-#include "src/core/index_handle.h"
 #include "src/core/search/candidate_oracle.h"
-#include "src/util/check.h"
 
 namespace pfci {
-
-namespace {
-
-/// The one place a PFI run builds its index and evaluators: borrow or
-/// build the index (charged to the run's memory budget), enumerate, and
-/// fold the evaluator's work counters into `stats`.
-std::vector<PfiEntry> RunPfi(const UncertainDatabase& db, std::size_t min_sup,
-                             double pft, bool use_chernoff, FrequencyMode mode,
-                             MiningStats* stats, const TidSetPolicy& policy,
-                             const ExecutionContext* caller_exec) {
-  PFCI_CHECK(min_sup >= 1);
-  // A standalone call runs under a local unlimited controller.
-  RunController unlimited;
-  ExecutionContext exec =
-      caller_exec != nullptr ? *caller_exec : ExecutionContext{};
-  if (exec.runtime == nullptr) exec.runtime = &unlimited;
-  const IndexHandle index(db, policy, exec);
-  const FrequentProbability freq(index.get(), min_sup, exec.eval_cache,
-                                 exec.table_floor);
-  const CandidateOracle oracle(index.get(), freq, use_chernoff, mode);
-  // Index bytes were charged by the handle; fail an undersized memory
-  // budget before any search work.
-  exec.runtime->Checkpoint();
-  std::vector<PfiEntry> pfis =
-      EnumeratePfis(index.get(), oracle, pft, stats, *exec.runtime);
-  if (stats != nullptr) freq.AddCountersTo(*stats);
-  return pfis;
-}
-
-}  // namespace
 
 std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
                               std::size_t min_sup, double pft,
                               bool use_chernoff, MiningStats* stats,
-                              const TidSetPolicy& policy,
+                              TidSetMode tidset_mode,
                               const ExecutionContext* exec) {
-  return RunPfi(db, min_sup, pft, use_chernoff, FrequencyMode::kExactDp,
-                stats, policy, exec);
+  return RunFlatEnumeration(
+      db, tidset_mode, min_sup, stats, exec,
+      [&](const VerticalIndex& index, const FrequentProbability& freq,
+          RunController& rt) {
+        const CandidateOracle oracle(freq, use_chernoff);
+        return EnumeratePfis(index, PrFAbove(oracle, pft), stats, rt);
+      });
 }
 
 std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
                                          std::size_t min_sup, double pft,
                                          FrequencyMode mode) {
-  // The Chernoff bound stays valid (it bounds the true tail, and every
-  // approximation is consistent with it on the scales where it prunes).
-  return RunPfi(db, min_sup, pft, /*use_chernoff=*/true, mode,
-                /*stats=*/nullptr, TidSetPolicy{}, /*caller_exec=*/nullptr);
+  if (mode == FrequencyMode::kExactDp) return MinePfi(db, min_sup, pft);
+  return RunFlatEnumeration(
+      db, TidSetMode::kAdaptive, min_sup, /*stats=*/nullptr,
+      /*caller_exec=*/nullptr,
+      [&](const VerticalIndex& index, const FrequentProbability& freq,
+          RunController& rt) {
+        // The Chernoff bound stays valid (it bounds the true tail, and
+        // every approximation is consistent with it on the scales where
+        // it prunes); the tail approximation replaces the exact stage.
+        const CandidateOracle oracle(freq, /*use_chernoff=*/true);
+        QualifyRequest bounds;
+        bounds.threshold = pft;
+        bounds.exact_check = false;
+        std::vector<double> probs;
+        // This miner reports no counters, so the measure keeps none.
+        const FrequentnessMeasure approximate =
+            [&](const TidSet& tids, MiningStats*) -> std::optional<double> {
+          if (oracle.Qualify(tids, bounds, /*stats=*/nullptr) <= pft) {
+            return std::nullopt;
+          }
+          index.GatherProbs(tids, &probs);
+          const double pr_f = TailAtLeastWithMode(probs, min_sup, mode);
+          if (pr_f <= pft) return std::nullopt;
+          return pr_f;
+        };
+        return EnumeratePfis(index, approximate, /*stats=*/nullptr, rt);
+      });
 }
 
 }  // namespace pfci

@@ -21,8 +21,8 @@
 namespace pfci {
 
 /// Mines all itemsets with PrF(X) > pft at support threshold min_sup.
-/// `stats` (optional) accumulates pruning counters; `policy` selects the
-/// tid-set representation (never affects results). `exec` (optional)
+/// `stats` (optional) accumulates pruning counters; `tidset_mode` selects
+/// the tid-set representation (never affects results). `exec` (optional)
 /// carries the run's controller, which makes the enumeration fail-soft:
 /// the DFS polls it at node expansion and winds down with a verified
 /// prefix of the answer when a limit trips (the caller reads the outcome
@@ -33,7 +33,7 @@ std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
                               std::size_t min_sup, double pft,
                               bool use_chernoff = true,
                               MiningStats* stats = nullptr,
-                              const TidSetPolicy& policy = TidSetPolicy{},
+                              TidSetMode tidset_mode = TidSetMode::kAdaptive,
                               const ExecutionContext* exec = nullptr);
 
 /// Approximate PFI mining in the spirit of [3]: the exact frequent-

@@ -1,7 +1,5 @@
 #include "src/core/search/candidate_oracle.h"
 
-#include <vector>
-
 namespace pfci {
 
 double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
@@ -25,16 +23,8 @@ double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
 
   if (!req.exact_check) return kAdmittedByBounds;
 
-  // The frequent probability itself: the exact Poisson-binomial DP, or a
-  // distributional tail approximation for the approximate PFI modes.
-  double pr_f;
-  if (mode_ == FrequencyMode::kExactDp) {
-    pr_f = freq_->PrF(tids);
-  } else {
-    std::vector<double>& probs = LocalDpWorkspace().probs;
-    index_->GatherProbs(tids, &probs);
-    pr_f = TailAtLeastWithMode(probs, freq_->min_sup(), mode_);
-  }
+  // The frequent probability itself: the exact Poisson-binomial DP.
+  const double pr_f = freq_->PrF(tids);
   if (pr_f <= req.threshold && stats != nullptr) {
     ++stats->pruned_by_frequency;
   }

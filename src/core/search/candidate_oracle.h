@@ -3,17 +3,16 @@
 // Every miner asks the same question about a candidate itemset — "can X
 // still be probabilistically frequent above my threshold?" — and answers
 // it with the same pipeline: support-count floor, the Lemma 4.1
-// Chernoff-Hoeffding bound, and finally the exact (or distributional-
-// approximation) frequent probability. The CandidateOracle owns that
-// pipeline once, including its pruning-counter semantics, so the
-// frontier policies stay pure enumeration strategies.
+// Chernoff-Hoeffding bound, and finally the exact frequent probability.
+// The CandidateOracle owns that pipeline once, including its
+// pruning-counter semantics, so the frontier policies stay pure
+// enumeration strategies.
 #ifndef PFCI_CORE_SEARCH_CANDIDATE_ORACLE_H_
 #define PFCI_CORE_SEARCH_CANDIDATE_ORACLE_H_
 
 #include "src/core/frequent_probability.h"
 #include "src/core/mining_result.h"
-#include "src/data/vertical_index.h"
-#include "src/prob/tail_approximations.h"
+#include "src/data/tidset.h"
 
 namespace pfci {
 
@@ -33,27 +32,21 @@ struct QualifyRequest {
   /// When false the oracle stops after the bound stages and never
   /// computes PrF: Admitted() on the result then only means "not
   /// provably below threshold". Used by the top-k candidate filter,
-  /// whose dynamic threshold makes a static exact check unsound.
+  /// whose dynamic threshold makes a static exact check unsound, and by
+  /// the approximate PFI miner, which replaces the exact stage.
   bool exact_check = true;
 };
 
 /// Owns the candidate qualification pipeline: count floor ->
-/// Chernoff-Hoeffding bound -> exact/approximate PrF, with the per-stage
-/// pruning counters. Stateless per query and safe to share across
-/// threads (all mutation goes to caller-owned `stats`).
+/// Chernoff-Hoeffding bound -> exact PrF, with the per-stage pruning
+/// counters. Stateless per query and safe to share across threads (all
+/// mutation goes to caller-owned `stats`).
 class CandidateOracle {
  public:
   /// `use_chernoff` gates the Lemma 4.1 stage (params.pruning.chernoff,
-  /// or the PFI miner's use_chernoff flag). `mode` selects the PrF
-  /// evaluation: kExactDp is the exact Poisson-binomial DP; the others
-  /// are the distributional tail approximations of the approximate PFI
-  /// miner.
-  CandidateOracle(const VerticalIndex& index, const FrequentProbability& freq,
-                  bool use_chernoff, FrequencyMode mode)
-      : index_(&index),
-        freq_(&freq),
-        use_chernoff_(use_chernoff),
-        mode_(mode) {}
+  /// or the PFI miner's use_chernoff flag).
+  CandidateOracle(const FrequentProbability& freq, bool use_chernoff)
+      : freq_(&freq), use_chernoff_(use_chernoff) {}
 
   /// Runs the pipeline on Tids(X) = `tids`. Returns PrF(X) when the
   /// exact stage ran (whatever its comparison outcome — callers test
@@ -68,10 +61,8 @@ class CandidateOracle {
   static constexpr double kAdmittedByBounds = 2.0;
 
  private:
-  const VerticalIndex* index_;
   const FrequentProbability* freq_;
   bool use_chernoff_;
-  FrequencyMode mode_;
 };
 
 }  // namespace pfci

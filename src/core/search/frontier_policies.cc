@@ -456,11 +456,10 @@ void FlatCheckFrontier::BuildCandidates(const SearchContext& ctx,
   // node budget is consumed here (the PFI enumeration is the run's
   // search tree); in suspend mode the whole stage is one unit, noted
   // into the budget before the checks fan out.
-  const CandidateOracle oracle(*ctx.index, *ctx.freq, /*use_chernoff=*/true,
-                               FrequencyMode::kExactDp);
+  const CandidateOracle oracle(*ctx.freq, /*use_chernoff=*/true);
   const std::uint64_t nodes_before = result.stats.nodes_visited;
-  pfis_ = EnumeratePfis(*ctx.index, oracle, ctx.params->pfct, &result.stats,
-                        ctx.rt);
+  pfis_ = EnumeratePfis(*ctx.index, PrFAbove(oracle, ctx.params->pfct),
+                        &result.stats, ctx.rt);
   enumerated_nodes_ = result.stats.nodes_visited - nodes_before;
 }
 

@@ -1,7 +1,6 @@
 #include "src/core/search/pfi_enumeration.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/util/failpoint.h"
 
@@ -9,98 +8,106 @@ namespace pfci {
 
 namespace {
 
-class PfiEnumeration {
+class FrequentEnumeration {
  public:
-  PfiEnumeration(const VerticalIndex& index, const CandidateOracle& oracle,
-                 double pft, MiningStats* stats, RunController& rt)
-      : index_(&index), oracle_(&oracle), pft_(pft), stats_(stats), rt_(rt) {}
+  FrequentEnumeration(const VerticalIndex& index,
+                      const FrequentnessMeasure& measure,
+                      const char* failpoint, MiningStats* stats,
+                      RunController& rt, const FrequentEmit& emit)
+      : index_(&index),
+        measure_(&measure),
+        failpoint_(failpoint),
+        stats_(stats),
+        rt_(rt),
+        emit_(&emit) {}
 
-  std::vector<PfiEntry> Run() {
+  void Run() {
     // Sequential enumeration: one logical work unit owns the whole
     // budget.
     unit_ = rt_.UnitBudget(0, 1);
 
     if (!rt_.StopRequested()) {
       for (Item item : index_->occurring_items()) {
-        TidSet tids = index_->TidsOfItem(item);
-        QualifyRequest req;
-        req.threshold = pft_;
-        const double pr_f = oracle_->Qualify(tids, req, stats_);
-        if (pr_f > pft_) {
+        const TidSet& tids = index_->TidsOfItem(item);
+        if (const std::optional<double> value = (*measure_)(tids, stats_)) {
           candidates_.push_back(item);
-          Emit(Itemset{item}, std::move(tids), pr_f);
+          (*emit_)(Itemset{item}, tids, *value);
         }
       }
     }
-    // The singleton pass above seeded `result_`; extend depth-first.
-    const std::size_t num_singletons = result_.size();
-    for (std::size_t s = 0; s < num_singletons && !Stopped(); ++s) {
-      // Copy: Dfs appends to result_ and may reallocate.
-      const PfiEntry seed = result_[s];
-      Dfs(seed.items, seed.tids, IndexOfCandidate(seed.items.LastItem()));
+    // The admitted singletons seed the depth-first extension.
+    for (std::size_t s = 0; s < candidates_.size() && !Stopped(); ++s) {
+      const Item item = candidates_[s];
+      Dfs(Itemset{item}, index_->TidsOfItem(item), s);
     }
     if (unit_.truncated) rt_.RecordTruncation(Outcome::kBudgetExhausted);
-    std::sort(result_.begin(), result_.end());
-    return std::move(result_);
   }
 
  private:
   /// Whether the run should wind down (budget cut or global stop).
   bool Stopped() const { return unit_.truncated || rt_.StopRequested(); }
 
-  std::size_t IndexOfCandidate(Item item) const {
-    return static_cast<std::size_t>(
-        std::lower_bound(candidates_.begin(), candidates_.end(), item) -
-        candidates_.begin());
-  }
-
-  void Emit(Itemset items, TidSet tids, double pr_f) {
-    PfiEntry entry;
-    entry.items = std::move(items);
-    entry.pr_f = pr_f;
-    entry.tids = std::move(tids);
-    result_.push_back(std::move(entry));
-  }
-
   void Dfs(const Itemset& x, const TidSet& tids, std::size_t candidate_pos) {
-    // Node-expansion checkpoint: PFIs emit before recursing, so cutting
-    // here leaves a verified prefix in `result_`.
-    PFCI_FAILPOINT("pfi/node");
+    // Node-expansion checkpoint: itemsets emit before recursing, so
+    // cutting here leaves a verified prefix of the answer.
+    PFCI_FAILPOINT(failpoint_);
     if (rt_.Checkpoint()) return;
     if (!unit_.TakeNode()) return;
     if (stats_ != nullptr) ++stats_->nodes_visited;
     for (std::size_t c = candidate_pos + 1; c < candidates_.size(); ++c) {
       if (Stopped()) return;
       const Item item = candidates_[c];
-      TidSet child_tids = Intersect(tids, index_->TidsOfItem(item));
+      const TidSet child_tids = Intersect(tids, index_->TidsOfItem(item));
       if (stats_ != nullptr) ++stats_->intersections;
-      QualifyRequest req;
-      req.threshold = pft_;
-      const double pr_f = oracle_->Qualify(child_tids, req, stats_);
-      if (pr_f <= pft_) continue;
+      const std::optional<double> value = (*measure_)(child_tids, stats_);
+      if (!value.has_value()) continue;
       const Itemset child = x.WithItem(item);
-      Emit(child, child_tids, pr_f);
+      (*emit_)(child, child_tids, *value);
       Dfs(child, child_tids, c);
     }
   }
 
   const VerticalIndex* index_;
-  const CandidateOracle* oracle_;
-  double pft_;
+  const FrequentnessMeasure* measure_;
+  const char* failpoint_;
   MiningStats* stats_;
   RunController& rt_;
+  const FrequentEmit* emit_;
   WorkUnitBudget unit_;
   std::vector<Item> candidates_;
-  std::vector<PfiEntry> result_;
 };
 
 }  // namespace
 
+void EnumerateFrequent(const VerticalIndex& index,
+                       const FrequentnessMeasure& measure,
+                       const char* failpoint, MiningStats* stats,
+                       RunController& rt, const FrequentEmit& emit) {
+  FrequentEnumeration(index, measure, failpoint, stats, rt, emit).Run();
+}
+
+FrequentnessMeasure PrFAbove(const CandidateOracle& oracle, double pft) {
+  return [&oracle, pft](const TidSet& tids,
+                        MiningStats* stats) -> std::optional<double> {
+    QualifyRequest req;
+    req.threshold = pft;
+    const double pr_f = oracle.Qualify(tids, req, stats);
+    if (pr_f <= pft) return std::nullopt;
+    return pr_f;
+  };
+}
+
 std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
-                                    const CandidateOracle& oracle, double pft,
+                                    const FrequentnessMeasure& measure,
                                     MiningStats* stats, RunController& rt) {
-  PfiEnumeration search(index, oracle, pft, stats, rt);
-  return search.Run();
+  std::vector<PfiEntry> pfis;
+  EnumerateFrequent(index, measure, "pfi/node", stats, rt,
+                    [&pfis](const Itemset& items, const TidSet& tids,
+                            double pr_f) {
+                      pfis.push_back(PfiEntry{items, pr_f, tids});
+                    });
+  std::sort(pfis.begin(), pfis.end());
+  return pfis;
 }
 
 }  // namespace pfci

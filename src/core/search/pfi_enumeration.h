@@ -1,20 +1,30 @@
-// Probabilistic frequent itemset enumeration — the kernel's flat
-// (non-closed) search primitive.
+// Frequent itemset enumeration — the kernel's flat (non-closed) search
+// primitive.
 //
-// Enumerates all itemsets with PrF(X) > pft (Definition 3.5) by a
-// sequential depth-first walk with CandidateOracle qualification at every
-// node. PrF is anti-monotone, so the enumeration is complete. This is the
-// engine behind the PFI baseline miner and the candidate stage of the
-// Naive checker (Fig. 5); it lives in the kernel so frontier policies can
-// call it without depending on any miner entry point.
+// Enumerates every itemset a frequentness measure admits by a sequential
+// depth-first walk. The measures in use — PrF(X) > pft (Definition 3.5),
+// a distributional approximation of it, and the expected support of the
+// U-Apriori model [9] — are all anti-monotone, so one enumeration is
+// complete for each. This is the engine behind the PFI baseline miner,
+// the approximate PFI miner, the expected-support miner and the
+// candidate stage of the Naive checker (Fig. 5); it lives in the kernel
+// so frontier policies can call it without depending on any miner entry
+// point.
 #ifndef PFCI_CORE_SEARCH_PFI_ENUMERATION_H_
 #define PFCI_CORE_SEARCH_PFI_ENUMERATION_H_
 
+#include <cstddef>
+#include <functional>
+#include <optional>
 #include <vector>
 
+#include "src/core/execution.h"
+#include "src/core/frequent_probability.h"
+#include "src/core/index_handle.h"
 #include "src/core/mining_result.h"
 #include "src/core/search/candidate_oracle.h"
 #include "src/data/tidset.h"
+#include "src/data/uncertain_database.h"
 #include "src/data/vertical_index.h"
 #include "src/util/runtime.h"
 
@@ -32,17 +42,64 @@ struct PfiEntry {
   }
 };
 
-/// Enumerates all itemsets of `index` with PrF(X) > pft, sorted
-/// canonically, qualifying every node through `oracle` (which fixes the
-/// support threshold, the frequency evaluation and the Lemma 4.1 stage).
-/// The caller owns the index and evaluators: it charges the index to the
-/// memory budget, checkpoints before calling, and folds the evaluator's
-/// work counters. `stats` (optional) accumulates pruning counters. The
-/// DFS polls `rt` at node expansion and winds down with a verified prefix
-/// when a limit trips.
+/// A frequentness measure: evaluates X given Tids(X) = `tids` and returns
+/// its value when the measure admits X, nullopt when it does not. A
+/// rejection bumps the measure's own pruning counters in `stats` (may be
+/// null).
+using FrequentnessMeasure =
+    std::function<std::optional<double>(const TidSet& tids,
+                                        MiningStats* stats)>;
+
+/// Receives each admitted itemset with its tid-set and measure value.
+using FrequentEmit = std::function<void(const Itemset& items,
+                                        const TidSet& tids, double value)>;
+
+/// Enumerates, depth-first, every itemset of `index` that `measure`
+/// admits, passing each to `emit` in visit order. The caller owns the
+/// index and evaluators: it charges the index to the memory budget,
+/// checkpoints before calling, and folds the evaluator's work counters.
+/// `failpoint` names the node-expansion site; `stats` (optional)
+/// accumulates node, intersection and pruning counters. The DFS polls
+/// `rt` at node expansion and winds down with a verified prefix when a
+/// limit trips.
+void EnumerateFrequent(const VerticalIndex& index,
+                       const FrequentnessMeasure& measure,
+                       const char* failpoint, MiningStats* stats,
+                       RunController& rt, const FrequentEmit& emit);
+
+/// The exact PFI measure: PrF(X) > pft, qualified through `oracle`.
+FrequentnessMeasure PrFAbove(const CandidateOracle& oracle, double pft);
+
+/// The PFIs under `measure` (PrFAbove or an approximation of it): every
+/// admitted itemset with its tid-set, sorted canonically. Node site
+/// "pfi/node".
 std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
-                                    const CandidateOracle& oracle, double pft,
+                                    const FrequentnessMeasure& measure,
                                     MiningStats* stats, RunController& rt);
+
+/// The one run setup of the flat miners: resolves a null controller (or a
+/// null `caller_exec`) to a local unlimited one, borrows or builds the
+/// index (charged to the run's memory budget) and the evaluator,
+/// checkpoints so an undersized budget fails before any search work,
+/// runs `enumerate(index, freq, rt)`, and folds the evaluator's work
+/// counters into `stats`. Returns what `enumerate` returns.
+template <typename Enumerate>
+auto RunFlatEnumeration(const UncertainDatabase& db, TidSetMode mode,
+                        std::size_t min_sup, MiningStats* stats,
+                        const ExecutionContext* caller_exec,
+                        Enumerate&& enumerate) {
+  RunController unlimited;
+  ExecutionContext exec =
+      caller_exec != nullptr ? *caller_exec : ExecutionContext{};
+  if (exec.runtime == nullptr) exec.runtime = &unlimited;
+  const IndexHandle index(db, mode, exec);
+  const FrequentProbability freq(index.get(), min_sup, exec.eval_cache,
+                                 exec.table_floor);
+  exec.runtime->Checkpoint();
+  auto result = enumerate(index.get(), freq, *exec.runtime);
+  if (stats != nullptr) freq.AddCountersTo(*stats);
+  return result;
+}
 
 }  // namespace pfci
 

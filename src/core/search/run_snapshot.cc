@@ -373,6 +373,11 @@ bool ParseRunSnapshot(std::string_view text, RunSnapshot* snapshot,
         pos != tokens.size()) {
       return Fail(error, reader.lineno(), "malformed frontier line");
     }
+    // No policy writes an empty frontier itemset, and a resume would
+    // index its first item.
+    if (element.items.empty()) {
+      return Fail(error, reader.lineno(), "empty frontier itemset");
+    }
     snapshot->frontier.push_back(std::move(element));
   }
 

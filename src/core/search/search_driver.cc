@@ -16,13 +16,12 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
                        const ExecutionContext& exec, FrontierPolicy& policy) {
   Stopwatch timer;
   MiningResult result;
-  const IndexHandle index_handle(db, TidSetPolicyFor(params), exec);
+  const IndexHandle index_handle(db, params.tidset_mode, exec);
   const VerticalIndex& index = index_handle.get();
   const FrequentProbability freq(index, params.min_sup, exec.eval_cache,
                                  exec.table_floor);
   const FcpEngine engine(index, freq, params, exec);
-  const CandidateOracle oracle(index, freq, params.pruning.chernoff,
-                               FrequencyMode::kExactDp);
+  const CandidateOracle oracle(freq, params.pruning.chernoff);
   RunController& rt = *exec.runtime;
   const SearchContext ctx{&db,   &params, &exec,   &index,
                           &freq, &oracle, &engine, rt};

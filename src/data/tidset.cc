@@ -92,7 +92,7 @@ namespace {
 
 constexpr std::size_t kWordBits = 64;
 
-/// The adaptive rule (TidSetPolicy): dense iff size * kDenseDivisor >=
+/// The adaptive rule (TidSetMode::kAdaptive): dense iff size * kDenseDivisor >=
 /// universe, and never below kMinDenseUniverse.
 constexpr std::size_t kDenseDivisor = 16;
 constexpr std::size_t kMinDenseUniverse = 256;
@@ -102,8 +102,8 @@ std::size_t NumWords(std::size_t universe) {
 }
 
 bool ShouldBeDense(std::size_t size, std::size_t universe,
-                   const TidSetPolicy& policy) {
-  switch (policy.mode) {
+                   TidSetMode mode) {
+  switch (mode) {
     case TidSetMode::kSparse:
       return false;
     case TidSetMode::kDense:
@@ -151,10 +151,10 @@ bool ParseTidSetMode(const std::string& text, TidSetMode* mode) {
 }
 
 TidSet::TidSet(TidList sorted_tids, std::size_t universe,
-               const TidSetPolicy& policy)
+               TidSetMode mode)
     : universe_(universe),
       size_(sorted_tids.size()),
-      policy_(policy),
+      mode_(mode),
       sparse_(std::move(sorted_tids)) {
 #ifndef NDEBUG
   for (std::size_t i = 0; i < sparse_.size(); ++i) {
@@ -165,12 +165,12 @@ TidSet::TidSet(TidList sorted_tids, std::size_t universe,
   Normalize();
 }
 
-TidSet TidSet::All(std::size_t universe, const TidSetPolicy& policy) {
+TidSet TidSet::All(std::size_t universe, TidSetMode mode) {
   TidSet set;
   set.universe_ = universe;
   set.size_ = universe;
-  set.policy_ = policy;
-  if (ShouldBeDense(universe, universe, policy)) {
+  set.mode_ = mode;
+  if (ShouldBeDense(universe, universe, mode)) {
     set.dense_ = true;
     set.words_.assign(NumWords(universe), ~std::uint64_t{0});
     if (universe % kWordBits != 0 && !set.words_.empty()) {
@@ -203,7 +203,7 @@ TidList TidSet::ToTidList() const {
 }
 
 void TidSet::Normalize() {
-  const bool want_dense = ShouldBeDense(size_, universe_, policy_);
+  const bool want_dense = ShouldBeDense(size_, universe_, mode_);
   if (want_dense && !dense_) {
     ToDense();
   } else if (!want_dense && dense_) {
@@ -233,7 +233,7 @@ void TidSet::ToSparse() {
 TidSet Intersect(const TidSet& a, const TidSet& b) {
   TidSet out;
   out.universe_ = CombinedUniverse(a, b);
-  out.policy_ = a.policy_;
+  out.mode_ = a.mode_;
   if (a.empty() || b.empty()) {
     out.Normalize();
     return out;
@@ -294,7 +294,7 @@ std::size_t IntersectSize(const TidSet& a, const TidSet& b) {
 TidSet Difference(const TidSet& a, const TidSet& b) {
   TidSet out;
   out.universe_ = CombinedUniverse(a, b);
-  out.policy_ = a.policy_;
+  out.mode_ = a.mode_;
   if (a.empty() || b.empty()) {
     out.size_ = a.size_;
     out.dense_ = a.dense_;

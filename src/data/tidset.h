@@ -13,7 +13,7 @@
 // Determinism: the representation affects memory layout only, never the
 // set contents, iteration order (always ascending tid), or any derived
 // floating-point value — forcing sparse-only or dense-only via
-// TidSetPolicy yields bit-identical mining results (asserted by
+// TidSetMode yields bit-identical mining results (asserted by
 // tests/parallel_determinism_test.cc).
 #ifndef PFCI_DATA_TIDSET_H_
 #define PFCI_DATA_TIDSET_H_
@@ -29,7 +29,12 @@
 
 namespace pfci {
 
-/// Representation choice for TidSets derived from one index.
+/// Representation choice shared by all TidSets of one index. The adaptive
+/// rule picks the bitmap when size * 16 >= universe (a bitmap of u bits
+/// costs u/64 words; a sparse set of s 32-bit tids costs ~s/2 words, so
+/// the bitmap is smaller from s >= u/32 on and its word-parallel
+/// operations win a little earlier), but never for universes below 256,
+/// where a short merge beats any fixed setup cost.
 enum class TidSetMode : std::uint8_t {
   kAdaptive = 0,  ///< Per-set density rule (default).
   kSparse = 1,    ///< Force sorted-vector representation everywhere.
@@ -41,16 +46,6 @@ const char* TidSetModeName(TidSetMode mode);
 
 /// Parses "adaptive" | "sparse" | "dense"; returns false on anything else.
 bool ParseTidSetMode(const std::string& text, TidSetMode* mode);
-
-/// Representation policy shared by all TidSets of one index. The adaptive
-/// rule picks the bitmap when size * 16 >= universe (a bitmap of u bits
-/// costs u/64 words; a sparse set of s 32-bit tids costs ~s/2 words, so
-/// the bitmap is smaller from s >= u/32 on and its word-parallel
-/// operations win a little earlier), but never for universes below 256,
-/// where a short merge beats any fixed setup cost.
-struct TidSetPolicy {
-  TidSetMode mode = TidSetMode::kAdaptive;
-};
 
 /// A set of transaction ids over the universe [0, universe()).
 ///
@@ -64,17 +59,16 @@ class TidSet {
   /// Builds from a sorted, duplicate-free tid list; every tid must lie in
   /// [0, universe).
   TidSet(TidList sorted_tids, std::size_t universe,
-         const TidSetPolicy& policy = TidSetPolicy{});
+         TidSetMode mode = TidSetMode::kAdaptive);
 
   /// The full set {0, ..., universe - 1}.
   static TidSet All(std::size_t universe,
-                    const TidSetPolicy& policy = TidSetPolicy{});
+                    TidSetMode mode = TidSetMode::kAdaptive);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t universe() const { return universe_; }
   bool dense() const { return dense_; }
-  const TidSetPolicy& policy() const { return policy_; }
 
   /// Membership test: O(1) dense, O(log size) sparse.
   bool Contains(Tid tid) const;
@@ -113,7 +107,7 @@ class TidSet {
   friend bool operator==(const TidSet& a, const TidSet& b);
 
  private:
-  /// Converts to the representation the policy prescribes for size().
+  /// Converts to the representation the mode prescribes for size().
   void Normalize();
   void ToDense();
   void ToSparse();
@@ -121,13 +115,13 @@ class TidSet {
   std::size_t universe_ = 0;
   std::size_t size_ = 0;
   bool dense_ = false;
-  TidSetPolicy policy_;
+  TidSetMode mode_ = TidSetMode::kAdaptive;
   TidList sparse_;                    ///< Sorted members (sparse rep).
   std::vector<std::uint64_t> words_;  ///< Bitmap (dense rep).
 };
 
 /// a ∩ b. The operands must share a universe (an empty set of any universe
-/// is also accepted); the result carries `a`'s policy.
+/// is also accepted); the result carries `a`'s mode.
 TidSet Intersect(const TidSet& a, const TidSet& b);
 
 /// |a ∩ b| without materializing the intersection.

@@ -5,8 +5,8 @@
 namespace pfci {
 
 VerticalIndex::VerticalIndex(const UncertainDatabase& db,
-                             const TidSetPolicy& policy)
-    : db_(&db), policy_(policy) {
+                             TidSetMode mode)
+    : db_(&db), mode_(mode) {
   const std::size_t universe = db.size();
   std::vector<TidList> raw(db.MaxItemPlusOne());
   for (Tid tid = 0; tid < universe; ++tid) {
@@ -17,10 +17,10 @@ VerticalIndex::VerticalIndex(const UncertainDatabase& db,
   tids_by_item_.reserve(raw.size());
   for (Item item = 0; item < raw.size(); ++item) {
     if (!raw[item].empty()) occurring_items_.push_back(item);
-    tids_by_item_.emplace_back(std::move(raw[item]), universe, policy_);
+    tids_by_item_.emplace_back(std::move(raw[item]), universe, mode_);
   }
-  all_tids_ = TidSet::All(universe, policy_);
-  empty_ = TidSet(TidList{}, universe, policy_);
+  all_tids_ = TidSet::All(universe, mode_);
+  empty_ = TidSet(TidList{}, universe, mode_);
   probs_.reserve(universe);
   for (Tid tid = 0; tid < universe; ++tid) probs_.push_back(db.prob(tid));
 }

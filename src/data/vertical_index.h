@@ -20,7 +20,7 @@ namespace pfci {
 class VerticalIndex {
  public:
   explicit VerticalIndex(const UncertainDatabase& db,
-                         const TidSetPolicy& policy = TidSetPolicy{});
+                         TidSetMode mode = TidSetMode::kAdaptive);
 
   /// Tid-set of a single item (empty if the item never occurs).
   const TidSet& TidsOfItem(Item item) const;
@@ -57,12 +57,12 @@ class VerticalIndex {
   /// RunController's memory budget right after construction.
   std::size_t MemoryBytes() const;
 
-  const TidSetPolicy& policy() const { return policy_; }
+  TidSetMode mode() const { return mode_; }
   const UncertainDatabase& db() const { return *db_; }
 
  private:
   const UncertainDatabase* db_;
-  TidSetPolicy policy_;
+  TidSetMode mode_;
   std::vector<TidSet> tids_by_item_;
   std::vector<Item> occurring_items_;
   TidSet all_tids_;

@@ -66,7 +66,7 @@ MiningSession MiningSession::Open(const UncertainDatabase& db,
   }
   // Prepare the index up front: the session's first request pays index
   // cost at Open, not at serve time.
-  state->index = std::make_unique<VerticalIndex>(db, TidSetPolicy{});
+  state->index = std::make_unique<VerticalIndex>(db, TidSetMode::kAdaptive);
   return MiningSession(std::move(state));
 }
 

@@ -293,7 +293,7 @@ TEST(RuntimeBudget, NaiveChargesOneVerticalIndex) {
   ASSERT_EQ(full.outcome(), Outcome::kComplete);
   ASSERT_FALSE(full.itemsets.empty());
 
-  const VerticalIndex index(db, TidSetPolicyFor(request.params));
+  const VerticalIndex index(db, request.params.tidset_mode);
   request.budget.max_resident_bytes = index.MemoryBytes() * 3 / 2;
   const MiningResult budgeted = Mine(db, request);
   EXPECT_EQ(budgeted.outcome(), Outcome::kComplete);

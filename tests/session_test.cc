@@ -97,6 +97,45 @@ TEST(MiningSession, SecondIdenticalRequestIsAllCacheHits) {
   EXPECT_GT(session.cache_entries(), 0u);
 }
 
+TEST(MiningSession, EsupAndPfiWorkCountersArePinned) {
+  // One session at one thread (the counters are deterministic there):
+  // esup cold then warm, then pfi cold then warm. Esup stores mu-only
+  // entries, which the pfi runs find but cannot answer from without a
+  // tail table. Pinned so the cache tier of expected supports and PrF
+  // keeps its exact hit/miss accounting.
+  const UncertainDatabase db = MakeQuestDb(7);
+  MiningSession session = MiningSession::Open(db);
+  MiningRequest esup = BaseRequest(Algorithm::kExpectedSupport, 22);
+  esup.min_esup = 25.0;
+  MiningRequest pfi = BaseRequest(Algorithm::kPfi, 22);
+  struct Pinned {
+    const MiningRequest* request;
+    std::size_t itemsets;
+    std::uint64_t cache_hits;
+    std::uint64_t cache_misses;
+    std::uint64_t dp_runs;
+    std::uint64_t dp_reused;
+  };
+  const Pinned runs[] = {
+      {&esup, 37, 6, 38, 0, 0},    // esup cold
+      {&esup, 37, 44, 0, 0, 0},    // esup warm
+      {&pfi, 91, 46, 49, 49, 46},  // pfi cold
+      {&pfi, 91, 95, 0, 0, 95},    // pfi warm
+  };
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    MiningRequest request = *runs[i].request;
+    request.execution.num_threads = 1;
+    const MiningResult result = session.Mine(request);
+    ASSERT_EQ(result.outcome(), Outcome::kComplete) << result.status_message;
+    EXPECT_EQ(result.itemsets.size(), runs[i].itemsets);
+    EXPECT_EQ(result.stats.cache_hits, runs[i].cache_hits);
+    EXPECT_EQ(result.stats.cache_misses, runs[i].cache_misses);
+    EXPECT_EQ(result.stats.dp_runs, runs[i].dp_runs);
+    EXPECT_EQ(result.stats.dp_reused, runs[i].dp_reused);
+  }
+}
+
 TEST(MiningSession, SweepReusesDpTablesAcrossThresholds) {
   const UncertainDatabase db = MakeQuestDb(11);
   MiningSession session = MiningSession::Open(db);
@@ -497,12 +536,8 @@ TEST(EvalCache, ProbeInsertAndMonotoneTableReuse) {
 
 TEST(EvalCache, FingerprintIsRepresentationIndependent) {
   const TidList contents = {2, 4, 6, 9};
-  TidSetPolicy sparse;
-  sparse.mode = TidSetMode::kSparse;
-  TidSetPolicy dense;
-  dense.mode = TidSetMode::kDense;
-  const TidSet a(contents, 12, sparse);
-  const TidSet b(contents, 12, dense);
+  const TidSet a(contents, 12, TidSetMode::kSparse);
+  const TidSet b(contents, 12, TidSetMode::kDense);
   EXPECT_EQ(TidSetFingerprint(a), TidSetFingerprint(b));
 
   // One cache serves both representations of the same contents.

@@ -198,5 +198,22 @@ TEST(SnapshotCrash, TornFilesAreDetectedNotResumed) {
   EXPECT_NE(LoadRunSnapshot(path, &parsed), "");
 }
 
+TEST(SnapshotCrash, EmptyFrontierItemsetIsRejected) {
+  // A well-formed file whose frontier element has no items: resuming it
+  // would index the element's first item, so the parser must refuse it
+  // with a line-numbered error.
+  const std::string text = SerializeRunSnapshot(MakeSnapshot(6));
+  const std::string frontier_line = "\nf 1 6 ";
+  const std::size_t at = text.find(frontier_line);
+  ASSERT_NE(at, std::string::npos) << text;
+  std::string corrupt = text;
+  corrupt.replace(at, frontier_line.size(), "\nf 0 ");
+  RunSnapshot parsed;
+  std::string error;
+  EXPECT_FALSE(ParseRunSnapshot(corrupt, &parsed, &error));
+  EXPECT_NE(error.find("(line "), std::string::npos) << error;
+  EXPECT_NE(error.find("empty frontier itemset"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace pfci

@@ -3,6 +3,8 @@
 #include "src/prob/tail_approximations.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -130,6 +132,51 @@ TEST(ApproximatePfiMiner, NormalModeNearExactAtScale) {
   EXPECT_LE(sym_diff,
             1 + exact.size() / 20)  // <= ~5% of the answer.
       << "exact=" << exact.size() << " approx=" << approx.size();
+}
+
+/// FNV-1a over the itemsets and the bit patterns of their pr_f values, in
+/// result order.
+std::uint64_t PfiDigest(const std::vector<PfiEntry>& pfis) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffULL;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(pfis.size());
+  for (const PfiEntry& entry : pfis) {
+    mix(entry.items.size());
+    for (Item item : entry.items.items()) mix(item);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &entry.pr_f, sizeof(bits));
+    mix(bits);
+  }
+  return hash;
+}
+
+TEST(ApproximatePfiMiner, ApproximateModesAreBitStable) {
+  // Pinned answers of the three approximate modes: any change to the
+  // enumeration, the bound stages or the tail approximations that moves
+  // an itemset or a single bit of a pr_f shows up here.
+  const UncertainDatabase db = MakeUncertainQuest(BenchScale::kQuick);
+  const std::size_t min_sup = AbsoluteMinSup(db.size(), 0.2);
+  struct Pinned {
+    FrequencyMode mode;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  for (const Pinned& pinned : {
+           Pinned{FrequencyMode::kNormal, 104, 0x768c7c426916141cULL},
+           Pinned{FrequencyMode::kRefinedNormal, 104, 0x3af23e69cf86fecfULL},
+           Pinned{FrequencyMode::kPoisson, 101, 0x3e4342917b229d1dULL},
+       }) {
+    const std::vector<PfiEntry> pfis =
+        MinePfiApproximate(db, min_sup, 0.8, pinned.mode);
+    EXPECT_EQ(pfis.size(), pinned.size) << FrequencyModeName(pinned.mode);
+    EXPECT_EQ(PfiDigest(pfis), pinned.digest)
+        << FrequencyModeName(pinned.mode);
+  }
 }
 
 }  // namespace

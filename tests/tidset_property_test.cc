@@ -15,12 +15,6 @@
 namespace pfci {
 namespace {
 
-TidSetPolicy Forced(TidSetMode mode) {
-  TidSetPolicy policy;
-  policy.mode = mode;
-  return policy;
-}
-
 TidList RandomTids(std::size_t universe, double density, Rng& rng) {
   TidList tids;
   for (Tid t = 0; t < universe; ++t) {
@@ -40,7 +34,7 @@ void CrossValidate(const TidList& a_tids, const TidList& b_tids,
   const TidList ref_diff = DifferenceTids(a_tids, b_tids);
   const bool ref_subset = TidsSubset(a_tids, b_tids);
   for (const TidSetMode ma : kModes) {
-    const TidSet a(a_tids, universe, Forced(ma));
+    const TidSet a(a_tids, universe, ma);
     ASSERT_EQ(a, a_tids) << "construction roundtrip";
     ASSERT_EQ(a.size(), a_tids.size());
     for (const TidSetMode mb : kModes) {
@@ -49,7 +43,7 @@ void CrossValidate(const TidList& a_tids, const TidList& b_tids,
                    std::to_string(universe) + " |a|=" +
                    std::to_string(a_tids.size()) + " |b|=" +
                    std::to_string(b_tids.size()));
-      const TidSet b(b_tids, universe, Forced(mb));
+      const TidSet b(b_tids, universe, mb);
       EXPECT_EQ(Intersect(a, b), ref_inter);
       EXPECT_EQ(IntersectSize(a, b), ref_inter.size());
       EXPECT_EQ(Difference(a, b), ref_diff);
@@ -121,8 +115,8 @@ TEST(TidSetProperty, CountMatchesPopcountAcrossBoundaries) {
     Rng rng(universe);
     for (int round = 0; round < 4; ++round) {
       const TidList tids = RandomTids(universe, 0.6, rng);
-      const TidSet dense(tids, universe, Forced(TidSetMode::kDense));
-      const TidSet sparse(tids, universe, Forced(TidSetMode::kSparse));
+      const TidSet dense(tids, universe, TidSetMode::kDense);
+      const TidSet sparse(tids, universe, TidSetMode::kSparse);
       EXPECT_EQ(dense.size(), tids.size());
       EXPECT_EQ(dense.ToTidList(), tids);
       EXPECT_EQ(dense, sparse);

@@ -13,12 +13,6 @@
 namespace pfci {
 namespace {
 
-TidSetPolicy Forced(TidSetMode mode) {
-  TidSetPolicy policy;
-  policy.mode = mode;
-  return policy;
-}
-
 TEST(TidSetMode, Names) {
   EXPECT_STREQ(TidSetModeName(TidSetMode::kAdaptive), "adaptive");
   EXPECT_STREQ(TidSetModeName(TidSetMode::kSparse), "sparse");
@@ -51,17 +45,17 @@ TEST(TidSet, AdaptiveRepresentationSelection) {
 
 TEST(TidSet, ForcedModesOverrideDensity) {
   TidList tids = {0, 5, 1000};
-  EXPECT_TRUE(TidSet(tids, 1024, Forced(TidSetMode::kDense)).dense());
+  EXPECT_TRUE(TidSet(tids, 1024, TidSetMode::kDense).dense());
   TidList most(1000);
   for (Tid t = 0; t < 1000; ++t) most[t] = t;
-  EXPECT_FALSE(TidSet(most, 1024, Forced(TidSetMode::kSparse)).dense());
+  EXPECT_FALSE(TidSet(most, 1024, TidSetMode::kSparse).dense());
 }
 
 TEST(TidSet, ContainsForEachRoundtrip) {
   const TidList tids = {0, 3, 63, 64, 65, 127, 500, 1023};
   for (const TidSetMode mode :
        {TidSetMode::kSparse, TidSetMode::kDense, TidSetMode::kAdaptive}) {
-    const TidSet set(tids, 1024, Forced(mode));
+    const TidSet set(tids, 1024, mode);
     EXPECT_EQ(set.size(), tids.size());
     EXPECT_EQ(set.universe(), 1024u);
     EXPECT_EQ(set.ToTidList(), tids);
@@ -78,7 +72,7 @@ TEST(TidSet, ContainsForEachRoundtrip) {
 
 TEST(TidSet, AllAndEmpty) {
   for (const TidSetMode mode : {TidSetMode::kSparse, TidSetMode::kDense}) {
-    const TidSet all = TidSet::All(130, Forced(mode));
+    const TidSet all = TidSet::All(130, mode);
     EXPECT_EQ(all.size(), 130u);
     EXPECT_TRUE(all.Contains(0));
     EXPECT_TRUE(all.Contains(129));
@@ -89,7 +83,7 @@ TEST(TidSet, AllAndEmpty) {
   const TidSet empty;
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.ToTidList(), TidList{});
-  const TidSet all = TidSet::All(64, Forced(TidSetMode::kDense));
+  const TidSet all = TidSet::All(64, TidSetMode::kDense);
   // Empty-set ops against any universe are accepted.
   EXPECT_TRUE(Intersect(all, empty).empty());
   EXPECT_EQ(Difference(all, empty), all);
@@ -105,13 +99,13 @@ TEST(TidSet, AlgebraAcrossMixedRepresentations) {
     for (const TidSetMode mb : {TidSetMode::kSparse, TidSetMode::kDense}) {
       SCOPED_TRACE(std::string(TidSetModeName(ma)) + " x " +
                    TidSetModeName(mb));
-      const TidSet a(a_tids, 512, Forced(ma));
-      const TidSet b(b_tids, 512, Forced(mb));
+      const TidSet a(a_tids, 512, ma);
+      const TidSet b(b_tids, 512, mb);
       EXPECT_EQ(Intersect(a, b), both);
       EXPECT_EQ(IntersectSize(a, b), both.size());
       EXPECT_EQ(Difference(a, b), a_minus_b);
       EXPECT_FALSE(IsSubsetOf(a, b));
-      EXPECT_TRUE(IsSubsetOf(TidSet(both, 512, Forced(ma)), b));
+      EXPECT_TRUE(IsSubsetOf(TidSet(both, 512, ma), b));
       EXPECT_TRUE(IsSubsetOf(a, a));
     }
   }
@@ -119,11 +113,11 @@ TEST(TidSet, AlgebraAcrossMixedRepresentations) {
 
 TEST(TidSet, EqualityIsRepresentationIndependent) {
   const TidList tids = {2, 9, 77, 400};
-  const TidSet sparse(tids, 512, Forced(TidSetMode::kSparse));
-  const TidSet dense(tids, 512, Forced(TidSetMode::kDense));
+  const TidSet sparse(tids, 512, TidSetMode::kSparse);
+  const TidSet dense(tids, 512, TidSetMode::kDense);
   EXPECT_EQ(sparse, dense);
   EXPECT_EQ(dense, sparse);
-  const TidSet other(TidList{2, 9, 77, 401}, 512, Forced(TidSetMode::kDense));
+  const TidSet other(TidList{2, 9, 77, 401}, 512, TidSetMode::kDense);
   EXPECT_FALSE(sparse == other);
 }
 
@@ -212,14 +206,14 @@ TEST(TidSet, GallopingPathReachedThroughTidSetOps) {
   const TidList small_tids = {0, 3, 4, 4096, 4097, 65532};
   ASSERT_GE(big_tids.size(),
             small_tids.size() * tidset_internal::kGallopSkewRatio);
-  const TidSet big(big_tids, universe, Forced(TidSetMode::kSparse));
-  const TidSet small(small_tids, universe, Forced(TidSetMode::kSparse));
+  const TidSet big(big_tids, universe, TidSetMode::kSparse);
+  const TidSet small(small_tids, universe, TidSetMode::kSparse);
   EXPECT_EQ(Intersect(small, big), IntersectTids(small_tids, big_tids));
   EXPECT_EQ(IntersectSize(big, small),
             IntersectTids(small_tids, big_tids).size());
   EXPECT_FALSE(IsSubsetOf(small, big));
   EXPECT_TRUE(IsSubsetOf(
-      TidSet(TidList{0, 4, 4096, 65532}, universe, Forced(TidSetMode::kSparse)),
+      TidSet(TidList{0, 4, 4096, 65532}, universe, TidSetMode::kSparse),
       big));
 }
 
