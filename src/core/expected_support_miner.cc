@@ -208,7 +208,7 @@ std::vector<ExpectedSupportEntry> MineExpectedSupport(
       db, tidset_mode, /*min_sup=*/1, stats, exec,
       [&](const VerticalIndex& index, const FrequentProbability& freq,
           RunController& rt) {
-        const FrequentnessMeasure esup_at_least =
+        const FrequentnessMeasure<TidSet> esup_at_least =
             [&](const TidSet& tids,
                 MiningStats* counters) -> std::optional<double> {
           const double esup = freq.ExpectedSupport(tids);

@@ -1,6 +1,6 @@
 #include "src/core/item_uncertain_miners.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "src/prob/poisson_binomial.h"
 #include "src/prob/tail_bounds.h"
@@ -10,117 +10,71 @@ namespace pfci {
 
 namespace {
 
-/// The DFS carries, per node, the list of (tid, containment probability)
-/// pairs with positive probability — the item-level analogue of a
-/// tid-list. Extending X by item e multiplies each entry by p_{T,e}
-/// (dropping transactions where e never occurs).
-struct ProbList {
-  std::vector<Tid> tids;
-  std::vector<double> probs;
-
-  double Sum() const {
-    double total = 0.0;
-    for (double p : probs) total += p;
-    return total;
-  }
-};
-
-/// Per-item occurrence probability lookup for one database.
-class OccurrenceIndex {
- public:
-  explicit OccurrenceIndex(const ItemUncertainDatabase& db) : db_(&db) {}
-
-  /// probs of `base` multiplied by the occurrence probability of `item`
-  /// in each transaction (entries without the item are dropped).
-  ProbList Extend(const ProbList& base, Item item) const {
-    ProbList out;
-    out.tids.reserve(base.tids.size());
-    out.probs.reserve(base.tids.size());
-    for (std::size_t k = 0; k < base.tids.size(); ++k) {
-      const auto& occurrences = db_->transaction(base.tids[k]).items;
-      const auto it = std::lower_bound(
-          occurrences.begin(), occurrences.end(), item,
-          [](const ProbItem& occurrence, Item target) {
-            return occurrence.item < target;
-          });
-      if (it == occurrences.end() || it->item != item) continue;
-      out.tids.push_back(base.tids[k]);
-      out.probs.push_back(base.probs[k] * it->prob);
-    }
-    return out;
-  }
-
-  ProbList Root() const {
-    ProbList root;
-    root.tids.resize(db_->size());
-    root.probs.assign(db_->size(), 1.0);
-    for (Tid tid = 0; tid < db_->size(); ++tid) root.tids[tid] = tid;
-    return root;
-  }
-
- private:
-  const ItemUncertainDatabase* db_;
-};
-
-void EsupDfs(const OccurrenceIndex& index, const std::vector<Item>& universe,
-             double min_esup, const Itemset& x, const ProbList& problist,
-             std::size_t next_pos, std::vector<ExpectedSupportEntry>* out) {
-  for (std::size_t pos = next_pos; pos < universe.size(); ++pos) {
-    const ProbList child = index.Extend(problist, universe[pos]);
-    const double esup = child.Sum();
-    if (esup < min_esup) continue;
-    const Itemset child_items = x.WithItem(universe[pos]);
-    out->push_back(ExpectedSupportEntry{child_items, esup});
-    EsupDfs(index, universe, min_esup, child_items, child, pos + 1, out);
-  }
-}
-
-void PfiDfs(const OccurrenceIndex& index, const std::vector<Item>& universe,
-            std::size_t min_sup, double pft, const Itemset& x,
-            const ProbList& problist, std::size_t next_pos,
-            std::vector<ItemPfiEntry>* out) {
-  for (std::size_t pos = next_pos; pos < universe.size(); ++pos) {
-    const ProbList child = index.Extend(problist, universe[pos]);
-    if (child.tids.size() < min_sup) continue;
-    // Chernoff-Hoeffding pre-filter, then the exact DP — both valid
-    // because support is Poisson-binomial over child.probs.
-    const double mu = PoissonBinomialMean(child.probs);
-    if (BestUpperTailBound(mu, child.probs.size(),
-                           static_cast<double>(min_sup)) <= pft) {
-      continue;
-    }
-    const double pr_f = PoissonBinomialTailAtLeast(child.probs, min_sup);
-    if (pr_f <= pft) continue;
-    const Itemset child_items = x.WithItem(universe[pos]);
-    out->push_back(ItemPfiEntry{child_items, pr_f});
-    PfiDfs(index, universe, min_sup, pft, child_items, child, pos + 1, out);
-  }
+/// The run setup of both item-level miners: builds the columns once and
+/// charges them to the memory budget, then checkpoints so an undersized
+/// budget or a cancelled run stops before any search work.
+void EnumerateItemLevel(const ItemUncertainDatabase& db,
+                        const FrequentnessMeasure<ContainmentList>& measure,
+                        const char* failpoint, MiningStats* stats,
+                        RunController& rt,
+                        const FrequentEmit<ContainmentList>& emit) {
+  const ItemColumns columns(db);
+  const std::size_t bytes = columns.MemoryBytes();
+  rt.ChargeBytes(bytes);
+  rt.Checkpoint();
+  EnumerateFrequent(columns, measure, failpoint, stats, rt, emit);
+  rt.ReleaseBytes(bytes);
 }
 
 }  // namespace
 
 namespace internal {
 
-std::vector<ExpectedSupportEntry> MineExpectedSupportItemLevel(
-    const ItemUncertainDatabase& db, double min_esup) {
+void MineItemExpectedSupport(const ItemUncertainDatabase& db,
+                             double min_esup, MiningStats* stats,
+                             RunController& rt,
+                             const FrequentEmit<ContainmentList>& emit) {
   PFCI_CHECK(min_esup > 0.0);
-  const OccurrenceIndex index(db);
-  const std::vector<Item> universe = db.ItemUniverse();
-  std::vector<ExpectedSupportEntry> result;
-  EsupDfs(index, universe, min_esup, Itemset{}, index.Root(), 0, &result);
-  std::sort(result.begin(), result.end());
-  return result;
+  const FrequentnessMeasure<ContainmentList> esup_at_least =
+      [min_esup](const ContainmentList& cover,
+                 MiningStats* counters) -> std::optional<double> {
+    // Σ_T Pr{T contains X}, summed in ascending tid order.
+    const double esup = PoissonBinomialMean(cover.probs);
+    if (esup >= min_esup) return esup;
+    if (counters != nullptr) ++counters->pruned_by_frequency;
+    return std::nullopt;
+  };
+  EnumerateItemLevel(db, esup_at_least, "item-esup/node", stats, rt, emit);
 }
 
-std::vector<ItemPfiEntry> MinePfiItemLevel(const ItemUncertainDatabase& db,
-                                           std::size_t min_sup, double pft) {
+void MineItemPfi(const ItemUncertainDatabase& db, std::size_t min_sup,
+                 double pft, bool use_chernoff, MiningStats* stats,
+                 RunController& rt,
+                 const FrequentEmit<ContainmentList>& emit) {
   PFCI_CHECK(min_sup >= 1);
-  const OccurrenceIndex index(db);
-  const std::vector<Item> universe = db.ItemUniverse();
-  std::vector<ItemPfiEntry> result;
-  PfiDfs(index, universe, min_sup, pft, Itemset{}, index.Root(), 0, &result);
-  std::sort(result.begin(), result.end());
-  return result;
+  // CandidateOracle's pipeline and counters over the containment
+  // probabilities: count floor, Lemma 4.1 bound, then the exact DP.
+  const FrequentnessMeasure<ContainmentList> pr_f_above =
+      [=](const ContainmentList& cover,
+          MiningStats* counters) -> std::optional<double> {
+    if (cover.tids.size() < min_sup) {
+      if (counters != nullptr) ++counters->pruned_by_frequency;
+      return std::nullopt;
+    }
+    if (use_chernoff &&
+        BestUpperTailBound(PoissonBinomialMean(cover.probs),
+                           cover.probs.size(),
+                           static_cast<double>(min_sup)) <= pft) {
+      if (counters != nullptr) ++counters->pruned_by_chernoff;
+      return std::nullopt;
+    }
+    const double pr_f = PoissonBinomialTailAtLeast(cover.probs, min_sup);
+    if (counters != nullptr) ++counters->dp_runs;
+    if (pr_f > pft) return pr_f;
+    if (counters != nullptr) ++counters->pruned_by_frequency;
+    return std::nullopt;
+  };
+  EnumerateItemLevel(db, pr_f_above, "item-pfi/node", stats, rt, emit);
 }
 
 }  // namespace internal

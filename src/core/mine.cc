@@ -131,10 +131,6 @@ PfciEntry ToPfciEntry(const ExpectedSupportEntry& in) {
   return FrequentnessEntry(in.items, in.expected_support);
 }
 
-PfciEntry ToPfciEntry(const ItemPfiEntry& in) {
-  return FrequentnessEntry(in.items, in.pr_f);
-}
-
 PfciEntry ToPfciEntry(const FcpGroundTruth& truth) {
   PfciEntry entry;
   entry.items = truth.items;
@@ -234,19 +230,41 @@ MiningResult Dispatch(const UncertainDatabase& db,
   return MiningResult{};
 }
 
-/// Flushes the run's sinks on every exit path (including invalid
-/// requests and stopped runs): the final progress snapshot and any
-/// buffered trace events must reach the caller no matter how Mine()
-/// returns.
-struct FlushOnExit {
-  TraceSink* trace = nullptr;
-  ProgressSink* progress = nullptr;
-
-  ~FlushOnExit() {
-    if (trace != nullptr) trace->Flush();
-    if (progress != nullptr) progress->Flush();
+/// The run envelope every Mine() overload shares: the run's controller
+/// (budget and cancel token), the progress sink, and the run_begin /
+/// run_end trace markers around `run(exec)`, which finishes wiring
+/// `exec` and dispatches. A stopped run that carries no diagnosis of its
+/// own is stamped "run stopped: <outcome>".
+template <typename Run>
+MiningResult RunEnveloped(const MiningRequest& request, Run run) {
+  std::unique_ptr<ProgressSink> sink;
+  if (request.progress) {
+    sink = std::make_unique<ProgressSink>(request.progress,
+                                          request.progress_interval);
   }
-};
+
+  RunController controller(request.budget, request.cancel);
+
+  ExecutionContext exec;
+  exec.progress = sink.get();
+  exec.trace = request.trace;
+  exec.runtime = &controller;
+
+  TraceRunBegin(exec.trace, AlgorithmName(request.algorithm));
+  MiningResult result = run(exec);
+  if (!result.ok() && result.status_message.empty()) {
+    result.status_message =
+        std::string("run stopped: ") + OutcomeName(result.outcome());
+  }
+  TraceRunEnd(exec.trace, AlgorithmName(request.algorithm),
+              result.itemsets.size(), result.stats.seconds);
+  // Sinks flush however the run ended: a cancelled or deadline-stopped
+  // run still delivers its final progress snapshot and buffered trace
+  // events.
+  if (exec.trace != nullptr) exec.trace->Flush();
+  if (sink != nullptr) sink->Flush();
+  return result;
+}
 
 MiningResult MineImpl(const UncertainDatabase& db,
                       const MiningRequest& request,
@@ -313,49 +331,28 @@ MiningResult MineImpl(const UncertainDatabase& db,
     pool = owned_pool.get();
   }
 
-  std::unique_ptr<ProgressSink> sink;
-  if (request.progress) {
-    sink = std::make_unique<ProgressSink>(request.progress,
-                                          request.progress_interval);
-  }
-
-  RunController controller(request.budget, request.cancel);
-
   // A save path arms drain-at-unit-boundary suspension for the
   // frontier-resumable algorithms: a stop request then lets in-flight
   // units finish (refusing new ones), so the captured frontier needs no
   // attribution surgery.
   RunSnapshot save_snapshot;
   const bool save_requested = !request.snapshot.save_path.empty();
-  if (save_requested && SupportsFrontierResume(request.algorithm)) {
-    controller.ArmSuspend();
-  }
-
-  ExecutionContext exec;
-  exec.pool = pool;
-  exec.progress = sink.get();
-  exec.trace = request.trace;
-  exec.runtime = &controller;
-  if (resuming) exec.resume_snapshot = &resume_snapshot;
-  if (save_requested) exec.save_snapshot = &save_snapshot;
-  if (bindings != nullptr) {
-    exec.shared_index = bindings->index;
-    exec.eval_cache = bindings->eval_cache;
-    exec.table_floor = bindings->table_floor;
-  }
-
-  // Sinks flush on every exit path: a cancelled or deadline-stopped run
-  // still delivers its final progress snapshot and buffered trace events.
-  FlushOnExit flusher{exec.trace, sink.get()};
-
-  TraceRunBegin(exec.trace, AlgorithmName(request.algorithm));
-  MiningResult result = Dispatch(db, request, exec);
+  MiningResult result = RunEnveloped(request, [&](ExecutionContext& exec) {
+    if (save_requested && SupportsFrontierResume(request.algorithm)) {
+      exec.runtime->ArmSuspend();
+    }
+    exec.pool = pool;
+    if (resuming) exec.resume_snapshot = &resume_snapshot;
+    if (save_requested) exec.save_snapshot = &save_snapshot;
+    if (bindings != nullptr) {
+      exec.shared_index = bindings->index;
+      exec.eval_cache = bindings->eval_cache;
+      exec.table_floor = bindings->table_floor;
+    }
+    return Dispatch(db, request, exec);
+  });
 
   if (resuming) result.stats.resumed = true;
-  if (!result.ok() && result.status_message.empty()) {
-    result.status_message =
-        std::string("run stopped: ") + OutcomeName(result.outcome());
-  }
   // A stopped run persists its state for a later resume. Algorithms
   // without frontier capture (or runs stopped before the first drain)
   // write a restart-only marker — resuming from it reruns from scratch,
@@ -380,8 +377,6 @@ MiningResult MineImpl(const UncertainDatabase& db,
                                " attempts: " + saved.last_error;
     }
   }
-  TraceRunEnd(exec.trace, AlgorithmName(request.algorithm),
-              result.itemsets.size(), result.stats.seconds);
   return result;
 }
 
@@ -475,22 +470,26 @@ MiningResult Mine(const ItemUncertainDatabase& db,
         "only");
   }
 
-  FlushOnExit flusher{request.trace, nullptr};
-  TraceRunBegin(request.trace, AlgorithmName(request.algorithm));
-  Stopwatch timer;
-  MiningResult result;
-  result.itemsets =
-      request.algorithm == Algorithm::kItemExpectedSupport
-          ? ToPfciEntries(internal::MineExpectedSupportItemLevel(
-                db, EffectiveMinEsup(request)))
-          : ToPfciEntries(internal::MinePfiItemLevel(
-                db, request.params.min_sup, request.params.pfct));
-  result.Sort();
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.stats.EmitTrace(request.trace);
-  TraceRunEnd(request.trace, AlgorithmName(request.algorithm),
-              result.itemsets.size(), result.stats.seconds);
-  return result;
+  return RunEnveloped(request, [&](ExecutionContext& exec) {
+    return RunFlat(exec, [&](MiningStats* stats) {
+      std::vector<PfciEntry> entries;
+      const FrequentEmit<ContainmentList> emit =
+          [&entries](const Itemset& items, const ContainmentList&,
+                     double value) {
+            entries.push_back(FrequentnessEntry(items, value));
+          };
+      if (request.algorithm == Algorithm::kItemExpectedSupport) {
+        internal::MineItemExpectedSupport(db, EffectiveMinEsup(request),
+                                          stats, *exec.runtime, emit);
+      } else {
+        internal::MineItemPfi(db, request.params.min_sup,
+                              request.params.pfct,
+                              request.params.pruning.chernoff, stats,
+                              *exec.runtime, emit);
+      }
+      return entries;
+    });
+  });
 }
 
 }  // namespace pfci

@@ -3,12 +3,14 @@
 // The one front door of the library: a MiningRequest bundles the problem
 // parameters (MiningParams), the algorithm to run, the execution policy
 // (thread count), and optional progress, trace, budget,
-// cancellation, and snapshot bindings. The closed-itemset algorithms run
-// on the search kernel (src/core/search/) with the frontier policy named
-// on their Algorithm enumerator; the flat miners (PFI, expected support,
-// the possible-world oracle, the item-level miners) share one run
-// skeleton in mine.cc. MiningSession (src/serve/) serves repeated
-// requests, batches, and threshold ladders through the same dispatch.
+// cancellation, and snapshot bindings. Every run, item-level ones
+// included, goes through one envelope in mine.cc (controller, progress
+// sink, run trace). The closed-itemset algorithms run on the search
+// kernel (src/core/search/) with the frontier policy named on their
+// Algorithm enumerator; the flat miners (PFI, expected support, the
+// possible-world oracle, the item-level miners) share one run skeleton.
+// MiningSession (src/serve/) serves repeated requests, batches, and
+// threshold ladders through the same dispatch.
 //
 // Determinism contract: Mine() produces bit-identical
 // MiningResult.itemsets — including sampled fcp values — for every
@@ -21,14 +23,19 @@
 //   -----              ----------                 ----
 //   params             all                        ValidateParams(params)
 //   algorithm          all                        any Algorithm value
-//   execution          all                        num_threads >= 0
+//   execution          all; item-level runs are   num_threads >= 0
+//                      sequential and ignore it
 //   top_k              kTopK only                 >= 1 for kTopK; must be
 //                                                 0 for everything else
 //   min_esup           kExpectedSupport,          >= 0; 0 defaults to
 //                      kExpectedSupportFpGrowth,  params.min_sup; must be
 //                      kItemExpectedSupport       0 for other algorithms
-//   progress*          all                        interval >= 1
-//   budget             all                        see RunBudget
+//   progress*          all; flat miners, item-   interval >= 1
+//                      level ones too, report only
+//                      the final snapshot
+//   budget             all; an item-level run's   see RunBudget
+//                      memory budget counts its
+//                      ItemColumns (no samples)
 //   cancel / trace     all                        optional, caller-owned
 //   snapshot           tuple-level Mine()         rejected by the
 //                                                 item-level overload

@@ -39,7 +39,7 @@ std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
         bounds.exact_check = false;
         std::vector<double> probs;
         // This miner reports no counters, so the measure keeps none.
-        const FrequentnessMeasure approximate =
+        const FrequentnessMeasure<TidSet> approximate =
             [&](const TidSet& tids, MiningStats*) -> std::optional<double> {
           if (oracle.Qualify(tids, bounds, /*stats=*/nullptr) <= pft) {
             return std::nullopt;

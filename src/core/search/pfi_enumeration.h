@@ -5,9 +5,12 @@
 // depth-first walk. The measures in use — PrF(X) > pft (Definition 3.5),
 // a distributional approximation of it, and the expected support of the
 // U-Apriori model [9] — are all anti-monotone, so one enumeration is
-// complete for each. This is the engine behind the PFI baseline miner,
-// the approximate PFI miner, the expected-support miner and the
-// candidate stage of the Naive checker (Fig. 5); it lives in the kernel
+// complete for each. The walk is generic over the node cover: Tids(X)
+// for the tuple model (VerticalIndex), X's containment probabilities for
+// the item model (ItemColumns). This is the engine behind the PFI
+// baseline miner, the approximate PFI miner, the expected-support
+// miners of both models, the item-level PFI miner and the candidate
+// stage of the Naive checker (Fig. 5); it lives in the kernel
 // so frontier policies can call it without depending on any miner entry
 // point.
 #ifndef PFCI_CORE_SEARCH_PFI_ENUMERATION_H_
@@ -26,6 +29,7 @@
 #include "src/data/tidset.h"
 #include "src/data/uncertain_database.h"
 #include "src/data/vertical_index.h"
+#include "src/util/failpoint.h"
 #include "src/util/runtime.h"
 
 namespace pfci {
@@ -42,40 +46,88 @@ struct PfiEntry {
   }
 };
 
-/// A frequentness measure: evaluates X given Tids(X) = `tids` and returns
-/// its value when the measure admits X, nullopt when it does not. A
+/// A frequentness measure: evaluates X given its cover and returns its
+/// value when the measure admits X, nullopt when it does not. A
 /// rejection bumps the measure's own pruning counters in `stats` (may be
 /// null).
+template <typename Cover>
 using FrequentnessMeasure =
-    std::function<std::optional<double>(const TidSet& tids,
+    std::function<std::optional<double>(const Cover& cover,
                                         MiningStats* stats)>;
 
-/// Receives each admitted itemset with its tid-set and measure value.
+/// Receives each admitted itemset with its cover and measure value.
+template <typename Cover>
 using FrequentEmit = std::function<void(const Itemset& items,
-                                        const TidSet& tids, double value)>;
+                                        const Cover& cover, double value)>;
 
-/// Enumerates, depth-first, every itemset of `index` that `measure`
-/// admits, passing each to `emit` in visit order. The caller owns the
-/// index and evaluators: it charges the index to the memory budget,
-/// checkpoints before calling, and folds the evaluator's work counters.
-/// `failpoint` names the node-expansion site; `stats` (optional)
-/// accumulates node, intersection and pruning counters. The DFS polls
-/// `rt` at node expansion and winds down with a verified prefix when a
-/// limit trips.
-void EnumerateFrequent(const VerticalIndex& index,
-                       const FrequentnessMeasure& measure,
-                       const char* failpoint, MiningStats* stats,
-                       RunController& rt, const FrequentEmit& emit);
+/// Enumerates, depth-first, every itemset over `covers` that `measure`
+/// admits, passing each to `emit` in visit order. `Covers` is
+/// VerticalIndex or ItemColumns; each extension is one `covers.Extend`,
+/// dispatched at compile time. The caller owns the covers and
+/// evaluators: it charges the covers to the memory budget, checkpoints
+/// before calling, and folds the evaluator's work counters. `failpoint`
+/// names the node-expansion site; `stats` (optional) accumulates node,
+/// intersection and pruning counters. The DFS polls `rt` at node
+/// expansion and winds down with a verified prefix when a limit trips.
+template <typename Covers>
+void EnumerateFrequent(
+    const Covers& covers,
+    const FrequentnessMeasure<typename Covers::Cover>& measure,
+    const char* failpoint, MiningStats* stats, RunController& rt,
+    const FrequentEmit<typename Covers::Cover>& emit) {
+  using Cover = typename Covers::Cover;
+  // Sequential enumeration: one logical work unit owns the whole budget.
+  WorkUnitBudget unit = rt.UnitBudget(0, 1);
+  // Whether the run should wind down (budget cut or global stop).
+  const auto stopped = [&] { return unit.truncated || rt.StopRequested(); };
+
+  std::vector<Item> candidates;
+  if (!rt.StopRequested()) {
+    for (Item item : covers.occurring_items()) {
+      const Cover& cover = covers.CoverOf(item);
+      if (const std::optional<double> value = measure(cover, stats)) {
+        candidates.push_back(item);
+        emit(Itemset{item}, cover, *value);
+      }
+    }
+  }
+
+  const auto dfs = [&](const auto& self, const Itemset& x,
+                       const Cover& cover, std::size_t candidate_pos) {
+    // Node-expansion checkpoint: itemsets emit before recursing, so
+    // cutting here leaves a verified prefix of the answer.
+    PFCI_FAILPOINT(failpoint);
+    if (rt.Checkpoint() || !unit.TakeNode()) return;
+    if (stats != nullptr) ++stats->nodes_visited;
+    for (std::size_t c = candidate_pos + 1; c < candidates.size(); ++c) {
+      if (stopped()) return;
+      const Item item = candidates[c];
+      const Cover child_cover = covers.Extend(cover, item);
+      if (stats != nullptr) ++stats->intersections;
+      const std::optional<double> value = measure(child_cover, stats);
+      if (!value.has_value()) continue;
+      const Itemset child = x.WithItem(item);
+      emit(child, child_cover, *value);
+      self(self, child, child_cover, c);
+    }
+  };
+  // The admitted singletons seed the depth-first extension.
+  for (std::size_t s = 0; s < candidates.size() && !stopped(); ++s) {
+    dfs(dfs, Itemset{candidates[s]}, covers.CoverOf(candidates[s]), s);
+  }
+  if (unit.truncated) rt.RecordTruncation(Outcome::kBudgetExhausted);
+}
 
 /// The exact PFI measure: PrF(X) > pft, qualified through `oracle`.
-FrequentnessMeasure PrFAbove(const CandidateOracle& oracle, double pft);
+FrequentnessMeasure<TidSet> PrFAbove(const CandidateOracle& oracle,
+                                     double pft);
 
 /// The PFIs under `measure` (PrFAbove or an approximation of it): every
 /// admitted itemset with its tid-set, sorted canonically. Node site
 /// "pfi/node".
-std::vector<PfiEntry> EnumeratePfis(const VerticalIndex& index,
-                                    const FrequentnessMeasure& measure,
-                                    MiningStats* stats, RunController& rt);
+std::vector<PfiEntry> EnumeratePfis(
+    const VerticalIndex& index, const FrequentnessMeasure<TidSet>& measure,
+    MiningStats* stats, RunController& rt);
 
 /// The one run setup of the flat miners: resolves a null controller (or a
 /// null `caller_exec`) to a local unlimited one, borrows or builds the

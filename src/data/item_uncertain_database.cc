@@ -17,13 +17,6 @@ double ItemUncertainTransaction::ContainmentProb(const Itemset& x) const {
   return prob;
 }
 
-Itemset ItemUncertainTransaction::CertainItems() const {
-  std::vector<Item> ids;
-  ids.reserve(items.size());
-  for (const ProbItem& occurrence : items) ids.push_back(occurrence.item);
-  return Itemset(std::move(ids));
-}
-
 void ItemUncertainDatabase::Add(std::vector<ProbItem> items) {
   std::sort(items.begin(), items.end(),
             [](const ProbItem& a, const ProbItem& b) {
@@ -50,17 +43,48 @@ double ItemUncertainDatabase::ExpectedSupport(const Itemset& x) const {
   return esup;
 }
 
-std::vector<Item> ItemUncertainDatabase::ItemUniverse() const {
-  std::vector<Item> universe;
-  for (const auto& t : transactions_) {
-    for (const ProbItem& occurrence : t.items) {
-      universe.push_back(occurrence.item);
+ItemColumns::ItemColumns(const ItemUncertainDatabase& db) {
+  for (Tid tid = 0; tid < db.size(); ++tid) {
+    for (const ProbItem& occurrence : db.transaction(tid).items) {
+      if (occurrence.item >= columns_.size()) {
+        columns_.resize(occurrence.item + 1);
+      }
+      columns_[occurrence.item].tids.push_back(tid);
+      columns_[occurrence.item].probs.push_back(occurrence.prob);
     }
   }
-  std::sort(universe.begin(), universe.end());
-  universe.erase(std::unique(universe.begin(), universe.end()),
-                 universe.end());
-  return universe;
+  for (Item item = 0; item < columns_.size(); ++item) {
+    if (!columns_[item].tids.empty()) items_.push_back(item);
+  }
+}
+
+ContainmentList ItemColumns::Extend(const ContainmentList& base,
+                                    Item item) const {
+  const ContainmentList& column = columns_[item];
+  ContainmentList out;
+  const std::size_t n = base.tids.size();
+  const std::size_t m = column.tids.size();
+  out.tids.reserve(std::min(n, m));
+  out.probs.reserve(std::min(n, m));
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    while (j < m && column.tids[j] < base.tids[i]) ++j;
+    if (j == m) break;
+    if (column.tids[j] != base.tids[i]) continue;
+    out.tids.push_back(base.tids[i]);
+    out.probs.push_back(base.probs[i] * column.probs[j]);
+  }
+  return out;
+}
+
+std::size_t ItemColumns::MemoryBytes() const {
+  std::size_t bytes = columns_.capacity() * sizeof(ContainmentList) +
+                      items_.capacity() * sizeof(Item);
+  for (const ContainmentList& column : columns_) {
+    bytes += column.tids.capacity() * sizeof(Tid) +
+             column.probs.capacity() * sizeof(double);
+  }
+  return bytes;
 }
 
 }  // namespace pfci

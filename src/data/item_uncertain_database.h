@@ -38,9 +38,6 @@ struct ItemUncertainTransaction {
   /// Probability that this transaction contains all of X
   /// (Π p over X's occurrences; 0 if some item of X never occurs here).
   double ContainmentProb(const Itemset& x) const;
-
-  /// The items, probabilities dropped.
-  Itemset CertainItems() const;
 };
 
 /// A database of item-uncertain transactions.
@@ -68,11 +65,44 @@ class ItemUncertainDatabase {
   /// Expected support: Σ_T Pr{T contains X} ([9]'s frequency measure).
   double ExpectedSupport(const Itemset& x) const;
 
-  /// All distinct items, ascending.
-  std::vector<Item> ItemUniverse() const;
-
  private:
   std::vector<ItemUncertainTransaction> transactions_;
+};
+
+/// The containment probabilities of one itemset X: every transaction
+/// in which all of X occurs, with Pr{T contains X}, in ascending tid
+/// order — the item-level analogue of a tid-list.
+struct ContainmentList {
+  std::vector<Tid> tids;
+  std::vector<double> probs;
+};
+
+/// Per-item containment lists of an ItemUncertainDatabase, built once:
+/// the node covers of the item-level frequentness enumeration
+/// (src/core/search/pfi_enumeration.h).
+class ItemColumns {
+ public:
+  using Cover = ContainmentList;
+
+  explicit ItemColumns(const ItemUncertainDatabase& db);
+
+  /// Items that occur in at least one transaction, ascending.
+  const std::vector<Item>& occurring_items() const { return items_; }
+
+  /// The containment list of {item}: its (tid, prob) occurrences.
+  const ContainmentList& CoverOf(Item item) const { return columns_[item]; }
+
+  /// The containment list of X ∪ {item} from that of X: a merge against
+  /// the item's column, each kept probability multiplied by the item's.
+  ContainmentList Extend(const ContainmentList& base, Item item) const;
+
+  /// Heap bytes resident in the columns (charged to a run's memory
+  /// budget like a VerticalIndex).
+  std::size_t MemoryBytes() const;
+
+ private:
+  std::vector<ContainmentList> columns_;  ///< Indexed by item id.
+  std::vector<Item> items_;
 };
 
 }  // namespace pfci

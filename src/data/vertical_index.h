@@ -22,8 +22,17 @@ class VerticalIndex {
   explicit VerticalIndex(const UncertainDatabase& db,
                          TidSetMode mode = TidSetMode::kAdaptive);
 
+  using Cover = TidSet;
+
   /// Tid-set of a single item (empty if the item never occurs).
   const TidSet& TidsOfItem(Item item) const;
+
+  /// The frequentness enumeration's node covers (like ItemColumns):
+  /// Tids({item}), and Tids(X ∪ {item}) from Tids(X) by one Intersect.
+  const TidSet& CoverOf(Item item) const { return TidsOfItem(item); }
+  TidSet Extend(const TidSet& tids, Item item) const {
+    return Intersect(tids, TidsOfItem(item));
+  }
 
   /// Tids(X): transactions possibly containing the whole itemset.
   /// The empty itemset maps to all transactions.

@@ -85,9 +85,9 @@ struct RunBudget {
   std::uint64_t max_samples = 0;
 
   /// Maximum resident bytes of the run's VerticalIndex (built or borrowed
-  /// from a session), as reported by VerticalIndex::MemoryBytes() and
-  /// charged once at run start. Per-node tid-sets are not counted.
-  /// Best-effort, like the deadline.
+  /// from a session) or an item-level run's ItemColumns, as reported by
+  /// their MemoryBytes() and charged once at run start. Per-node covers
+  /// are not counted. Best-effort, like the deadline.
   std::uint64_t max_resident_bytes = 0;
 
   /// Degradation point: once elapsed time exceeds this fraction of

@@ -16,10 +16,12 @@
 
 #include "src/core/brute_force.h"
 #include "src/core/mine.h"
+#include "src/data/item_uncertain_database.h"
 #include "src/exact/charm_miner.h"
 #include "src/exact/closed_miner.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/runtime.h"
+#include "tests/item_level_input.h"
 
 namespace pfci {
 namespace {
@@ -72,25 +74,35 @@ MiningRequest PaperRequest(Algorithm algorithm) {
   request.algorithm = algorithm;
   request.params.min_sup = 2;
   request.params.pfct = 0.1;
-  if (algorithm == Algorithm::kExpectedSupport) request.min_esup = 1.0;
+  if (algorithm == Algorithm::kExpectedSupport ||
+      algorithm == Algorithm::kItemExpectedSupport) {
+    request.min_esup = 1.0;
+  }
   if (algorithm == Algorithm::kTopK) request.top_k = 5;
   return request;
 }
 
-/// Arms `site` to trip a CancelToken mid-run and checks the miner winds
-/// down with Outcome::kCancelled and a verified partial.
-void ExpectCancellationAtSite(const char* site, Algorithm algorithm,
-                              bool force_sampling = false) {
-  SCOPED_TRACE(site);
-  const UncertainDatabase db = MakePaperExampleDb();
+/// PaperRequest with every FCP evaluation forced through the sampler.
+MiningRequest SampledRequest(Algorithm algorithm) {
   MiningRequest request = PaperRequest(algorithm);
-  if (force_sampling) {
-    request.params.force_sampling = true;
-    request.params.exact_event_limit = 0;
-    request.params.pruning.fcp_bounds = false;
-    request.params.epsilon = 0.5;
-    request.params.delta = 0.3;
-  }
+  request.params.force_sampling = true;
+  request.params.exact_event_limit = 0;
+  request.params.pruning.fcp_bounds = false;
+  request.params.epsilon = 0.5;
+  request.params.delta = 0.3;
+  return request;
+}
+
+/// The item-level input of the item-level sites.
+ItemUncertainDatabase ItemDb() { return RandomItemDb(20, 3); }
+
+/// Arms `site` to trip a CancelToken mid-run of `request` on `db`
+/// (tuple- or item-level) and checks the miner winds down with
+/// Outcome::kCancelled and a verified partial.
+template <typename Db>
+void ExpectCancellationAtSite(const char* site, const Db& db,
+                              MiningRequest request) {
+  SCOPED_TRACE(site);
   const MiningResult full = Mine(db, request);
   ASSERT_EQ(full.outcome(), Outcome::kComplete);
 
@@ -109,32 +121,48 @@ void ExpectCancellationAtSite(const char* site, Algorithm algorithm,
 }
 
 TEST_F(FailpointTest, MpfciCancelsAtNodeExpansion) {
-  ExpectCancellationAtSite("mpfci/node", Algorithm::kMpfci);
+  ExpectCancellationAtSite("mpfci/node", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kMpfci));
 }
 
 TEST_F(FailpointTest, MpfciCancelsAtSampleBatch) {
-  ExpectCancellationAtSite("sampler/batch", Algorithm::kMpfci,
-                           /*force_sampling=*/true);
+  ExpectCancellationAtSite("sampler/batch", MakePaperExampleDb(),
+                           SampledRequest(Algorithm::kMpfci));
 }
 
 TEST_F(FailpointTest, BfsCancelsAtLevelBoundary) {
-  ExpectCancellationAtSite("bfs/level", Algorithm::kMpfciBfs);
+  ExpectCancellationAtSite("bfs/level", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kMpfciBfs));
 }
 
 TEST_F(FailpointTest, NaiveCancelsAtClosednessCheck) {
-  ExpectCancellationAtSite("naive/check", Algorithm::kNaive);
+  ExpectCancellationAtSite("naive/check", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kNaive));
 }
 
 TEST_F(FailpointTest, TopKCancelsAtNodeExpansion) {
-  ExpectCancellationAtSite("topk/node", Algorithm::kTopK);
+  ExpectCancellationAtSite("topk/node", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kTopK));
 }
 
 TEST_F(FailpointTest, PfiCancelsAtNodeExpansion) {
-  ExpectCancellationAtSite("pfi/node", Algorithm::kPfi);
+  ExpectCancellationAtSite("pfi/node", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kPfi));
 }
 
 TEST_F(FailpointTest, ExpectedSupportCancelsAtNodeExpansion) {
-  ExpectCancellationAtSite("esup/node", Algorithm::kExpectedSupport);
+  ExpectCancellationAtSite("esup/node", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kExpectedSupport));
+}
+
+TEST_F(FailpointTest, ItemExpectedSupportCancelsAtNodeExpansion) {
+  ExpectCancellationAtSite("item-esup/node", ItemDb(),
+                           PaperRequest(Algorithm::kItemExpectedSupport));
+}
+
+TEST_F(FailpointTest, ItemPfiCancelsAtNodeExpansion) {
+  ExpectCancellationAtSite("item-pfi/node", ItemDb(),
+                           PaperRequest(Algorithm::kItemPfi));
 }
 
 TEST_F(FailpointTest, DeadlineInjectedAtNodeExpansion) {
@@ -233,6 +261,15 @@ TEST_F(FailpointTest, BruteForceCancelsAtWorldRange) {
 TEST_F(FailpointTest, EverySiteIsReachable) {
   // Counting probes only — the runs complete, but each documented site
   // must actually be compiled into its miner.
+  const auto expect_reached = [](const char* site, const auto& db,
+                                 const MiningRequest& request) {
+    SCOPED_TRACE(site);
+    failpoint::Arm(site);
+    const MiningResult result = Mine(db, request);
+    EXPECT_EQ(result.outcome(), Outcome::kComplete);
+    EXPECT_GE(failpoint::HitCount(site), 1u);
+    failpoint::Disarm(site);
+  };
   const UncertainDatabase db = MakePaperExampleDb();
   const std::vector<std::pair<const char*, Algorithm>> sites = {
       {"mpfci/node", Algorithm::kMpfci},
@@ -243,23 +280,15 @@ TEST_F(FailpointTest, EverySiteIsReachable) {
       {"esup/node", Algorithm::kExpectedSupport},
   };
   for (const auto& [site, algorithm] : sites) {
-    SCOPED_TRACE(site);
-    failpoint::Arm(site);
-    const MiningResult result = Mine(db, PaperRequest(algorithm));
-    EXPECT_EQ(result.outcome(), Outcome::kComplete);
-    EXPECT_GE(failpoint::HitCount(site), 1u);
-    failpoint::Disarm(site);
+    expect_reached(site, db, PaperRequest(algorithm));
   }
+  expect_reached("sampler/batch", db, SampledRequest(Algorithm::kMpfci));
 
-  failpoint::Arm("sampler/batch");
-  MiningRequest sampled = PaperRequest(Algorithm::kMpfci);
-  sampled.params.force_sampling = true;
-  sampled.params.exact_event_limit = 0;
-  sampled.params.pruning.fcp_bounds = false;
-  sampled.params.epsilon = 0.5;
-  sampled.params.delta = 0.3;
-  Mine(db, sampled);
-  EXPECT_GE(failpoint::HitCount("sampler/batch"), 1u);
+  const ItemUncertainDatabase item_db = ItemDb();
+  expect_reached("item-esup/node", item_db,
+                 PaperRequest(Algorithm::kItemExpectedSupport));
+  expect_reached("item-pfi/node", item_db,
+                 PaperRequest(Algorithm::kItemPfi));
 }
 
 }  // namespace

@@ -2,14 +2,17 @@
 // probabilities, expected support, and both miners — cross-validated
 // against explicit enumeration of item-occurrence worlds.
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
 
-#include "src/core/item_uncertain_miners.h"
 #include "src/core/mine.h"
+#include "src/data/item_uncertain_database.h"
 #include "src/prob/poisson_binomial.h"
 #include "src/util/random.h"
+#include "src/util/trace.h"
+#include "tests/item_level_input.h"
 
 namespace pfci {
 namespace {
@@ -73,8 +76,7 @@ TEST(ItemUncertainDatabase, ContainmentProbs) {
   EXPECT_NEAR(db.transaction(1).ContainmentProb(Itemset{0, 1}), 0.32, 1e-12);
   EXPECT_DOUBLE_EQ(db.transaction(2).ContainmentProb(Itemset{0}), 0.0);
   EXPECT_DOUBLE_EQ(db.transaction(0).ContainmentProb(Itemset{}), 1.0);
-  EXPECT_EQ(db.transaction(0).CertainItems(), (Itemset{0, 1, 2}));
-  EXPECT_EQ(db.ItemUniverse(), (std::vector<Item>{0, 1, 2}));
+  EXPECT_EQ(ItemColumns(db).occurring_items(), (std::vector<Item>{0, 1, 2}));
 }
 
 TEST(ItemUncertainDatabase, ExpectedSupportMatchesWorldSum) {
@@ -197,6 +199,101 @@ TEST(ItemUncertainMiners, RandomizedAgainstEnumeration) {
       EXPECT_NEAR(entry.pr_f, db.ExpectedSupport(entry.items), 1e-9);
     }
   }
+}
+
+/// FNV-1a over the entries' itemsets and pr_f bits, in result order.
+std::uint64_t ResultDigest(const MiningResult& result) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffULL;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(result.itemsets.size());
+  for (const PfciEntry& entry : result.itemsets) {
+    mix(entry.items.size());
+    for (Item item : entry.items.items()) mix(item);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &entry.pr_f, sizeof(bits));
+    mix(bits);
+  }
+  return hash;
+}
+
+TEST(ItemUncertainMiners, ItemLevelAnswersAreBitStable) {
+  // Pinned answers of both item-level miners: any change to the
+  // enumeration, the containment products or the PrF stages that moves
+  // an itemset or a single bit of a reported value shows up here.
+  const ItemUncertainDatabase db = RandomItemDb(300, 2112);
+  const MiningResult esup = MineItemLevel(
+      db, Algorithm::kItemExpectedSupport, /*min_esup=*/12.0,
+      /*min_sup=*/1, /*pft=*/0.8);
+  EXPECT_EQ(esup.itemsets.size(), 78u);
+  EXPECT_EQ(ResultDigest(esup), 0x06a6c60d005bb62aULL);
+  const MiningResult pfi = MineItemLevel(
+      db, Algorithm::kItemPfi, /*min_esup=*/0.0, /*min_sup=*/12,
+      /*pft=*/0.6);
+  EXPECT_EQ(pfi.itemsets.size(), 78u);
+  EXPECT_EQ(ResultDigest(pfi), 0x5873cee95f838468ULL);
+}
+
+TEST(ItemUncertainMiners, ChernoffToggleChangesWorkNotAnswers) {
+  // params.pruning.chernoff gates the Lemma 4.1 stage of item-pfi as it
+  // does for pfi: the bound only ever rejects itemsets the exact DP
+  // rejects too, so the answer keeps every bit either way.
+  const ItemUncertainDatabase db = RandomItemDb(300, 2112);
+  MiningRequest request;
+  request.algorithm = Algorithm::kItemPfi;
+  request.params.min_sup = 12;
+  request.params.pfct = 0.6;
+  const MiningResult on = Mine(db, request);
+  request.params.pruning.chernoff = false;
+  const MiningResult off = Mine(db, request);
+  ASSERT_TRUE(on.ok());
+  ASSERT_TRUE(off.ok());
+  EXPECT_EQ(off.itemsets.size(), on.itemsets.size());
+  EXPECT_EQ(ResultDigest(off), ResultDigest(on));
+  EXPECT_GT(on.stats.pruned_by_chernoff, 0u);
+  EXPECT_EQ(off.stats.pruned_by_chernoff, 0u);
+  EXPECT_GT(off.stats.dp_runs, on.stats.dp_runs);
+}
+
+TEST(ItemUncertainMiners, RunsReportProgressStatsAndTrace) {
+  // The item-level overload runs inside the same envelope as every other
+  // Mine() call: a final progress snapshot, work counters, and a
+  // run_begin .. spans .. counters .. run_end trace.
+  const ItemUncertainDatabase db = RandomItemDb(300, 2112);
+  MemoryTraceSink trace;
+  MiningProgress last;
+  MiningRequest request;
+  request.algorithm = Algorithm::kItemPfi;
+  request.params.min_sup = 12;
+  request.params.pfct = 0.6;
+  request.trace = &trace;
+  request.progress = [&last](const MiningProgress& p) { last = p; };
+  const MiningResult result = Mine(db, request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(last.itemsets_found, result.itemsets.size());
+  EXPECT_GT(result.stats.nodes_visited, 0u);
+  EXPECT_GT(result.stats.intersections, 0u);
+  EXPECT_GT(result.stats.dp_runs, 0u);
+
+  const std::vector<TraceEvent> events = trace.TakeSnapshot();
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events.front().kind, TraceEvent::Kind::kRunBegin);
+  EXPECT_EQ(events.front().name, "item-pfi");
+  EXPECT_EQ(events.back().kind, TraceEvent::Kind::kRunEnd);
+  EXPECT_EQ(events.back().value, result.itemsets.size());
+  bool saw_nodes = false;
+  for (const TraceEvent& event : events) {
+    if (event.kind == TraceEvent::Kind::kCounter &&
+        event.name == "nodes_expanded") {
+      saw_nodes = true;
+      EXPECT_EQ(event.value, result.stats.nodes_visited);
+    }
+  }
+  EXPECT_TRUE(saw_nodes);
 }
 
 }  // namespace

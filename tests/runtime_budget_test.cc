@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mine.h"
+#include "src/data/item_uncertain_database.h"
 #include "src/data/vertical_index.h"
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
@@ -18,6 +19,7 @@
 #include "src/harness/dataset_factory.h"
 #include "src/util/runtime.h"
 #include "src/util/trace.h"
+#include "tests/item_level_input.h"
 
 namespace pfci {
 namespace {
@@ -137,6 +139,41 @@ TEST(RuntimeBudget, SampleBudgetSkipsEvaluationsWhole) {
   ExpectIdenticalEntries(partial, MineWith(db, request, 4));
 }
 
+/// The fail-soft contract of one request on `db`, through whichever
+/// Mine() overload serves it: a node quota truncates to a verified
+/// prefix after real work, a pre-cancelled token stops before emitting
+/// anything, and a memory budget below the run's index (or item column
+/// store), charged at run start, stops before the first node.
+template <typename Db>
+void ExpectBudgetsApply(const Db& db, const MiningRequest& request) {
+  const MiningResult full = Mine(db, request);
+  ASSERT_EQ(full.outcome(), Outcome::kComplete);
+
+  MiningRequest limited = request;
+  limited.budget.max_nodes = 3;
+  const MiningResult partial = Mine(db, limited);
+  EXPECT_EQ(partial.outcome(), Outcome::kBudgetExhausted);
+  EXPECT_TRUE(partial.stats.truncated);
+  EXPECT_GT(partial.stats.nodes_visited, 0u);
+  EXPECT_GT(partial.stats.intersections, 0u);
+  ExpectVerifiedPrefix(partial, full);
+
+  CancelToken cancelled;
+  cancelled.RequestCancel();
+  limited = request;
+  limited.cancel = &cancelled;
+  const MiningResult stopped = Mine(db, limited);
+  EXPECT_EQ(stopped.outcome(), Outcome::kCancelled);
+  EXPECT_TRUE(stopped.itemsets.empty());
+
+  limited = request;
+  limited.budget.max_resident_bytes = 1;
+  const MiningResult starved = Mine(db, limited);
+  EXPECT_EQ(starved.outcome(), Outcome::kBudgetExhausted);
+  EXPECT_TRUE(starved.itemsets.empty());
+  EXPECT_EQ(starved.stats.nodes_visited, 0u);
+}
+
 TEST(RuntimeBudget, BudgetsApplyToEveryAlgorithm) {
   const UncertainDatabase db = MakeTestDb(1);
   for (const Algorithm algorithm :
@@ -147,18 +184,19 @@ TEST(RuntimeBudget, BudgetsApplyToEveryAlgorithm) {
     request.algorithm = algorithm;
     if (algorithm == Algorithm::kTopK) request.top_k = 5;
     if (algorithm == Algorithm::kExpectedSupport) request.min_esup = 8.0;
-    const MiningResult full = Mine(db, request);
-    ASSERT_EQ(full.outcome(), Outcome::kComplete);
+    ExpectBudgetsApply(db, request);
+  }
 
-    request.budget.max_nodes = 3;
-    const MiningResult partial = Mine(db, request);
-    EXPECT_EQ(partial.outcome(), Outcome::kBudgetExhausted);
-    EXPECT_TRUE(partial.stats.truncated);
-    for (const PfciEntry& entry : partial.itemsets) {
-      const PfciEntry* reference = full.Find(entry.items);
-      ASSERT_NE(reference, nullptr) << entry.items.ToString();
-      EXPECT_EQ(entry.pr_f, reference->pr_f) << entry.items.ToString();
-    }
+  // The item-level miners run the same enumeration under the same
+  // controller.
+  const ItemUncertainDatabase item_db = RandomItemDb(200, 1);
+  for (const Algorithm algorithm :
+       {Algorithm::kItemExpectedSupport, Algorithm::kItemPfi}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    MiningRequest request = BaseRequest(1);
+    request.algorithm = algorithm;
+    if (algorithm == Algorithm::kItemExpectedSupport) request.min_esup = 8.0;
+    ExpectBudgetsApply(item_db, request);
   }
 }
 
