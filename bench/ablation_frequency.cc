@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "src/core/mine.h"
 #include "src/core/pfi_miner.h"
 #include "src/harness/experiment.h"
 #include "src/harness/table_printer.h"
@@ -21,10 +22,13 @@ void RunDataset(const char* name, const UncertainDatabase& db,
   std::printf("\n[%s] %zu transactions, min_sup=%zu, pft=0.8\n", name,
               db.size(), min_sup);
 
-  // Reference answer with the exact DP.
-  std::vector<PfiEntry> exact;
-  const double exact_seconds = TimeRun(
-      [&] { exact = MinePfi(db, min_sup, 0.8); });
+  // Reference answer with the exact DP: the PFI algorithm of Mine().
+  MiningRequest request;
+  request.algorithm = Algorithm::kPfi;
+  request.params.min_sup = min_sup;
+  request.params.pfct = 0.8;
+  MiningResult exact;
+  const double exact_seconds = TimeRun([&] { exact = Mine(db, request); });
 
   TablePrinter table;
   table.SetHeader({"mode", "time_s", "found", "precision", "recall"});
@@ -38,7 +42,9 @@ void RunDataset(const char* name, const UncertainDatabase& db,
     });
     std::vector<Itemset> found, truth;
     for (const PfiEntry& entry : result) found.push_back(entry.items);
-    for (const PfiEntry& entry : exact) truth.push_back(entry.items);
+    for (const PfciEntry& entry : exact.itemsets) {
+      truth.push_back(entry.items);
+    }
     std::vector<std::string> row = {FrequencyModeName(mode),
                                     bench::FormatSeconds(seconds),
                                     std::to_string(result.size())};
@@ -50,7 +56,7 @@ void RunDataset(const char* name, const UncertainDatabase& db,
   }
   std::printf("%s", table.Render().c_str());
   std::printf("(exact reference run: %.3fs, %zu PFIs)\n", exact_seconds,
-              exact.size());
+              exact.itemsets.size());
 }
 
 }  // namespace

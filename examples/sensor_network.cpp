@@ -10,7 +10,6 @@
 #include <cstdlib>
 
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/data/database_stats.h"
 #include "src/datagen/mushroom_generator.h"
 #include "src/datagen/probability_assigner.h"
@@ -43,10 +42,11 @@ int main(int argc, char** argv) {
   std::printf("mining with min_sup=%zu (%.0f%% of rows), pfct=%.2f\n",
               params.min_sup, rel * 100, params.pfct);
 
-  const auto pfis = MinePfi(db, params.min_sup, params.pfct);
   MiningRequest request;
-  request.algorithm = Algorithm::kMpfci;
+  request.algorithm = Algorithm::kPfi;
   request.params = params;
+  const std::vector<PfciEntry> pfis = Mine(db, request).itemsets;
+  request.algorithm = Algorithm::kMpfci;
   const MiningResult result = Mine(db, request);
 
   std::printf("\nprobabilistic frequent itemsets:        %6zu\n",

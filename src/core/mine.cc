@@ -7,8 +7,8 @@
 #include "src/core/brute_force.h"
 #include "src/core/expected_support_miner.h"
 #include "src/core/item_uncertain_miners.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/search/frontier_policies.h"
+#include "src/core/search/pfi_enumeration.h"
 #include "src/core/search/run_snapshot.h"
 #include "src/core/search/search_driver.h"
 #include "src/data/item_uncertain_database.h"
@@ -110,27 +110,7 @@ MiningResult InvalidRequestResult(const std::string& why) {
   return result;
 }
 
-/// Entry conversions of the flat miners. The frequentness-only miners
-/// (PFI, expected support, and their item-level counterparts) report
-/// their measure in pr_f with fcp 0; the possible-world oracle reports
-/// the exact PrFC.
-PfciEntry FrequentnessEntry(const Itemset& items, double measure) {
-  PfciEntry entry;
-  entry.items = items;
-  entry.pr_f = measure;
-  entry.fcp = 0.0;
-  entry.fcp_upper = measure;
-  return entry;
-}
-
-PfciEntry ToPfciEntry(const PfiEntry& in) {
-  return FrequentnessEntry(in.items, in.pr_f);
-}
-
-PfciEntry ToPfciEntry(const ExpectedSupportEntry& in) {
-  return FrequentnessEntry(in.items, in.expected_support);
-}
-
+/// The possible-world oracle reports the exact PrFC as an exact point.
 PfciEntry ToPfciEntry(const FcpGroundTruth& truth) {
   PfciEntry entry;
   entry.items = truth.items;
@@ -141,12 +121,13 @@ PfciEntry ToPfciEntry(const FcpGroundTruth& truth) {
   return entry;
 }
 
-template <typename Entry>
-std::vector<PfciEntry> ToPfciEntries(const std::vector<Entry>& in) {
-  std::vector<PfciEntry> out;
-  out.reserve(in.size());
-  for (const Entry& entry : in) out.push_back(ToPfciEntry(entry));
-  return out;
+/// Collects each itemset the frequentness enumeration admits as a
+/// FrequentnessEntry.
+template <typename Cover>
+FrequentEmit<Cover> CollectInto(std::vector<PfciEntry>* entries) {
+  return [entries](const Itemset& items, const Cover&, double value) {
+    entries->push_back(FrequentnessEntry(items, value));
+  };
 }
 
 /// The run skeleton of the miners that bypass the search kernel:
@@ -201,27 +182,48 @@ MiningResult Dispatch(const UncertainDatabase& db,
     }
     case Algorithm::kPfi:
       return RunFlat(exec, [&](MiningStats* stats) {
-        return ToPfciEntries(MinePfi(db, params.min_sup, params.pfct,
-                                     params.pruning.chernoff, stats,
-                                     params.tidset_mode, &exec));
+        return RunFlatEnumeration(
+            db, params.tidset_mode, params.min_sup, stats, exec,
+            [&](const VerticalIndex& index, const FrequentProbability& freq,
+                RunController& rt) {
+              const CandidateOracle oracle(freq, params.pruning.chernoff);
+              std::vector<PfciEntry> entries;
+              EnumerateFrequent(index, PrFAbove(oracle, params.pfct),
+                                "pfi/node", stats, rt,
+                                CollectInto<TidSet>(&entries));
+              return entries;
+            });
       });
     case Algorithm::kExpectedSupport:
+      // The evaluator only serves expected supports here, which no
+      // support threshold enters: min_sup 1 is a placeholder.
       return RunFlat(exec, [&](MiningStats* stats) {
-        return ToPfciEntries(MineExpectedSupport(db, EffectiveMinEsup(request),
-                                                 stats, params.tidset_mode,
-                                                 &exec));
+        return RunFlatEnumeration(
+            db, params.tidset_mode, /*min_sup=*/1, stats, exec,
+            [&](const VerticalIndex& index, const FrequentProbability& freq,
+                RunController& rt) {
+              std::vector<PfciEntry> entries;
+              EnumerateFrequent(
+                  index, ExpectedSupportAtLeast(freq, EffectiveMinEsup(request)),
+                  "esup/node", stats, rt, CollectInto<TidSet>(&entries));
+              return entries;
+            });
       });
     case Algorithm::kExpectedSupportFpGrowth:
       // The weighted FP-growth baseline: same answer, no fail-soft hooks.
       return RunFlat(exec, [&](MiningStats*) {
-        return ToPfciEntries(internal::MineExpectedSupportFpGrowth(
-            db, EffectiveMinEsup(request)));
+        return internal::MineExpectedSupportFpGrowth(db,
+                                                     EffectiveMinEsup(request));
       });
     case Algorithm::kBruteForce:
       // MineImpl already rejected databases too large to enumerate.
       return RunFlat(exec, [&](MiningStats*) {
-        return ToPfciEntries(internal::BruteForceMinePfci(
-            db, params.min_sup, params.pfct, exec));
+        std::vector<PfciEntry> entries;
+        for (const FcpGroundTruth& truth : internal::BruteForceMinePfci(
+                 db, params.min_sup, params.pfct, exec)) {
+          entries.push_back(ToPfciEntry(truth));
+        }
+        return entries;
       });
     case Algorithm::kItemExpectedSupport:
     case Algorithm::kItemPfi:
@@ -422,7 +424,8 @@ std::string ValidateRequest(const MiningRequest& request) {
                        "stay 0 for algorithm ") +
            AlgorithmName(request.algorithm);
   }
-  if (request.min_esup < 0.0) {
+  // Negated comparisons so NaN falls into the error branch.
+  if (!(request.min_esup >= 0.0)) {
     return "min_esup must be >= 0";
   }
   if (request.min_esup > 0.0 && !UsesMinEsup(request.algorithm)) {
@@ -434,11 +437,11 @@ std::string ValidateRequest(const MiningRequest& request) {
   if (request.progress && request.progress_interval < 1) {
     return "progress_interval must be >= 1";
   }
-  if (request.budget.deadline_seconds < 0.0) {
+  if (!(request.budget.deadline_seconds >= 0.0)) {
     return "budget.deadline_seconds must be >= 0";
   }
-  if (request.budget.degrade_fraction <= 0.0 ||
-      request.budget.degrade_fraction > 1.0) {
+  if (!(request.budget.degrade_fraction > 0.0 &&
+        request.budget.degrade_fraction <= 1.0)) {
     return "budget.degrade_fraction must be in (0, 1]";
   }
   return "";
@@ -474,10 +477,7 @@ MiningResult Mine(const ItemUncertainDatabase& db,
     return RunFlat(exec, [&](MiningStats* stats) {
       std::vector<PfciEntry> entries;
       const FrequentEmit<ContainmentList> emit =
-          [&entries](const Itemset& items, const ContainmentList&,
-                     double value) {
-            entries.push_back(FrequentnessEntry(items, value));
-          };
+          CollectInto<ContainmentList>(&entries);
       if (request.algorithm == Algorithm::kItemExpectedSupport) {
         internal::MineItemExpectedSupport(db, EffectiveMinEsup(request),
                                           stats, *exec.runtime, emit);

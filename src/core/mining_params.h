@@ -56,9 +56,9 @@ struct MiningParams {
 };
 
 /// Checks every field of `params`; returns an empty string when valid and
-/// a descriptive error otherwise. Mine() and the free-function wrappers
-/// all funnel through this, so invalid usage fails with the same message
-/// everywhere.
+/// a descriptive error naming the field otherwise. ValidateRequest calls
+/// it, so every Mine() and MiningSession request is checked here; the
+/// standalone building blocks that take raw parameters do not.
 std::string ValidateParams(const MiningParams& params);
 
 }  // namespace pfci

@@ -39,6 +39,18 @@ struct PfciEntry {
   }
 };
 
+/// The entry of a frequentness-only miner (PFI, expected support and
+/// their item-level counterparts): the measure in pr_f and fcp_upper,
+/// fcp 0, method undecided.
+inline PfciEntry FrequentnessEntry(const Itemset& items, double measure) {
+  PfciEntry entry;
+  entry.items = items;
+  entry.pr_f = measure;
+  entry.fcp = 0.0;
+  entry.fcp_upper = measure;
+  return entry;
+}
+
 /// Work counters of a mining run (reported by the bench harness).
 struct MiningStats {
   std::uint64_t nodes_visited = 0;

@@ -4,36 +4,29 @@
 
 #include "src/core/frequent_probability.h"
 #include "src/core/search/candidate_oracle.h"
+#include "src/util/check.h"
 
 namespace pfci {
-
-std::vector<PfiEntry> MinePfi(const UncertainDatabase& db,
-                              std::size_t min_sup, double pft,
-                              bool use_chernoff, MiningStats* stats,
-                              TidSetMode tidset_mode,
-                              const ExecutionContext* exec) {
-  return RunFlatEnumeration(
-      db, tidset_mode, min_sup, stats, exec,
-      [&](const VerticalIndex& index, const FrequentProbability& freq,
-          RunController& rt) {
-        const CandidateOracle oracle(freq, use_chernoff);
-        return EnumeratePfis(index, PrFAbove(oracle, pft), stats, rt);
-      });
-}
 
 std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
                                          std::size_t min_sup, double pft,
                                          FrequencyMode mode) {
-  if (mode == FrequencyMode::kExactDp) return MinePfi(db, min_sup, pft);
+  PFCI_CHECK(min_sup >= 1);
+  RunController unlimited;
+  ExecutionContext exec;
+  exec.runtime = &unlimited;
   return RunFlatEnumeration(
-      db, TidSetMode::kAdaptive, min_sup, /*stats=*/nullptr,
-      /*caller_exec=*/nullptr,
+      db, TidSetMode::kAdaptive, min_sup, /*stats=*/nullptr, exec,
       [&](const VerticalIndex& index, const FrequentProbability& freq,
           RunController& rt) {
         // The Chernoff bound stays valid (it bounds the true tail, and
         // every approximation is consistent with it on the scales where
         // it prunes); the tail approximation replaces the exact stage.
         const CandidateOracle oracle(freq, /*use_chernoff=*/true);
+        if (mode == FrequencyMode::kExactDp) {
+          return EnumeratePfis(index, PrFAbove(oracle, pft),
+                               /*stats=*/nullptr, rt);
+        }
         QualifyRequest bounds;
         bounds.threshold = pft;
         bounds.exact_check = false;

@@ -14,18 +14,6 @@ namespace pfci {
 
 namespace {
 
-/// Rebuilds an itemset's tid-list by intersecting its items' tid-sets.
-/// Restore-path only: deliberately does NOT bump stats.intersections —
-/// the suspended run already counted the ops that first produced this
-/// tid-list, and those counts arrive wholesale via the snapshot base.
-TidSet TidsOfItemset(const VerticalIndex& index, const Itemset& items) {
-  TidSet tids = index.TidsOfItem(items[0]);
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    tids = Intersect(tids, index.TidsOfItem(items[i]));
-  }
-  return tids;
-}
-
 /// Unit-entry drain gate: true when a suspend-armed controller has a
 /// pending drain. Unarmed runs never see it, so pre-snapshot behavior
 /// (and the kernel parity goldens) are untouched.
@@ -282,7 +270,9 @@ void LevelSyncBfsFrontier::RestoreState(const SearchContext& ctx,
   for (const WeightedItemset& element : snapshot.frontier) {
     LevelEntry entry;
     entry.items = element.items;
-    entry.tids = TidsOfItemset(*ctx.index, element.items);
+    // Counts no intersections: the suspended run counted the ops that
+    // first built this tid-list, and they arrive in the snapshot base.
+    entry.tids = ctx.index->TidsOf(element.items);
     entry.pr_f = element.weight;
     level_.push_back(std::move(entry));
   }
@@ -544,7 +534,9 @@ void FlatCheckFrontier::RestoreState(const SearchContext& ctx,
     PfiEntry entry;
     entry.items = element.items;
     entry.pr_f = element.weight;
-    entry.tids = TidsOfItemset(*ctx.index, element.items);
+    // Counts no intersections: the suspended run counted the ops that
+    // first built this tid-list, and they arrive in the snapshot base.
+    entry.tids = ctx.index->TidsOf(element.items);
     pfis_.push_back(std::move(entry));
   }
   restored_done_ = snapshot.done;

@@ -16,6 +16,17 @@ FrequentnessMeasure<TidSet> PrFAbove(const CandidateOracle& oracle,
   };
 }
 
+FrequentnessMeasure<TidSet> ExpectedSupportAtLeast(
+    const FrequentProbability& freq, double min_esup) {
+  return [&freq, min_esup](const TidSet& tids,
+                           MiningStats* stats) -> std::optional<double> {
+    const double esup = freq.ExpectedSupport(tids);
+    if (esup >= min_esup) return esup;
+    if (stats != nullptr) ++stats->pruned_by_frequency;
+    return std::nullopt;
+  };
+}
+
 std::vector<PfiEntry> EnumeratePfis(
     const VerticalIndex& index, const FrequentnessMeasure<TidSet>& measure,
     MiningStats* stats, RunController& rt) {

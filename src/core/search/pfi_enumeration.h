@@ -122,28 +122,31 @@ void EnumerateFrequent(
 FrequentnessMeasure<TidSet> PrFAbove(const CandidateOracle& oracle,
                                      double pft);
 
+/// The expected-support measure of U-Apriori [9]: esup(X) >= min_esup,
+/// evaluated through `freq` (so a session's cache answers it exactly).
+/// A rejection counts as pruned_by_frequency.
+FrequentnessMeasure<TidSet> ExpectedSupportAtLeast(
+    const FrequentProbability& freq, double min_esup);
+
 /// The PFIs under `measure` (PrFAbove or an approximation of it): every
 /// admitted itemset with its tid-set, sorted canonically. Node site
-/// "pfi/node".
+/// "pfi/node". For the callers that need the tid-sets: the Naive
+/// checker's candidate stage and MinePfiApproximate.
 std::vector<PfiEntry> EnumeratePfis(
     const VerticalIndex& index, const FrequentnessMeasure<TidSet>& measure,
     MiningStats* stats, RunController& rt);
 
-/// The one run setup of the flat miners: resolves a null controller (or a
-/// null `caller_exec`) to a local unlimited one, borrows or builds the
-/// index (charged to the run's memory budget) and the evaluator,
+/// The one run setup of the tuple-level flat miners: borrows or builds
+/// the index (charged to the run's memory budget) and the evaluator,
 /// checkpoints so an undersized budget fails before any search work,
 /// runs `enumerate(index, freq, rt)`, and folds the evaluator's work
-/// counters into `stats`. Returns what `enumerate` returns.
+/// counters into `stats`. `exec.runtime` must be set. Returns what
+/// `enumerate` returns.
 template <typename Enumerate>
 auto RunFlatEnumeration(const UncertainDatabase& db, TidSetMode mode,
                         std::size_t min_sup, MiningStats* stats,
-                        const ExecutionContext* caller_exec,
+                        const ExecutionContext& exec,
                         Enumerate&& enumerate) {
-  RunController unlimited;
-  ExecutionContext exec =
-      caller_exec != nullptr ? *caller_exec : ExecutionContext{};
-  if (exec.runtime == nullptr) exec.runtime = &unlimited;
   const IndexHandle index(db, mode, exec);
   const FrequentProbability freq(index.get(), min_sup, exec.eval_cache,
                                  exec.table_floor);

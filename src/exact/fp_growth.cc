@@ -7,92 +7,14 @@
 
 namespace pfci {
 
-namespace {
-
-/// Recursive FP-growth over a tree built from `rows`. `suffix` holds the
-/// items conditioned on so far (as a sorted itemset is rebuilt at emit
-/// time, internal order does not matter).
-void Grow(const std::vector<WeightedItemList>& rows, std::size_t min_sup,
-          std::vector<Item>& suffix,
-          const std::function<void(const Itemset&, std::size_t)>& emit) {
-  const FpTree tree(rows);
-  for (const FpTree::HeaderEntry& entry : tree.header()) {
-    if (entry.total_count < min_sup) continue;
-    suffix.push_back(entry.item);
-    emit(Itemset(suffix), entry.total_count);
-
-    // Build the conditional base restricted to items still frequent there.
-    std::vector<WeightedItemList> base = tree.ConditionalPatternBase(entry.item);
-    if (!base.empty()) {
-      // Count items in the conditional base and drop infrequent ones.
-      Item max_item_plus_one = 0;
-      for (const auto& row : base) {
-        for (Item item : row.items) {
-          max_item_plus_one = std::max(max_item_plus_one, item + 1);
-        }
-      }
-      std::vector<std::size_t> counts(max_item_plus_one, 0);
-      for (const auto& row : base) {
-        for (Item item : row.items) counts[item] += row.count;
-      }
-      std::vector<WeightedItemList> filtered;
-      filtered.reserve(base.size());
-      for (auto& row : base) {
-        WeightedItemList kept;
-        kept.count = row.count;
-        for (Item item : row.items) {
-          if (counts[item] >= min_sup) kept.items.push_back(item);
-        }
-        if (!kept.items.empty()) filtered.push_back(std::move(kept));
-      }
-      if (!filtered.empty()) Grow(filtered, min_sup, suffix, emit);
-    }
-    suffix.pop_back();
-  }
-}
-
-}  // namespace
-
 void FpGrowth(const TransactionDatabase& db, std::size_t min_sup,
               const std::function<void(const Itemset&, std::size_t)>& emit) {
   PFCI_CHECK(min_sup >= 1);
-  // Global item counts; order items by descending frequency (ties by id)
-  // for compact trees.
-  std::vector<std::size_t> counts(db.MaxItemPlusOne(), 0);
-  for (const Itemset& t : db.transactions()) {
-    for (Item item : t.items()) ++counts[item];
-  }
-  std::vector<Item> frequent_items;
-  for (Item item = 0; item < counts.size(); ++item) {
-    if (counts[item] >= min_sup) frequent_items.push_back(item);
-  }
-  std::sort(frequent_items.begin(), frequent_items.end(),
-            [&](Item a, Item b) {
-              if (counts[a] != counts[b]) return counts[a] > counts[b];
-              return a < b;
-            });
-  std::vector<std::size_t> rank(counts.size(), 0);
-  std::vector<bool> is_frequent(counts.size(), false);
-  for (std::size_t r = 0; r < frequent_items.size(); ++r) {
-    rank[frequent_items[r]] = r;
-    is_frequent[frequent_items[r]] = true;
-  }
-
-  std::vector<WeightedItemList> rows;
-  rows.reserve(db.size());
-  for (const Itemset& t : db.transactions()) {
-    WeightedItemList row;
-    for (Item item : t.items()) {
-      if (is_frequent[item]) row.items.push_back(item);
-    }
-    if (row.items.empty()) continue;
-    std::sort(row.items.begin(), row.items.end(),
-              [&](Item a, Item b) { return rank[a] < rank[b]; });
-    rows.push_back(std::move(row));
-  }
-
-  std::vector<Item> suffix;
-  Grow(rows, min_sup, suffix, emit);
+  RunFpGrowth(
+      [&db](const auto& visit) {
+        for (const Itemset& t : db.transactions()) visit(t, std::size_t{1});
+      },
+      db.MaxItemPlusOne(), min_sup, emit);
 }
 
 std::vector<SupportedItemset> MineFrequentItemsets(

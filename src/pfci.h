@@ -24,9 +24,10 @@
 //  * Mining:     Mine, the one front door: every algorithm (MPFCI, BFS,
 //                Naive, top-k, PFI, expected support, the brute-force
 //                oracle, the item-level miners) is an Algorithm value of
-//                a MiningRequest. The building blocks MinePfi /
-//                MinePfiApproximate, MineExpectedSupport and
-//                MinePsupClosed stay callable for experiments.
+//                a MiningRequest. Two experiment building blocks no
+//                Algorithm reaches stay callable on raw parameters:
+//                MinePfiApproximate (the [3]-style tail approximation)
+//                and MinePsupClosed.
 //  * Serving:    MiningSession (repeated requests over one database:
 //                shared index, cross-request evaluation caches; Mine,
 //                Submit, and MineBatch — a threshold sweep is a batch of
@@ -49,7 +50,6 @@
 #include "src/core/brute_force.h"
 #include "src/core/closed_probability.h"
 #include "src/core/eval_cache.h"
-#include "src/core/expected_support_miner.h"
 #include "src/core/fcp_engine.h"
 #include "src/core/item_uncertain_miners.h"
 #include "src/core/mdnf_reduction.h"

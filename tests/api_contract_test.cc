@@ -1,11 +1,14 @@
 // API contract tests: invalid-usage CHECKs fire (death tests), inert
 // inputs are truly inert, invalid requests come back from Mine() as
-// data, and Mine()'s flat-miner adapter reports exactly what the
-// underlying miners compute.
+// data, and Mine()'s flat-miner arms report exactly what independent
+// references (possible-world PrF, direct expected supports) compute.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,9 +16,7 @@
 #include <vector>
 
 #include "src/core/brute_force.h"
-#include "src/core/expected_support_miner.h"
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/request_io.h"
 #include "src/core/stream_miner.h"
 #include "src/data/item_uncertain_database.h"
@@ -107,6 +108,49 @@ TEST(ApiContract, ValidateRequestCoversRequestFields) {
   request.budget.degrade_fraction = 0.0;
   EXPECT_NE(ValidateRequest(request).find("degrade_fraction"),
             std::string::npos);
+}
+
+// NaN fails every ordered comparison, so a check spelled `x < 0` lets it
+// through; each request field must still be rejected by name.
+TEST(ApiContract, ValidateRequestRejectsNanMinEsup) {
+  MiningRequest request;
+  request.algorithm = Algorithm::kExpectedSupport;
+  request.min_esup = std::nan("");
+  EXPECT_NE(ValidateRequest(request).find("min_esup"), std::string::npos);
+}
+
+TEST(ApiContract, ValidateRequestRejectsNanDeadline) {
+  MiningRequest request;
+  request.budget.deadline_seconds = std::nan("");
+  EXPECT_NE(ValidateRequest(request).find("deadline_seconds"),
+            std::string::npos);
+}
+
+TEST(ApiContract, ValidateRequestRejectsNanDegradeFraction) {
+  MiningRequest request;
+  request.budget.degrade_fraction = std::nan("");
+  EXPECT_NE(ValidateRequest(request).find("degrade_fraction"),
+            std::string::npos);
+}
+
+TEST(ApiContract, NanMinEsupFromAWireFileIsAnInvalidRequest) {
+  // The wire parser reads `nan` as a double; the request must then fail
+  // validation instead of running mpfci with a stray min_esup.
+  const std::string path = ::testing::TempDir() + "pfci_nan_" +
+                           std::to_string(::getpid()) + ".request";
+  {
+    std::ofstream out(path);
+    out << "algorithm=mpfci\nmin_sup=2\nmin_esup=nan\n";
+  }
+  MiningRequest request;
+  std::string error;
+  const bool loaded = LoadRequestFile(path, &request, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded) << error;
+  const MiningResult result = Mine(MakeSmallDb(), request);
+  EXPECT_EQ(result.outcome(), Outcome::kInvalidRequest);
+  EXPECT_NE(result.status_message.find("min_esup"), std::string::npos)
+      << result.status_message;
 }
 
 TEST(ApiContract, MineReportsInvalidRequestsWithoutAborting) {
@@ -230,21 +274,33 @@ TEST(ApiContract, FlatMinerAdapterPinsEntryConversion) {
     EXPECT_EQ(brute.itemsets[i].method, FcpMethod::kExact);
   }
 
-  // Frequentness-only miners carry their measure in pr_f and fcp_upper.
+  // Frequentness-only miners carry their measure in pr_f and fcp_upper,
+  // through the one FrequentnessEntry.
   request.algorithm = Algorithm::kExpectedSupportFpGrowth;
   request.min_esup = 1.5;
   const MiningResult fp = Mine(db, request);
-  const std::vector<ExpectedSupportEntry> entries =
-      internal::MineExpectedSupportFpGrowth(db, request.min_esup);
-  ASSERT_FALSE(entries.empty());
-  ASSERT_EQ(fp.itemsets.size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(fp.itemsets[i].items, entries[i].items);
-    EXPECT_EQ(fp.itemsets[i].pr_f, entries[i].expected_support);
-    EXPECT_EQ(fp.itemsets[i].fcp, 0.0);
-    EXPECT_EQ(fp.itemsets[i].fcp_lower, 0.0);
-    EXPECT_EQ(fp.itemsets[i].fcp_upper, entries[i].expected_support);
+  ASSERT_FALSE(fp.itemsets.empty());
+  for (const PfciEntry& entry : fp.itemsets) {
+    EXPECT_NEAR(entry.pr_f, db.ExpectedSupport(entry.items), 1e-12);
+    EXPECT_EQ(entry.fcp, 0.0);
+    EXPECT_EQ(entry.fcp_lower, 0.0);
+    EXPECT_EQ(entry.fcp_upper, entry.pr_f);
+    EXPECT_EQ(entry.method, FcpMethod::kUndecided);
   }
+}
+
+/// Every non-empty itemset over items 0..num_items-1, canonically sorted.
+std::vector<Itemset> AllItemsets(Item num_items) {
+  std::vector<Itemset> all;
+  for (std::uint32_t mask = 1; mask < (1u << num_items); ++mask) {
+    std::vector<Item> items;
+    for (Item i = 0; i < num_items; ++i) {
+      if ((mask >> i & 1u) != 0) items.push_back(i);
+    }
+    all.push_back(Itemset(std::move(items)));
+  }
+  std::sort(all.begin(), all.end());
+  return all;
 }
 
 /// A fixed 6-transaction database exercising all miners cheaply.
@@ -260,35 +316,58 @@ UncertainDatabase MakeSmallDb() {
 }
 
 TEST(ApiContract, MinePfiAlgorithmReportsFrequentProbabilities) {
+  // kPfi returns exactly the itemsets whose brute-force (possible-world)
+  // PrF exceeds pfct, each with that PrF.
   const UncertainDatabase db = MakeSmallDb();
   MiningRequest request;
   request.algorithm = Algorithm::kPfi;
   request.params.min_sup = 2;
   request.params.pfct = 0.1;
   const MiningResult result = Mine(db, request);
-  const std::vector<PfiEntry> pfis =
-      MinePfi(db, request.params.min_sup, request.params.pfct);
-  ASSERT_EQ(result.itemsets.size(), pfis.size());
-  for (std::size_t i = 0; i < pfis.size(); ++i) {
-    EXPECT_EQ(result.itemsets[i].items, pfis[i].items);
-    EXPECT_EQ(result.itemsets[i].pr_f, pfis[i].pr_f);
+  std::vector<Itemset> expected;
+  std::vector<double> expected_pr_f;
+  for (const Itemset& x : AllItemsets(4)) {
+    const double pr_f =
+        BruteForceItemsetProbabilities(db, x, request.params.min_sup).pr_f;
+    if (pr_f > request.params.pfct) {
+      expected.push_back(x);
+      expected_pr_f.push_back(pr_f);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(result.itemsets.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.itemsets[i].items, expected[i]);
+    EXPECT_NEAR(result.itemsets[i].pr_f, expected_pr_f[i], 1e-12);
     EXPECT_EQ(result.itemsets[i].fcp, 0.0);
   }
 }
 
 TEST(ApiContract, MineExpectedSupportAlgorithmReportsExpectedSupports) {
+  // kExpectedSupport returns exactly the itemsets whose expected support
+  // reaches min_esup, each with that expected support, and agrees with
+  // the FP-growth arm.
   const UncertainDatabase db = MakeSmallDb();
   MiningRequest request;
   request.algorithm = Algorithm::kExpectedSupport;
   request.params.min_sup = 2;
   request.min_esup = 1.5;
   const MiningResult result = Mine(db, request);
-  const std::vector<ExpectedSupportEntry> expected =
-      MineExpectedSupport(db, request.min_esup);
+  std::vector<Itemset> expected;
+  for (const Itemset& x : AllItemsets(4)) {
+    if (db.ExpectedSupport(x) >= request.min_esup) expected.push_back(x);
+  }
+  ASSERT_FALSE(expected.empty());
+  request.algorithm = Algorithm::kExpectedSupportFpGrowth;
+  const MiningResult fp = Mine(db, request);
   ASSERT_EQ(result.itemsets.size(), expected.size());
+  ASSERT_EQ(fp.itemsets.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(result.itemsets[i].items, expected[i].items);
-    EXPECT_EQ(result.itemsets[i].pr_f, expected[i].expected_support);
+    EXPECT_EQ(result.itemsets[i].items, expected[i]);
+    EXPECT_NEAR(result.itemsets[i].pr_f, db.ExpectedSupport(expected[i]),
+                1e-12);
+    EXPECT_EQ(fp.itemsets[i].items, expected[i]);
+    EXPECT_NEAR(fp.itemsets[i].pr_f, result.itemsets[i].pr_f, 1e-12);
   }
 }
 

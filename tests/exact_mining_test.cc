@@ -1,6 +1,7 @@
 // Unit and property tests for the exact-mining substrate: FP-growth,
 // closed-itemset mining, Apriori, and their mutual consistency.
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,40 +49,28 @@ TEST(TransactionDatabase, SupportAndUniverse) {
   EXPECT_EQ(db.ItemUniverse(), (std::vector<Item>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(FpTree, SinglePathDetection) {
-  std::vector<WeightedItemList> rows;
-  rows.push_back({{0, 1, 2}, 2});
-  rows.push_back({{0, 1}, 1});
-  const FpTree tree(rows);
-  EXPECT_TRUE(tree.IsSinglePath());
-
-  rows.push_back({{3}, 1});
-  const FpTree branching(rows);
-  EXPECT_FALSE(branching.IsSinglePath());
-}
-
 TEST(FpTree, HeaderCountsAndPatternBase) {
-  std::vector<WeightedItemList> rows;
+  std::vector<FpRow<std::size_t>> rows;
   rows.push_back({{0, 1, 2}, 2});
   rows.push_back({{0, 2}, 1});
   rows.push_back({{1, 2}, 3});
-  const FpTree tree(rows);
+  const FpTree<std::size_t> tree(rows);
   // Total counts: item0=3, item1=5, item2=6.
   for (const auto& entry : tree.header()) {
     if (entry.item == 0) {
-      EXPECT_EQ(entry.total_count, 3u);
+      EXPECT_EQ(entry.total_weight, 3u);
     }
     if (entry.item == 1) {
-      EXPECT_EQ(entry.total_count, 5u);
+      EXPECT_EQ(entry.total_weight, 5u);
     }
     if (entry.item == 2) {
-      EXPECT_EQ(entry.total_count, 6u);
+      EXPECT_EQ(entry.total_weight, 6u);
     }
   }
   // Conditional pattern base of item 2: prefixes {0,1}x2, {0}x1, {1}x3.
   const auto base = tree.ConditionalPatternBase(2);
   std::size_t total = 0;
-  for (const auto& row : base) total += row.count;
+  for (const auto& row : base) total += row.weight;
   EXPECT_EQ(total, 6u);
 }
 
@@ -117,6 +106,30 @@ TEST(FpGrowth, EmptyAndUnsatisfiable) {
   EXPECT_TRUE(MineFrequentItemsets(db, 1).empty());
   db.Add(Itemset{0});
   EXPECT_TRUE(MineFrequentItemsets(db, 2).empty());
+}
+
+TEST(FpGrowth, AnswersAreStable) {
+  // Pinned answer of FP-growth on a seeded random database: any change to
+  // the tree or the growth loop that moves an itemset or a support shows
+  // up here. FNV-1a over the sorted itemsets and their supports.
+  Rng rng(20120402);
+  const TransactionDatabase db = RandomDb(rng, 300, 12, 0.3);
+  const auto frequent = MineFrequentItemsets(db, 8);
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffULL;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(frequent.size());
+  for (const SupportedItemset& entry : frequent) {
+    mix(entry.items.size());
+    for (Item item : entry.items.items()) mix(item);
+    mix(entry.support);
+  }
+  EXPECT_EQ(frequent.size(), 184u);
+  EXPECT_EQ(hash, 0x965119aa911fa029ULL);
 }
 
 TEST(Apriori, CandidateGeneration) {

@@ -1,9 +1,11 @@
 // Cross-validation of the UF-growth-style weighted FP-growth against the
 // DFS expected-support miner (both reached through the unified Mine()
 // dispatch), plus weighted-count semantics checks.
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
-#include "src/core/expected_support_miner.h"
 #include "src/core/mine.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/random.h"
@@ -90,6 +92,52 @@ TEST(ExpectedSupportFpGrowth, QuickDatasetScale) {
   ExpectSameAnswer(
       MineEsup(db, min_esup, Algorithm::kExpectedSupportFpGrowth),
       MineEsup(db, min_esup, Algorithm::kExpectedSupport));
+}
+
+/// FNV-1a over the itemsets and the bit patterns of their pr_f values, in
+/// result order.
+std::uint64_t EntryDigest(const std::vector<PfciEntry>& entries) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffULL;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(entries.size());
+  for (const PfciEntry& entry : entries) {
+    mix(entry.items.size());
+    for (Item item : entry.items.items()) mix(item);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &entry.pr_f, sizeof(bits));
+    mix(bits);
+  }
+  return hash;
+}
+
+TEST(ExpectedSupportFpGrowth, AnswersAreBitStable) {
+  // Pinned answers of the weighted FP-growth: any change to the tree, the
+  // item ranking or the conditional-base order that moves an itemset or
+  // a single bit of an expected support shows up here.
+  Rng rng(20120401);
+  const UncertainDatabase db = RandomDb(rng, 300, 12, 0.3);
+  struct Pinned {
+    double min_esup;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  for (const Pinned& pinned : {
+           Pinned{2.0, 315, 0x6833aa320f18e3cdULL},
+           Pinned{5.0, 115, 0xc4bfb53d2bfcd639ULL},
+           Pinned{15.0, 26, 0x7aafee531e3148fdULL},
+       }) {
+    const MiningResult mined =
+        MineEsup(db, pinned.min_esup, Algorithm::kExpectedSupportFpGrowth);
+    EXPECT_EQ(mined.itemsets.size(), pinned.size)
+        << "min_esup=" << pinned.min_esup;
+    EXPECT_EQ(EntryDigest(mined.itemsets), pinned.digest)
+        << "min_esup=" << pinned.min_esup;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/harness/dataset_factory.h"
 #include "src/harness/variants.h"
 
@@ -66,8 +65,8 @@ TEST_P(QuickDatasetInvariants, PfciSetContainedInPfiSet) {
   const UncertainDatabase db = MakeDb();
   const MiningParams params = MakeParams(db);
   const MiningResult pfci = MineWith(Algorithm::kMpfci, db, params);
-  const std::vector<PfiEntry> pfis =
-      MinePfi(db, params.min_sup, params.pfct);
+  const std::vector<PfciEntry> pfis =
+      MineWith(Algorithm::kPfi, db, params).itemsets;
   EXPECT_LE(pfci.itemsets.size(), pfis.size());
   // Every PFCI is a PFI with identical PrF.
   std::size_t pfi_pos = 0;

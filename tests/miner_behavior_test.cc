@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
-#include "src/core/expected_support_miner.h"
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/probabilistic_support.h"
 #include "src/harness/dataset_factory.h"
 #include "src/harness/variants.h"
@@ -151,7 +149,8 @@ TEST(BfsMiner, LevelwiseMatchesDfsOnQuest) {
 
 TEST(PfiMiner, SupersetOfPfciAndSortedOutput) {
   const UncertainDatabase db = MakePaperExampleDb();
-  const std::vector<PfiEntry> pfis = MinePfi(db, 2, 0.8);
+  const std::vector<PfciEntry> pfis =
+      MineWith(Algorithm::kPfi, db, PaperParams()).itemsets;
   // Example 1.1: 15 probabilistic frequent itemsets (all non-empty subsets
   // of abcd except those with d that fail... exactly 15).
   EXPECT_EQ(pfis.size(), 15u);
@@ -178,11 +177,13 @@ TEST(NaiveMiner, AgreesWithMpfciOnModerateData) {
 
 TEST(ExpectedSupportMiner, MatchesDirectComputation) {
   const UncertainDatabase db = MakePaperExampleDb();
-  const auto entries = MineExpectedSupport(db, 1.7);
+  MiningRequest request;
+  request.algorithm = Algorithm::kExpectedSupport;
+  request.min_esup = 1.7;
+  const std::vector<PfciEntry> entries = Mine(db, request).itemsets;
   for (const auto& entry : entries) {
-    EXPECT_NEAR(entry.expected_support, db.ExpectedSupport(entry.items),
-                1e-12);
-    EXPECT_GE(entry.expected_support, 1.7);
+    EXPECT_NEAR(entry.pr_f, db.ExpectedSupport(entry.items), 1e-12);
+    EXPECT_GE(entry.pr_f, 1.7);
   }
   // esup(d) = 1.8 qualifies; esup(abcd) = 1.8 too; esup(abc) = 3.1.
   bool has_d = false, has_abcd = false;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/mine.h"
 #include "src/core/pfi_miner.h"
 #include "src/harness/dataset_factory.h"
 #include "src/prob/poisson_binomial.h"
@@ -94,9 +95,19 @@ TEST_P(ApproximationAccuracy, PoissonAccurateInSparseRegime) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ApproximationAccuracy,
                          ::testing::Range(0, 10));
 
-TEST(ApproximatePfiMiner, ExactModeReproducesMinePfi) {
+/// The exact PFI baseline, Mine()'s kPfi arm.
+std::vector<PfciEntry> MineExactPfis(const UncertainDatabase& db,
+                                     std::size_t min_sup, double pft) {
+  MiningRequest request;
+  request.algorithm = Algorithm::kPfi;
+  request.params.min_sup = min_sup;
+  request.params.pfct = pft;
+  return Mine(db, request).itemsets;
+}
+
+TEST(ApproximatePfiMiner, ExactModeReproducesThePfiAlgorithm) {
   const UncertainDatabase db = MakePaperExampleDb();
-  const auto exact = MinePfi(db, 2, 0.8);
+  const auto exact = MineExactPfis(db, 2, 0.8);
   const auto via_mode =
       MinePfiApproximate(db, 2, 0.8, FrequencyMode::kExactDp);
   ASSERT_EQ(via_mode.size(), exact.size());
@@ -109,7 +120,7 @@ TEST(ApproximatePfiMiner, ExactModeReproducesMinePfi) {
 TEST(ApproximatePfiMiner, NormalModeNearExactAtScale) {
   const UncertainDatabase db = MakeUncertainQuest(BenchScale::kQuick);
   const std::size_t min_sup = AbsoluteMinSup(db.size(), 0.2);
-  const auto exact = MinePfi(db, min_sup, 0.8);
+  const auto exact = MineExactPfis(db, min_sup, 0.8);
   const auto approx =
       MinePfiApproximate(db, min_sup, 0.8, FrequencyMode::kNormal);
   // The symmetric difference must be a small fraction of the answer: only

@@ -19,8 +19,7 @@ TEST(UmbrellaHeader, EndToEndSmoke) {
   params.pfct = 0.8;
 
   // Every miner family is reachable through the single include: the
-  // closed-itemset algorithms through Mine(), the building blocks
-  // directly.
+  // mining algorithms through Mine(), the building blocks directly.
   MiningRequest request;
   request.params = params;
   EXPECT_EQ(Mine(db, request).itemsets.size(), 2u);
@@ -29,8 +28,12 @@ TEST(UmbrellaHeader, EndToEndSmoke) {
   request.algorithm = Algorithm::kTopK;
   request.top_k = 1;
   EXPECT_EQ(Mine(db, request).itemsets.size(), 1u);
-  EXPECT_EQ(MinePfi(db, 2, 0.8).size(), 15u);
-  EXPECT_FALSE(MineExpectedSupport(db, 1.0).empty());
+  request.algorithm = Algorithm::kPfi;
+  request.top_k = 0;
+  EXPECT_EQ(Mine(db, request).itemsets.size(), 15u);
+  request.algorithm = Algorithm::kExpectedSupport;
+  request.min_esup = 1.0;
+  EXPECT_FALSE(Mine(db, request).itemsets.empty());
   EXPECT_FALSE(MinePsupClosed(db, 2, 0.8).empty());
   EXPECT_NEAR(ExactClosedProbability(db, Itemset{0, 1, 2, 3}), 0.99, 1e-12);
 
