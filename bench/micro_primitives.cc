@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 #include <memory>
 
 #include "src/core/extension_events.h"
@@ -25,6 +27,15 @@
 
 namespace pfci {
 namespace {
+
+// Regression gates that tripped in this process: each fails its
+// benchmark (SkipWithError) and makes the binary exit 1.
+int gate_failures = 0;
+
+void FailGate(benchmark::State& state, const char* message) {
+  state.SkipWithError(message);
+  ++gate_failures;
+}
 
 std::vector<double> RandomProbs(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -45,25 +56,49 @@ void BM_PoissonBinomialTail(benchmark::State& state) {
 BENCHMARK(BM_PoissonBinomialTail)->Range(64, 8192)->Complexity();
 
 // The quest-dp workload's DP shape: n = 5200 transactions with p ~
-// N(.8, .1) clipped to [0, 1], threshold 4000. `cells` is the banded
-// kernel's state updates per call, T * (n - T + 1); `time_per_cell` is
-// the measured time per update.
+// N(.8, .1) clipped to [0, 1], threshold 4000, against the same (n, T)
+// call on a vector of 0/1 atoms, which updates the same banded cells,
+// T * (n - T + 1), and never holds a subnormal state. `time_per_cell` and
+// `atom_time_per_cell` are the fastest call's time per cell update;
+// `subnormal_ratio` is their quotient, which the flush-to-zero kernel
+// keeps near 1 (subnormal arithmetic put it at 2.3-2.8). The benchmark
+// FAILS if it exceeds 1.5.
 void BM_PoissonBinomialTailQuestShaped(benchmark::State& state) {
   constexpr std::size_t kN = 5200;
   constexpr std::size_t kThreshold = 4000;
   Rng rng(6);
   std::vector<double> probs(kN);
   for (double& p : probs) p = std::clamp(rng.NextGaussian(0.8, 0.1), 0.0, 1.0);
+  std::vector<double> atoms(kN);
+  for (double& p : atoms) p = rng.NextBernoulli(0.8) ? 1.0 : 0.0;
   std::vector<double> scratch;
-  for (auto _ : state) {
+  const auto seconds_of_call = [&scratch](const std::vector<double>& v) {
+    const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(
-        PoissonBinomialTailAtLeast(probs.data(), kN, kThreshold, &scratch));
+        PoissonBinomialTailAtLeast(v.data(), kN, kThreshold, &scratch));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  double fastest = std::numeric_limits<double>::infinity();
+  double fastest_atoms = fastest;
+  for (auto _ : state) {
+    fastest = std::min(fastest, seconds_of_call(probs));
+    fastest_atoms = std::min(fastest_atoms, seconds_of_call(atoms));
   }
   const double cells = static_cast<double>(kThreshold * (kN - kThreshold + 1));
+  const double ratio = fastest / fastest_atoms;
   state.counters["cells"] = cells;
-  state.counters["time_per_cell"] = benchmark::Counter(
-      cells, benchmark::Counter::kIsIterationInvariantRate |
-                 benchmark::Counter::kInvert);
+  state.counters["time_per_cell"] = fastest / cells;
+  state.counters["atom_time_per_cell"] = fastest_atoms / cells;
+  state.counters["subnormal_ratio"] = ratio;
+  // A few calls, so that the fastest of each is a warm one.
+  if (state.iterations() >= 8 && ratio > 1.5) {
+    FailGate(state,
+             "subnormal ratio regressed: the Quest-shaped DP costs more "
+             "than 1.5x the atom DP of equal cells per cell (is the "
+             "kernel's arithmetic still flushing to zero?)");
+  }
 }
 BENCHMARK(BM_PoissonBinomialTailQuestShaped);
 
@@ -191,8 +226,8 @@ BENCHMARK(BM_ClosedMinerQuickMushroom);
 // configuration every budgeted run pays. The exponential poll stride
 // (src/util/runtime.h) amortizes the steady-clock syscall to at most one
 // read per kClockCheckStride calls; `clock_poll_ratio` reports the
-// measured polls-per-checkpoint and the benchmark FAILS (SkipWithError)
-// if the ratio regresses above 1/16 — twice the steady-state 1/32, so
+// measured polls-per-checkpoint and the benchmark FAILS if the ratio
+// regresses above 1/16 — twice the steady-state 1/32, so
 // the warm-up polls of short runs never trip it.
 void BM_RunControllerCheckpoint(benchmark::State& state) {
   RunBudget budget;
@@ -208,7 +243,8 @@ void BM_RunControllerCheckpoint(benchmark::State& state) {
                                         static_cast<double>(calls);
   state.counters["clock_poll_ratio"] = ratio;
   if (calls > 1024 && ratio > 1.0 / 16.0) {
-    state.SkipWithError(
+    FailGate(
+        state,
         "clock-poll ratio regressed: Checkpoint() is reading the clock "
         "more than once per 16 calls (expected <= 1/32 steady-state)");
   }
@@ -218,4 +254,10 @@ BENCHMARK(BM_RunControllerCheckpoint);
 }  // namespace
 }  // namespace pfci
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return pfci::gate_failures == 0 ? 0 : 1;
+}

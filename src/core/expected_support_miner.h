@@ -16,6 +16,7 @@
 
 #include "src/core/mining_result.h"
 #include "src/data/uncertain_database.h"
+#include "src/util/runtime.h"
 
 namespace pfci {
 
@@ -25,9 +26,14 @@ namespace internal {
 /// order. UF-growth [15]: the FP-growth of src/exact/fp_tree.h with each
 /// transaction weighing its existence probability. Cross-validates the
 /// enumeration and serves as the pattern-growth baseline of the
-/// expected-support model; it has no fail-soft hooks.
+/// expected-support model. Runs under `rt` like the enumeration: it
+/// charges its weighted rows to the memory budget, and its per-node hook
+/// (failpoint "esup-fp/node") checkpoints, takes one node of the run's
+/// quota and counts `stats->nodes_visited` (stats may be null); a stop
+/// leaves a verified prefix.
 std::vector<PfciEntry> MineExpectedSupportFpGrowth(
-    const UncertainDatabase& db, double min_esup);
+    const UncertainDatabase& db, double min_esup, MiningStats* stats,
+    RunController& rt);
 }  // namespace internal
 
 }  // namespace pfci

@@ -210,10 +210,10 @@ MiningResult Dispatch(const UncertainDatabase& db,
             });
       });
     case Algorithm::kExpectedSupportFpGrowth:
-      // The weighted FP-growth baseline: same answer, no fail-soft hooks.
-      return RunFlat(exec, [&](MiningStats*) {
-        return internal::MineExpectedSupportFpGrowth(db,
-                                                     EffectiveMinEsup(request));
+      // The weighted FP-growth baseline: same answer, same run contract.
+      return RunFlat(exec, [&](MiningStats* stats) {
+        return internal::MineExpectedSupportFpGrowth(
+            db, EffectiveMinEsup(request), stats, *exec.runtime);
       });
     case Algorithm::kBruteForce:
       // MineImpl already rejected databases too large to enumerate.

@@ -35,7 +35,9 @@
 //                      the final snapshot
 //   budget             all; an item-level run's   see RunBudget
 //                      memory budget counts its
-//                      ItemColumns (no samples)
+//                      ItemColumns (no samples),
+//                      an esup-fp run's its
+//                      weighted rows
 //   cancel / trace     all                        optional, caller-owned
 //   snapshot           tuple-level Mine()         rejected by the
 //                                                 item-level overload

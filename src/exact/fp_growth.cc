@@ -14,7 +14,7 @@ void FpGrowth(const TransactionDatabase& db, std::size_t min_sup,
       [&db](const auto& visit) {
         for (const Itemset& t : db.transactions()) visit(t, std::size_t{1});
       },
-      db.MaxItemPlusOne(), min_sup, emit);
+      db.MaxItemPlusOne(), min_sup, emit, [] { return true; });
 }
 
 std::vector<SupportedItemset> MineFrequentItemsets(

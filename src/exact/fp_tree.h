@@ -127,15 +127,19 @@ namespace internal {
 
 /// Recursive FP-growth over a tree built from `rows`. `suffix` holds the
 /// items conditioned on so far (a sorted itemset is rebuilt at emit
-/// time, so internal order does not matter).
-template <typename Weight, typename Emit>
-void GrowFpTree(const std::vector<FpRow<Weight>>& rows, Weight min_weight,
-                std::vector<Item>& suffix, Emit& emit) {
+/// time, so internal order does not matter). After emitting an itemset
+/// and before growing its conditional tree, calls `visit_node()`; when
+/// that returns false the growth stops at once and returns false.
+template <typename Weight, typename Emit, typename VisitNode>
+bool GrowFpTree(const std::vector<FpRow<Weight>>& rows, Weight min_weight,
+                std::vector<Item>& suffix, Emit& emit,
+                VisitNode& visit_node) {
   const FpTree<Weight> tree(rows);
   for (const auto& entry : tree.header()) {
     if (entry.total_weight < min_weight) continue;
     suffix.push_back(entry.item);
     emit(Itemset(suffix), entry.total_weight);
+    if (!visit_node()) return false;
 
     // The conditional base, restricted to items still frequent there.
     std::vector<FpRow<Weight>> base = tree.ConditionalPatternBase(entry.item);
@@ -160,10 +164,14 @@ void GrowFpTree(const std::vector<FpRow<Weight>>& rows, Weight min_weight,
         }
         if (!kept.items.empty()) filtered.push_back(std::move(kept));
       }
-      if (!filtered.empty()) GrowFpTree(filtered, min_weight, suffix, emit);
+      if (!filtered.empty() &&
+          !GrowFpTree(filtered, min_weight, suffix, emit, visit_node)) {
+        return false;
+      }
     }
     suffix.pop_back();
   }
+  return true;
 }
 
 }  // namespace internal
@@ -175,10 +183,14 @@ void GrowFpTree(const std::vector<FpRow<Weight>>& rows, Weight min_weight,
 /// each of its two calls; items lie below `max_item_plus_one`. The
 /// setup ranks items by descending global weight (ties by id), drops the
 /// items below `min_weight` and inserts each transaction's remaining
-/// items in rank order.
-template <typename Weight, typename ForEachRow, typename Emit>
+/// items in rank order. `visit_node()` is the per-node hook of
+/// GrowFpTree: called once after each emit, it stops the run by
+/// returning false, leaving what was emitted so far (each itemset with
+/// its exact weight).
+template <typename Weight, typename ForEachRow, typename Emit,
+          typename VisitNode>
 void RunFpGrowth(const ForEachRow& for_each_row, Item max_item_plus_one,
-                 Weight min_weight, Emit&& emit) {
+                 Weight min_weight, Emit&& emit, VisitNode&& visit_node) {
   std::vector<Weight> totals(max_item_plus_one, Weight{});
   for_each_row([&](const Itemset& items, Weight weight) {
     for (Item item : items.items()) totals[item] += weight;
@@ -213,7 +225,7 @@ void RunFpGrowth(const ForEachRow& for_each_row, Item max_item_plus_one,
   });
 
   std::vector<Item> suffix;
-  internal::GrowFpTree(rows, min_weight, suffix, emit);
+  internal::GrowFpTree(rows, min_weight, suffix, emit, visit_node);
 }
 
 }  // namespace pfci

@@ -1,16 +1,47 @@
 #include "src/prob/poisson_binomial.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cfloat>
+#include <cstdint>
+#include <optional>
 
 #include "src/util/check.h"
 
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
+
 namespace pfci {
+
+using internal::ActiveKernelVariant;
+using internal::FlushToZeroScope;
+using internal::KernelVariant;
 
 namespace {
 
 // Eight doubles: one AVX-512 register, two AVX2 ones, four SSE2 ones.
 constexpr std::size_t kLanes = 8;
 typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
+typedef std::int64_t LaneBits
+    __attribute__((vector_size(kLanes * sizeof(std::int64_t))));
+
+/// `x` when kFlush is false; otherwise `x` with every value below DBL_MIN
+/// made 0, the explicit form of FTZ (and, on an input, of DAZ). Every
+/// value the kernel computes is >= 0, so no NaN or sign reaches it.
+template <bool kFlush>
+[[gnu::always_inline]] inline double Flush(double x) {
+  return kFlush && x < DBL_MIN ? 0.0 : x;
+}
+
+// In place: a function returning a 64-byte vector changes the psABI.
+template <bool kFlush>
+[[gnu::always_inline]] inline void FlushLanes(Lanes& x) {
+  if constexpr (kFlush) {
+    const LaneBits keep = x >= DBL_MIN;  // All ones where x stays.
+    x = reinterpret_cast<Lanes>(reinterpret_cast<LaneBits>(x) & keep);
+  }
+}
 
 /// The one Poisson-binomial recurrence behind every entry point below.
 /// `dp` (zeroed, `states` long) becomes the sum's distribution over its
@@ -33,13 +64,18 @@ typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
 /// stores [s, s+kLanes), and the chunks below it are still unwritten, so
 /// every lane does the scalar loop's IEEE multiply, multiply and add on
 /// the same operands (-ffp-contract=off keeps them unfused).
+///
+/// kFlush: flush each input probability and each product below DBL_MIN
+/// to 0 in code, for targets without MXCSR. All values are >= 0, so a
+/// sum of flushed terms is never subnormal.
+template <bool kFlush>
 [[gnu::always_inline]] inline void RecurrenceBody(
     const double* probs, std::size_t n, std::size_t states, std::size_t lo,
     std::size_t hi, double* dp, double* tail) {
   dp[0] = 1.0;
   std::size_t upper = 0;  // Highest state index that can currently be live.
   for (std::size_t i = 0; i < n; ++i) {
-    const double p = probs[i];
+    const double p = Flush<kFlush>(probs[i]);
     PFCI_DCHECK(p >= 0.0 && p <= 1.0);
     const double q = 1.0 - p;
     // Above `upper` every state is still an exact zero.
@@ -49,10 +85,12 @@ typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
       Lanes sum, mass;
       __builtin_memcpy(&sum, tail + (t - lo), sizeof sum);
       __builtin_memcpy(&mass, dp + (t - 1), sizeof mass);
-      sum += mass * p;
+      Lanes absorbed = mass * p;
+      FlushLanes<kFlush>(absorbed);
+      sum += absorbed;
       __builtin_memcpy(tail + (t - lo), &sum, sizeof sum);
     }
-    for (; t <= absorb_hi; ++t) tail[t - lo] += dp[t - 1] * p;
+    for (; t <= absorb_hi; ++t) tail[t - lo] += Flush<kFlush>(dp[t - 1] * p);
 
     const std::size_t top = std::min(upper + 1, states - 1);
     const std::size_t rem = n - i - 1;
@@ -64,14 +102,17 @@ typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
       Lanes stay, step;
       __builtin_memcpy(&stay, dp + s, sizeof stay);
       __builtin_memcpy(&step, dp + (s - 1), sizeof step);
-      stay = stay * q + step * p;
+      Lanes kept = stay * q, moved = step * p;
+      FlushLanes<kFlush>(kept);
+      FlushLanes<kFlush>(moved);
+      stay = kept + moved;
       __builtin_memcpy(dp + s, &stay, sizeof stay);
     }
     while (s > band_lo) {
       --s;
-      dp[s] = dp[s] * q + dp[s - 1] * p;
+      dp[s] = Flush<kFlush>(dp[s] * q) + Flush<kFlush>(dp[s - 1] * p);
     }
-    if (bottom == 0) dp[0] *= q;
+    if (bottom == 0) dp[0] = Flush<kFlush>(dp[0] * q);
     upper = top;
   }
 }
@@ -79,51 +120,76 @@ typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
 using RecurrenceFn = void (*)(const double*, std::size_t, std::size_t,
                               std::size_t, std::size_t, double*, double*);
 
-// One instantiation of the body per ISA; the vector code is the same,
-// only its register width differs.
-void RecurrenceBaseline(const double* probs, std::size_t n,
-                        std::size_t states, std::size_t lo, std::size_t hi,
-                        double* dp, double* tail) {
-  RecurrenceBody(probs, n, states, lo, hi, dp, tail);
+// One instantiation of the body per variant; the vector code is the
+// same, only its register width or its explicit flush differs. noinline
+// keeps every variant's arithmetic inside the call that Recurrence
+// brackets with the MXCSR writes.
+[[gnu::noinline]] void RecurrenceExplicitFlush(
+    const double* probs, std::size_t n, std::size_t states, std::size_t lo,
+    std::size_t hi, double* dp, double* tail) {
+  RecurrenceBody<true>(probs, n, states, lo, hi, dp, tail);
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-[[gnu::target("avx2")]] void RecurrenceAvx2(const double* probs,
-                                            std::size_t n,
-                                            std::size_t states,
-                                            std::size_t lo, std::size_t hi,
-                                            double* dp, double* tail) {
-  RecurrenceBody(probs, n, states, lo, hi, dp, tail);
+#if defined(__x86_64__)
+[[gnu::noinline]] void RecurrenceBaseline(const double* probs, std::size_t n,
+                                          std::size_t states, std::size_t lo,
+                                          std::size_t hi, double* dp,
+                                          double* tail) {
+  RecurrenceBody<false>(probs, n, states, lo, hi, dp, tail);
 }
 
-[[gnu::target("avx512f")]] void RecurrenceAvx512(const double* probs,
-                                                 std::size_t n,
-                                                 std::size_t states,
-                                                 std::size_t lo,
-                                                 std::size_t hi, double* dp,
-                                                 double* tail) {
-  RecurrenceBody(probs, n, states, lo, hi, dp, tail);
+[[gnu::noinline, gnu::target("avx2")]] void RecurrenceAvx2(
+    const double* probs, std::size_t n, std::size_t states, std::size_t lo,
+    std::size_t hi, double* dp, double* tail) {
+  RecurrenceBody<false>(probs, n, states, lo, hi, dp, tail);
+}
+
+[[gnu::noinline, gnu::target("avx512f")]] void RecurrenceAvx512(
+    const double* probs, std::size_t n, std::size_t states, std::size_t lo,
+    std::size_t hi, double* dp, double* tail) {
+  RecurrenceBody<false>(probs, n, states, lo, hi, dp, tail);
 }
 #endif
 
 // Chosen on first use rather than through ifunc/target_clones: an ifunc
 // resolver runs during relocation, before the sanitizer runtimes are
 // up, and crashes TSan builds at startup.
-RecurrenceFn SelectRecurrence() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return RecurrenceAvx512;
-  if (__builtin_cpu_supports("avx2")) return RecurrenceAvx2;
-#endif
-  return RecurrenceBaseline;
+// The widest variant wins; the explicit flush is the fallback off x86-64.
+KernelVariant SelectVariant() {
+  for (const KernelVariant variant :
+       {KernelVariant::kAvx512, KernelVariant::kAvx2,
+        KernelVariant::kBaseline}) {
+    if (internal::KernelVariantAvailable(variant)) return variant;
+  }
+  return KernelVariant::kExplicitFlush;
 }
+
+RecurrenceFn VariantFunction(KernelVariant variant) {
+  switch (variant) {
+#if defined(__x86_64__)
+    case KernelVariant::kBaseline:
+      return RecurrenceBaseline;
+    case KernelVariant::kAvx2:
+      return RecurrenceAvx2;
+    case KernelVariant::kAvx512:
+      return RecurrenceAvx512;
+#endif
+    default:
+      return RecurrenceExplicitFlush;
+  }
+}
+
+// The ForceKernelVariant override; -1 when none is set.
+std::atomic<int> g_forced_variant{-1};
 
 void Recurrence(const double* probs, std::size_t n, std::size_t states,
                 std::size_t lo, std::size_t hi, std::vector<double>* dp_row,
                 double* tail) {
-  static const RecurrenceFn kernel = SelectRecurrence();
+  const KernelVariant variant = ActiveKernelVariant();
   dp_row->assign(states, 0.0);
-  kernel(probs, n, states, lo, hi, dp_row->data(), tail);
+  std::optional<FlushToZeroScope> flush_to_zero;
+  if (variant != KernelVariant::kExplicitFlush) flush_to_zero.emplace();
+  VariantFunction(variant)(probs, n, states, lo, hi, dp_row->data(), tail);
 }
 
 }  // namespace
@@ -176,5 +242,54 @@ double PoissonBinomialVariance(const std::vector<double>& probs) {
   for (double p : probs) var += p * (1.0 - p);
   return var;
 }
+
+namespace internal {
+
+#if defined(__x86_64__)
+// MXCSR bit 15 (FTZ) and bit 6 (DAZ).
+constexpr unsigned kFtzDaz = 0x8040;
+
+FlushToZeroScope::FlushToZeroScope() : saved_(_mm_getcsr()) {
+  _mm_setcsr(saved_ | kFtzDaz);
+}
+
+FlushToZeroScope::~FlushToZeroScope() { _mm_setcsr(saved_); }
+#else
+FlushToZeroScope::FlushToZeroScope() = default;
+FlushToZeroScope::~FlushToZeroScope() = default;
+#endif
+
+bool KernelVariantAvailable(KernelVariant variant) {
+  switch (variant) {
+    case KernelVariant::kExplicitFlush:
+      return true;
+#if defined(__x86_64__)
+    case KernelVariant::kBaseline:
+      return true;
+    case KernelVariant::kAvx2:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2");
+    case KernelVariant::kAvx512:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f");
+#endif
+    default:
+      return false;
+  }
+}
+
+KernelVariant ActiveKernelVariant() {
+  static const KernelVariant kDispatched = SelectVariant();
+  const int forced = g_forced_variant.load(std::memory_order_relaxed);
+  return forced < 0 ? kDispatched : static_cast<KernelVariant>(forced);
+}
+
+void ForceKernelVariant(std::optional<KernelVariant> variant) {
+  PFCI_CHECK(!variant.has_value() || KernelVariantAvailable(*variant));
+  g_forced_variant.store(variant.has_value() ? static_cast<int>(*variant) : -1,
+                         std::memory_order_relaxed);
+}
+
+}  // namespace internal
 
 }  // namespace pfci

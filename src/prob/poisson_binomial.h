@@ -21,10 +21,20 @@
 // bit-identical to the plain unbanded scalar loop on every ISA. The build
 // pins -ffp-contract=off so no target fuses those multiply-adds into
 // FMAs, which would change the bits the goldens pin.
+//
+// Flush to zero by specification: the kernel's arithmetic has no
+// subnormal numbers. Any input probability, product, DP state or
+// absorbed tail below DBL_MIN (2^-1022) is 0, so a tail below 2^-1022 is
+// returned as 0.0. On x86-64 every call runs under FlushToZeroScope
+// (MXCSR FTZ|DAZ, restored on return); other targets run a build of the
+// same body that flushes each product to zero itself. Only values that
+// would have been subnormal change, and a DP's cost depends on its number
+// of cells, not on its data (subnormal operands cost ~100 cycles each).
 #ifndef PFCI_PROB_POISSON_BINOMIAL_H_
 #define PFCI_PROB_POISSON_BINOMIAL_H_
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 namespace pfci {
@@ -78,6 +88,60 @@ double PoissonBinomialMean(const std::vector<double>& probs);
 
 /// Variance of the sum (sum of p_i (1 - p_i)).
 double PoissonBinomialVariance(const std::vector<double>& probs);
+
+namespace internal {
+
+/// The kernel's floating-point mode for the scope of one call: on x86-64
+/// it saves MXCSR, sets FTZ (results below DBL_MIN become 0) and DAZ
+/// (subnormal operands read as 0), and restores the saved value on exit,
+/// so pool threads, libm and the rest of the process keep the default
+/// mode. Elsewhere it does nothing (kHardware is false) and the kernel
+/// flushes explicitly.
+class FlushToZeroScope {
+ public:
+#if defined(__x86_64__)
+  static constexpr bool kHardware = true;
+#else
+  static constexpr bool kHardware = false;
+#endif
+
+  FlushToZeroScope();
+  ~FlushToZeroScope();
+  FlushToZeroScope(const FlushToZeroScope&) = delete;
+  FlushToZeroScope& operator=(const FlushToZeroScope&) = delete;
+
+ private:
+  unsigned saved_ = 0;  ///< MXCSR at entry (x86-64).
+};
+
+/// The builds of the kernel's one body. kBaseline (SSE2), kAvx2 and
+/// kAvx512 run under FlushToZeroScope and exist on x86-64 only;
+/// kExplicitFlush flushes each product below DBL_MIN to 0 in code and is
+/// what other targets run. It differs from the MXCSR builds only on a
+/// product whose exact value lies in [DBL_MIN - 2^-1075, DBL_MIN - 2^-1076):
+/// the default rounding takes it up to DBL_MIN, which the explicit flush
+/// keeps, while FTZ, detecting tininess after rounding, flushes it to 0.
+enum class KernelVariant : unsigned char {
+  kBaseline,
+  kAvx2,
+  kAvx512,
+  kExplicitFlush,
+};
+
+/// Whether this build and CPU can run `variant`.
+bool KernelVariantAvailable(KernelVariant variant);
+
+/// The variant the entry points above run: the forced one, or else the
+/// widest the CPU supports (kExplicitFlush off x86-64).
+KernelVariant ActiveKernelVariant();
+
+/// Test-only override: runs every later kernel call of the process on
+/// `variant` (which must be available), or, with nullopt, on the
+/// dispatched one again. Do not call it while a kernel call may be in
+/// flight.
+void ForceKernelVariant(std::optional<KernelVariant> variant);
+
+}  // namespace internal
 
 }  // namespace pfci
 

@@ -86,8 +86,9 @@ struct RunBudget {
 
   /// Maximum resident bytes of the run's VerticalIndex (built or borrowed
   /// from a session) or an item-level run's ItemColumns, as reported by
-  /// their MemoryBytes() and charged once at run start. Per-node covers
-  /// are not counted. Best-effort, like the deadline.
+  /// their MemoryBytes() and charged once at run start (UF-growth charges
+  /// the weighted rows its FP-tree is built from). Per-node covers and
+  /// conditional trees are not counted. Best-effort, like the deadline.
   std::uint64_t max_resident_bytes = 0;
 
   /// Degradation point: once elapsed time exceeds this fraction of

@@ -75,6 +75,7 @@ MiningRequest PaperRequest(Algorithm algorithm) {
   request.params.min_sup = 2;
   request.params.pfct = 0.1;
   if (algorithm == Algorithm::kExpectedSupport ||
+      algorithm == Algorithm::kExpectedSupportFpGrowth ||
       algorithm == Algorithm::kItemExpectedSupport) {
     request.min_esup = 1.0;
   }
@@ -153,6 +154,11 @@ TEST_F(FailpointTest, PfiCancelsAtNodeExpansion) {
 TEST_F(FailpointTest, ExpectedSupportCancelsAtNodeExpansion) {
   ExpectCancellationAtSite("esup/node", MakePaperExampleDb(),
                            PaperRequest(Algorithm::kExpectedSupport));
+}
+
+TEST_F(FailpointTest, ExpectedSupportFpGrowthCancelsAtNodeExpansion) {
+  ExpectCancellationAtSite("esup-fp/node", MakePaperExampleDb(),
+                           PaperRequest(Algorithm::kExpectedSupportFpGrowth));
 }
 
 TEST_F(FailpointTest, ItemExpectedSupportCancelsAtNodeExpansion) {
@@ -278,6 +284,7 @@ TEST_F(FailpointTest, EverySiteIsReachable) {
       {"topk/node", Algorithm::kTopK},
       {"pfi/node", Algorithm::kPfi},
       {"esup/node", Algorithm::kExpectedSupport},
+      {"esup-fp/node", Algorithm::kExpectedSupportFpGrowth},
   };
   for (const auto& [site, algorithm] : sites) {
     expect_reached(site, db, PaperRequest(algorithm));

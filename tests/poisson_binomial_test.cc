@@ -3,13 +3,22 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/mine.h"
+#include "src/datagen/probability_assigner.h"
+#include "src/datagen/quest_generator.h"
 #include "src/util/random.h"
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 namespace pfci {
 namespace {
@@ -184,25 +193,42 @@ TEST(PoissonBinomialPmf, PinnedBits) {
   }
 }
 
+// A product as the kernel specifies it (flush to zero). On x86-64 the
+// oracle runs under the kernel's own FlushToZeroScope, so the hardware
+// flushes; elsewhere the oracle flushes each product itself.
+double FlushedProduct(double a, double b) {
+  const double x = a * b;
+  return !internal::FlushToZeroScope::kHardware && x < DBL_MIN ? 0.0 : x;
+}
+
 // The kernel's bitwise oracle: the plain recurrence, with every state
 // below `states` updated in scalar order each item and every threshold in
-// [lo, hi] absorbed, live or not.
+// [lo, hi] absorbed, live or not, in flush-to-zero arithmetic. With
+// `flush` false it is the plain IEEE loop, subnormals and all.
 void PlainRecurrence(const double* probs, std::size_t n, std::size_t states,
                      std::size_t lo, std::size_t hi,
-                     std::vector<double>* dp_row, double* tail) {
+                     std::vector<double>* dp_row, double* tail,
+                     bool flush = true) {
+  std::optional<internal::FlushToZeroScope> flush_to_zero;
+  if (flush) flush_to_zero.emplace();
+  const auto product = [flush](double a, double b) {
+    return flush ? FlushedProduct(a, b) : a * b;
+  };
   dp_row->assign(states, 0.0);
   double* dp = dp_row->data();
   dp[0] = 1.0;
   std::size_t upper = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double p = probs[i];
+    const double p = product(probs[i], 1.0);  // DAZ on the input.
     const double q = 1.0 - p;
-    for (std::size_t t = lo; t <= hi; ++t) tail[t - lo] += dp[t - 1] * p;
+    for (std::size_t t = lo; t <= hi; ++t) {
+      tail[t - lo] += product(dp[t - 1], p);
+    }
     const std::size_t top = std::min(upper + 1, states - 1);
     for (std::size_t s = top; s > 0; --s) {
-      dp[s] = dp[s] * q + dp[s - 1] * p;
+      dp[s] = product(dp[s], q) + product(dp[s - 1], p);
     }
-    dp[0] *= q;
+    dp[0] = product(dp[0], q);
     upper = top;
   }
 }
@@ -272,21 +298,178 @@ void ExpectKernelMatchesPlainRecurrence(const std::vector<double>& probs,
   }
 }
 
+/// Runs the kernel on `variant` for the scope's lifetime.
+class ForcedVariant {
+ public:
+  explicit ForcedVariant(internal::KernelVariant variant) {
+    internal::ForceKernelVariant(variant);
+  }
+  ~ForcedVariant() { internal::ForceKernelVariant(std::nullopt); }
+};
+
+struct NamedVariant {
+  internal::KernelVariant variant;
+  const char* name;
+};
+
+constexpr NamedVariant kAllVariants[] = {
+    {internal::KernelVariant::kBaseline, "baseline"},
+    {internal::KernelVariant::kAvx2, "avx2"},
+    {internal::KernelVariant::kAvx512, "avx512"},
+    {internal::KernelVariant::kExplicitFlush, "explicit-flush"}};
+
 // The banded, lane-parallel kernel must return the plain recurrence's bits
 // at every n (every lane remainder and band edge below 70), every
-// threshold including n-1, n and above n, and in all three entry points.
+// threshold including n-1, n and above n, and in all three entry points,
+// in every build the CPU can run: the dispatched one, the narrower ISAs
+// and the portable explicit-flush body. (The explicit flush differs from
+// MXCSR FTZ only on a product in the one-ulp band below DBL_MIN; none of
+// these vectors has one.) The 1e-12 vector drives states subnormal.
 TEST(PoissonBinomialKernel, MatchesPlainRecurrenceBitwise) {
-  for (std::size_t n = 0; n <= 70; ++n) {
-    ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.0, 1000 + n),
-                                       "uniform");
-    ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.3, 2000 + n),
-                                       "atoms");
-  }
-  for (std::size_t n : {297, 300, 303}) {
-    ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.3, 3000 + n),
-                                       "atoms");
+  ASSERT_TRUE(internal::KernelVariantAvailable(
+      internal::KernelVariant::kExplicitFlush));
+  for (const NamedVariant& v : kAllVariants) {
+    if (!internal::KernelVariantAvailable(v.variant)) continue;
+    SCOPED_TRACE(v.name);
+    const ForcedVariant forced(v.variant);
+    ASSERT_EQ(internal::ActiveKernelVariant(), v.variant);
+    for (std::size_t n = 0; n <= 70; ++n) {
+      ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.0, 1000 + n),
+                                         "uniform");
+      ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.3, 2000 + n),
+                                         "atoms");
+    }
+    for (std::size_t n : {297, 300, 303}) {
+      ExpectKernelMatchesPlainRecurrence(KernelVector(n, 0.3, 3000 + n),
+                                         "atoms");
+    }
+    ExpectKernelMatchesPlainRecurrence(std::vector<double>(30, 1e-12),
+                                       "subnormal");
   }
 }
+
+// Thirty transactions of probability 1e-12: Pr{sum == s} ~ C(30, s)
+// 1e-12^s, so the plain IEEE recurrence carries subnormal states from
+// s = 26 up and ends with a subnormal pmf[27] and tail at 27. The kernel
+// flushes every value below DBL_MIN: those entries are exact zeros in
+// every variant, and pmf[26] keeps only the mass that never passed
+// through a subnormal state (C(29, 25) of its C(30, 26) paths).
+TEST(PoissonBinomialKernel, SubnormalStatesFlushToExactZeros) {
+  const std::vector<double> probs(30, 1e-12);
+  std::vector<double> plain;
+  PlainRecurrence(probs.data(), probs.size(), probs.size() + 1, 1, 0, &plain,
+                  nullptr, /*flush=*/false);
+  ASSERT_GT(plain[27], 0.0);
+  ASSERT_LT(plain[27], DBL_MIN);
+  for (const NamedVariant& v : kAllVariants) {
+    if (!internal::KernelVariantAvailable(v.variant)) continue;
+    SCOPED_TRACE(v.name);
+    const ForcedVariant forced(v.variant);
+    const std::vector<double> pmf = PoissonBinomialPmf(probs);
+    ASSERT_EQ(pmf.size(), 31u);
+    for (std::size_t s = 27; s <= 30; ++s) {
+      EXPECT_EQ(Bits(pmf[s]), Bits(0.0)) << "s=" << s;
+    }
+    EXPECT_EQ(Bits(pmf[26]), Bits(0x1.1142c7d5a87cep-1022));
+    EXPECT_GE(pmf[26], DBL_MIN);
+    EXPECT_EQ(Bits(pmf[25]), Bits(plain[25]));
+    EXPECT_EQ(Bits(PoissonBinomialTailAtLeast(probs, 27)), Bits(0.0));
+    std::vector<double> scratch;
+    std::vector<double> table;
+    PoissonBinomialTailTable(probs.data(), probs.size(), 30, &scratch, &table);
+    for (std::size_t t = 27; t <= 30; ++t) {
+      EXPECT_EQ(Bits(table[t]), Bits(0.0)) << "t=" << t;
+    }
+  }
+}
+
+#if defined(__x86_64__)
+// The one place the portable build parts from MXCSR FTZ: 1022 fair coins
+// leave states 0 and 1022 at exactly DBL_MIN, and a last item of
+// probability 2^-53 multiplies each by 1 - 2^-53, an exact product of
+// DBL_MIN - 2^-1075. Default rounding takes that up to DBL_MIN, which the
+// explicit flush keeps; x86 detects tininess after rounding to 53 bits,
+// so FTZ makes it 0. Every other entry agrees bit for bit.
+TEST(PoissonBinomialKernel, ExplicitFlushPartsFromFtzOnlyBelowDblMin) {
+  std::vector<double> probs(1022, 0.5);
+  probs.push_back(0x1p-53);
+  std::vector<double> ftz;
+  {
+    const ForcedVariant forced(internal::KernelVariant::kBaseline);
+    ftz = PoissonBinomialPmf(probs);
+  }
+  const ForcedVariant forced(internal::KernelVariant::kExplicitFlush);
+  const std::vector<double> portable = PoissonBinomialPmf(probs);
+  ASSERT_EQ(portable.size(), 1024u);
+  for (std::size_t s = 0; s < portable.size(); ++s) {
+    if (s == 0 || s == 1022) {
+      EXPECT_EQ(Bits(ftz[s]), Bits(0.0)) << "s=" << s;
+      EXPECT_EQ(Bits(portable[s]), Bits(DBL_MIN)) << "s=" << s;
+    } else {
+      ASSERT_EQ(Bits(portable[s]), Bits(ftz[s])) << "s=" << s;
+    }
+  }
+}
+
+// The flush-to-zero mode is per call: each entry point leaves MXCSR, its
+// control bits and its sticky flags, as it found it, from the default
+// state and from a non-default one (round up, inexact flag raised).
+TEST(PoissonBinomialKernel, EntryPointsRestoreMxcsr) {
+  const std::vector<double> probs = KernelVector(300, 0.3, 7);
+  std::vector<double> scratch;
+  std::vector<double> table;
+  const unsigned entry = _mm_getcsr();
+  for (const unsigned state : {0x1F80u, 0x5FA0u}) {
+    SCOPED_TRACE(state);
+    _mm_setcsr(state);
+    (void)PoissonBinomialPmf(probs);
+    const unsigned after_pmf = _mm_getcsr();
+    _mm_setcsr(state);
+    (void)PoissonBinomialTailAtLeast(probs.data(), probs.size(), 150,
+                                     &scratch);
+    const unsigned after_tail = _mm_getcsr();
+    _mm_setcsr(state);
+    PoissonBinomialTailTable(probs.data(), probs.size(), 150, &scratch,
+                             &table);
+    const unsigned after_table = _mm_getcsr();
+    _mm_setcsr(entry);
+    EXPECT_EQ(after_pmf, state);
+    EXPECT_EQ(after_tail, state);
+    EXPECT_EQ(after_table, state);
+  }
+}
+
+// A parallel Mine() runs the kernel on pool threads and on the caller;
+// the caller's FP mode (MXCSR without the sticky exception flags, which
+// the miner's own arithmetic raises) is still the default after the run.
+TEST(PoissonBinomialKernel, ParallelMineLeavesCallerFpModeUnchanged) {
+  QuestParams quest;
+  quest.num_transactions = 400;
+  quest.avg_transaction_length = 8.0;
+  quest.num_items = 24;
+  quest.seed = 3;
+  GaussianAssignerParams assign;
+  assign.mean = 0.8;
+  assign.spread = 0.1;
+  assign.seed = 4;
+  const UncertainDatabase db =
+      AssignGaussianProbabilities(GenerateQuest(quest), assign);
+  MiningRequest request;
+  request.params.min_sup = 40;
+  request.params.pfct = 0.8;
+  request.execution.num_threads = 4;
+  constexpr unsigned kDefaultMode = 0x1F80;
+  constexpr unsigned kFlags = 0x3F;
+  const unsigned entry = _mm_getcsr();
+  _mm_setcsr(kDefaultMode);
+  const MiningResult result = Mine(db, request);
+  const unsigned after = _mm_getcsr() & ~kFlags;
+  _mm_setcsr(entry);
+  ASSERT_EQ(result.outcome(), Outcome::kComplete);
+  EXPECT_GT(result.stats.dp_runs, 0u);
+  EXPECT_EQ(after, kDefaultMode);
+}
+#endif
 
 // Pr{sum >= threshold} in long double: the same recurrence over only the
 // band of states that are both reachable and still able to reach the
