@@ -1,14 +1,19 @@
 // TidSet kernel microbenchmark: per-op cost of the sparse (sorted vector)
 // and dense (bitmap) representations across a density x universe sweep,
-// plus the galloping skewed-intersection case. Prints a table and emits
-// BENCH_tidset.json (one object per measurement) so the perf trajectory
-// of the data layer is machine-readable across commits.
+// plus the galloping skewed-intersection case and the Mushroom-shaped
+// extension-event cases (count-then-skip against materializing, the
+// allocation-free miss walk against a materialized a \ b). Prints a table
+// and emits BENCH_tidset.json (one object per measurement) so the perf
+// trajectory of the data layer is machine-readable across commits.
 //
 // On any machine the interesting ratio is ns/op dense vs sparse at the
 // same density: the adaptive policy's 1/16 threshold should sit near the
 // crossover. PFCI_BENCH_SCALE=full multiplies the repetition budget.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -78,8 +83,13 @@ void SweepPair(std::size_t universe, double density, std::size_t reps,
             [&] { g_sink += IntersectSize(a, b); });
     Measure("intersect", universe, density, name, reps, isize,
             [&] { g_sink += Intersect(a, b).size(); });
-    Measure("difference", universe, density, name, reps, a.size() - isize,
-            [&] { g_sink += Difference(a, b).size(); });
+    Measure("difference_walk", universe, density, name, reps,
+            a.size() - isize, [&] {
+              ForEachInDifference(a, b, [](Tid tid) {
+                g_sink += tid;
+                return true;
+              });
+            });
     Measure("subset", universe, density, name, reps, isize,
             [&] { g_sink += IsSubsetOf(a, b) ? 1 : 0; });
   }
@@ -99,6 +109,80 @@ void SweepSkew(std::size_t universe, std::size_t reps, Rng& rng) {
     const std::size_t isize = IntersectSize(small_set, big);
     Measure("intersect_skew", universe, small_density, TidSetModeName(mode),
             reps, isize, [&] { g_sink += IntersectSize(small_set, big); });
+  }
+}
+
+/// A uniform random subset of `tids` with `count` members, ascending.
+TidList Sample(const TidList& tids, std::size_t count, Rng& rng) {
+  TidList out;
+  for (std::size_t i = 0; i < tids.size() && out.size() < count; ++i) {
+    const std::size_t left = tids.size() - i;
+    if (rng.NextBelow(left) < count - out.size()) out.push_back(tids[i]);
+  }
+  return out;
+}
+
+/// The extension-event shape of the Mushroom-like workload (universe 8124,
+/// min_sup 450): X's cover has ~600 tids, each item's cover 450-600.
+/// Under the adaptive rule a 600-member set is a bitmap and a 450-member
+/// one a sorted vector. Two events per X: an unrelated item, whose joint
+/// count falls below min_sup, and a correlated one that survives.
+///   - count_skip / materialize: deciding the count floor with
+///     IntersectSize, against building Tids(X+e) and reading its size.
+///   - miss_walk / miss_materialize: log Π (1 - p) over X \ e summed by
+///     the allocation-free walk, against the materialize-then-sum path
+///     (the a \ b set built as a TidSet, then summed in tid order).
+void SweepMushroomShaped(std::size_t reps, Rng& rng) {
+  const std::size_t universe = 8124;
+  const std::size_t min_sup = 450;
+  std::vector<double> log_absent(universe);
+  for (double& value : log_absent) {
+    value = std::log1p(-(0.05 + 0.9 * rng.NextDouble()));
+  }
+  const TidList x_tids = RandomTids(universe, 600.0 / universe, rng);
+  const TidList unrelated = RandomTids(universe, 500.0 / universe, rng);
+  const TidList inside = Sample(x_tids, 540, rng);
+  const TidList outside = RandomTids(universe, 20.0 / universe, rng);
+  TidList correlated;
+  std::set_union(inside.begin(), inside.end(), outside.begin(), outside.end(),
+                 std::back_inserter(correlated));
+  for (const TidSetMode mode :
+       {TidSetMode::kAdaptive, TidSetMode::kSparse, TidSetMode::kDense}) {
+    const TidSet x(x_tids, universe, mode);
+    const char* name = TidSetModeName(mode);
+    const TidList* const events[] = {&unrelated, &correlated};
+    for (const TidList* e_tids : events) {
+      const TidSet e(*e_tids, universe, mode);
+      const std::string tag =
+          e_tids == &unrelated ? "_unrelated" : "_correlated";
+      const double density = static_cast<double>(e.size()) / universe;
+      const std::size_t count = IntersectSize(x, e);
+      Measure("mushroom_count_skip" + tag, universe, density, name, reps,
+              count, [&] { g_sink += IntersectSize(x, e) < min_sup ? 1 : 0; });
+      Measure("mushroom_materialize" + tag, universe, density, name, reps,
+              count,
+              [&] { g_sink += Intersect(x, e).size() < min_sup ? 1 : 0; });
+      Measure("mushroom_miss_walk" + tag, universe, density, name, reps,
+              x.size() - count, [&] {
+                double sum = 0.0;
+                ForEachInDifference(x, e, [&](Tid tid) {
+                  sum += log_absent[tid];
+                  return true;
+                });
+                g_sink += sum < -1.0 ? 1 : 0;
+              });
+      Measure("mushroom_miss_materialize" + tag, universe, density, name, reps,
+              x.size() - count, [&] {
+                TidList miss;
+                x.ForEach([&](Tid tid) {
+                  if (!e.Contains(tid)) miss.push_back(tid);
+                });
+                const TidSet miss_set(std::move(miss), universe, mode);
+                double sum = 0.0;
+                miss_set.ForEach([&](Tid tid) { sum += log_absent[tid]; });
+                g_sink += sum < -1.0 ? 1 : 0;
+              });
+    }
   }
 }
 
@@ -146,6 +230,7 @@ int main() {
     }
     SweepSkew(universe, budget / universe, rng);
   }
+  SweepMushroomShaped(budget / 8192, rng);
 
   TablePrinter table;
   table.SetHeader(

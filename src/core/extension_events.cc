@@ -1,7 +1,6 @@
 #include "src/core/extension_events.h"
 
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "src/util/check.h"
@@ -10,21 +9,23 @@ namespace pfci {
 
 namespace {
 
-/// log Π (1 - p_T) over `tids`; returns -infinity when some p_T == 1
-/// (a certain transaction can never be absent, the event is impossible).
-double LogMissProbability(const VerticalIndex& index, const TidSet& tids) {
+/// The dead-miss cutoff. Miss terms log(1 - p_T) are <= 0, so a walk's
+/// partial sum only falls: once it is below the cutoff, so is the final
+/// sum, and exp() of anything below about -745.13 (half the smallest
+/// subnormal, 2^-1075) is exactly 0.0. exp(log_miss) * PrF is then 0.0
+/// whatever PrF is, so the walk stops and PrF is never evaluated. A
+/// p_T = 1 term is -infinity: the event is impossible.
+constexpr double kDeadLogMiss = -746.0;
+
+/// log Π (1 - p_T) over T ∈ a \ b, summed in ascending tid order from the
+/// index's log-absence column. Stops once the partial sum drops below
+/// kDeadLogMiss: a result below the cutoff means the event is dead.
+double LogMiss(const VerticalIndex& index, const TidSet& a, const TidSet& b) {
   double log_miss = 0.0;
-  bool impossible = false;
-  tids.ForEach([&](Tid tid) {
-    if (impossible) return;
-    const double p = index.db().prob(tid);
-    if (p >= 1.0) {
-      impossible = true;
-      return;
-    }
-    log_miss += std::log1p(-p);
+  ForEachInDifference(a, b, [&](Tid tid) {
+    log_miss += index.LogAbsent(tid);
+    return log_miss >= kDeadLogMiss;
   });
-  if (impossible) return -std::numeric_limits<double>::infinity();
   return log_miss;
 }
 
@@ -37,20 +38,26 @@ ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
     : index_(&index), freq_(&freq), x_tids_(&x_tids) {
   for (Item item : index.occurring_items()) {
     if (x.Contains(item)) continue;
-    ExtensionEvent event;
-    event.item = item;
-    event.tids = Intersect(x_tids, index.TidsOfItem(item));
+    const TidSet& item_tids = index.TidsOfItem(item);
+    // Count before building: support(X+e) can never reach min_sup >= 1,
+    // so C_i is impossible, and nothing is materialized for it.
+    const std::size_t count = item_tids.size() < freq.min_sup()
+                                  ? 0
+                                  : IntersectSize(x_tids, item_tids);
     if (stats != nullptr) ++stats->intersections;
-    // support(X+e) can never reach min_sup >= 1: C_i is impossible.
-    if (event.tids.size() < freq.min_sup()) continue;
-    if (event.tids.size() == x_tids.size()) has_same_count_extension_ = true;
-    const TidSet miss = Difference(x_tids, event.tids);
+    if (count < freq.min_sup()) continue;
+    if (count == x_tids.size()) has_same_count_extension_ = true;
+    // Tids(X) \ Tids(X+e) = Tids(X) \ Tids(e): the miss walk needs no
+    // Tids(X+e), so a dead event never builds one.
+    const double log_miss = LogMiss(index, x_tids, item_tids);
     if (stats != nullptr) ++stats->intersections;
-    event.log_miss = LogMissProbability(index, miss);
-    if (!std::isfinite(event.log_miss)) continue;
-    event.pr_freq = freq.PrF(event.tids);
-    event.prob = std::exp(event.log_miss) * event.pr_freq;
-    if (event.prob > 0.0) events_.push_back(std::move(event));
+    if (log_miss < kDeadLogMiss) continue;
+    TidSet tids = Intersect(x_tids, item_tids);
+    const double pr_freq = freq.PrF(tids);
+    const double prob = std::exp(log_miss) * pr_freq;
+    if (prob > 0.0) {
+      events_.push_back({item, std::move(tids), log_miss, pr_freq, prob});
+    }
   }
 }
 
@@ -62,9 +69,8 @@ double ExtensionEventSet::PrIntersection(
     tids = Intersect(tids, events_[subset[k]].tids);
   }
   if (tids.size() < freq_->min_sup()) return 0.0;
-  const TidSet miss = Difference(*x_tids_, tids);
-  const double log_miss = LogMissProbability(*index_, miss);
-  if (!std::isfinite(log_miss)) return 0.0;
+  const double log_miss = LogMiss(*index_, *x_tids_, tids);
+  if (log_miss < kDeadLogMiss) return 0.0;
   return std::exp(log_miss) * freq_->PrF(tids);
 }
 

@@ -2,14 +2,19 @@
 
 namespace pfci {
 
-double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
-                                MiningStats* stats) const {
+bool CandidateOracle::PassesCountFloor(std::size_t count,
+                                       const QualifyRequest& req,
+                                       MiningStats* stats) const {
   // Support-count floor: fewer than min_sup possible occurrences means
   // PrF(X) = 0 unconditionally.
-  if (tids.size() < freq_->min_sup()) {
-    if (req.count_floor && stats != nullptr) ++stats->pruned_by_frequency;
-    return 0.0;
-  }
+  if (count >= freq_->min_sup()) return true;
+  if (req.count_floor && stats != nullptr) ++stats->pruned_by_frequency;
+  return false;
+}
+
+double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
+                                MiningStats* stats) const {
+  if (!PassesCountFloor(tids.size(), req, stats)) return 0.0;
 
   // Lemma 4.1: the Chernoff-Hoeffding upper bound settles most
   // rejections without a DP.

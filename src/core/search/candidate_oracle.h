@@ -10,6 +10,8 @@
 #ifndef PFCI_CORE_SEARCH_CANDIDATE_ORACLE_H_
 #define PFCI_CORE_SEARCH_CANDIDATE_ORACLE_H_
 
+#include <cstddef>
+
 #include "src/core/frequent_probability.h"
 #include "src/core/mining_result.h"
 #include "src/data/tidset.h"
@@ -55,6 +57,12 @@ class CandidateOracle {
   /// rejected. `stats` may be null (counter-free callers).
   double Qualify(const TidSet& tids, const QualifyRequest& req,
                  MiningStats* stats) const;
+
+  /// The count-floor stage alone, for callers that count |Tids(X)| before
+  /// building it: whether `count` reaches min_sup. A rejection bumps
+  /// pruned_by_frequency under req.count_floor, exactly as in Qualify.
+  bool PassesCountFloor(std::size_t count, const QualifyRequest& req,
+                        MiningStats* stats) const;
 
   /// Sentinel returned by bound-only queries that were not rejected;
   /// compares greater than any real threshold.

@@ -242,12 +242,19 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
         if (!std::equal(ia.begin(), ia.end() - 1, ib.begin(), ib.end() - 1)) {
           break;  // Joinable partners are contiguous.
         }
-        LevelEntry child;
-        child.items = level_[a].items.WithItem(ib.back());
-        child.tids = Intersect(level_[a].tids, level_[b].tids);
         ++result.stats.intersections;
         QualifyRequest req;
         req.threshold = params.pfct;
+        // Count before building: a join below the support-count floor
+        // materializes nothing.
+        if (!ctx.oracle->PassesCountFloor(
+                IntersectSize(level_[a].tids, level_[b].tids), req,
+                &result.stats)) {
+          continue;
+        }
+        LevelEntry child;
+        child.items = level_[a].items.WithItem(ib.back());
+        child.tids = Intersect(level_[a].tids, level_[b].tids);
         child.pr_f = ctx.oracle->Qualify(child.tids, req, &result.stats);
         if (child.pr_f > req.threshold) {
           next_level.push_back(std::move(child));

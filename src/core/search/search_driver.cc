@@ -149,9 +149,10 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   for (std::size_t c = last_candidate_pos + 1; c < num_candidates; ++c) {
     if (dfs.unit->truncated || ctx.rt.StopRequested()) break;
     const Item item = (*dfs.candidates)[c];
-    TidSet child_tids = Intersect(tids, ctx.index->TidsOfItem(item));
+    const TidSet& item_tids = ctx.index->TidsOfItem(item);
+    const std::size_t count = IntersectSize(tids, item_tids);
     ++stats.intersections;
-    const bool same_count = child_tids.size() == tids.size();
+    const bool same_count = count == tids.size();
     if (ctx.params->pruning.subset && same_count) {
       // Lemma 4.3: X always co-occurs with X+item, so X is never closed;
       // and any sibling X+e_k (e_k > item) always co-occurs with
@@ -162,6 +163,13 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
     QualifyRequest req;
     req.threshold = dfs.threshold();
     req.count_floor = dfs.count_floor;
+    // Count before building: Tids(X+item) is materialized only once it
+    // passes the oracle's support-count floor.
+    if (!ctx.oracle->PassesCountFloor(count, req, &stats)) {
+      if (ctx.params->pruning.subset && same_count) break;
+      continue;
+    }
+    TidSet child_tids = Intersect(tids, item_tids);
     const double child_pr_f = ctx.oracle->Qualify(child_tids, req, &stats);
     if (child_pr_f > req.threshold) {
       Itemset child = x.WithItem(item);

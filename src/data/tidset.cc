@@ -8,11 +8,6 @@ namespace pfci {
 
 namespace tidset_internal {
 
-namespace {
-
-/// First index in [lo, nb) with b[index] >= key, found by exponential
-/// search from `lo` (doubling steps, then binary search in the bracketed
-/// range). O(log(result - lo)) — the whole point of galloping.
 std::size_t GallopLowerBound(const Tid* b, std::size_t lo, std::size_t nb,
                              Tid key) {
   std::size_t step = 1;
@@ -26,8 +21,6 @@ std::size_t GallopLowerBound(const Tid* b, std::size_t lo, std::size_t nb,
   return static_cast<std::size_t>(
       std::lower_bound(b + lo, b + hi, key) - b);
 }
-
-}  // namespace
 
 std::size_t IntersectSorted(const Tid* a, std::size_t na, const Tid* b,
                             std::size_t nb, TidList* out) {
@@ -70,22 +63,6 @@ std::size_t IntersectSorted(const Tid* a, std::size_t na, const Tid* b,
   return count;
 }
 
-bool SubsetSorted(const Tid* a, std::size_t na, const Tid* b,
-                  std::size_t nb) {
-  if (na > nb) return false;
-  if (na == 0) return true;
-  if (na * kGallopSkewRatio <= nb) {
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < na; ++i) {
-      pos = GallopLowerBound(b, pos, nb, a[i]);
-      if (pos == nb || b[pos] != a[i]) return false;
-      ++pos;
-    }
-    return true;
-  }
-  return std::includes(b, b + nb, a, a + na);
-}
-
 }  // namespace tidset_internal
 
 namespace {
@@ -96,6 +73,28 @@ constexpr std::size_t kWordBits = 64;
 /// universe, and never below kMinDenseUniverse.
 constexpr std::size_t kDenseDivisor = 16;
 constexpr std::size_t kMinDenseUniverse = 256;
+
+/// |a ∩ b| over two bitmaps of `n` words. The x86-64 baseline ISA has no
+/// POPCNT, so there std::popcount is a libgcc call per word; IntersectSize
+/// runs the POPCNT build when the CPU has one, picked on first use (not
+/// through an ifunc: see src/prob/poisson_binomial.cc).
+[[gnu::always_inline]] inline std::size_t CountAnd(const std::uint64_t* a,
+                                                   const std::uint64_t* b,
+                                                   std::size_t n) {
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
+  }
+  return count;
+}
+
+#if defined(__x86_64__)
+[[gnu::target("popcnt")]] std::size_t CountAndPopcnt(const std::uint64_t* a,
+                                                     const std::uint64_t* b,
+                                                     std::size_t n) {
+  return CountAnd(a, b, n);
+}
+#endif
 
 std::size_t NumWords(std::size_t universe) {
   return (universe + kWordBits - 1) / kWordBits;
@@ -186,14 +185,6 @@ TidSet TidSet::All(std::size_t universe, TidSetMode mode) {
   return set;
 }
 
-bool TidSet::Contains(Tid tid) const {
-  if (tid >= universe_) return false;
-  if (dense_) {
-    return (words_[tid / kWordBits] >> (tid % kWordBits)) & 1;
-  }
-  return std::binary_search(sparse_.begin(), sparse_.end(), tid);
-}
-
 TidList TidSet::ToTidList() const {
   if (!dense_) return sparse_;
   TidList out;
@@ -203,15 +194,7 @@ TidList TidSet::ToTidList() const {
 }
 
 void TidSet::Normalize() {
-  const bool want_dense = ShouldBeDense(size_, universe_, mode_);
-  if (want_dense && !dense_) {
-    ToDense();
-  } else if (!want_dense && dense_) {
-    ToSparse();
-  }
-}
-
-void TidSet::ToDense() {
+  if (dense_ || !ShouldBeDense(size_, universe_, mode_)) return;
   words_.assign(NumWords(universe_), 0);
   for (Tid tid : sparse_) {
     words_[tid / kWordBits] |= std::uint64_t{1} << (tid % kWordBits);
@@ -219,15 +202,6 @@ void TidSet::ToDense() {
   sparse_.clear();
   sparse_.shrink_to_fit();
   dense_ = true;
-}
-
-void TidSet::ToSparse() {
-  sparse_.clear();
-  sparse_.reserve(size_);
-  ForEach([this](Tid tid) { sparse_.push_back(tid); });
-  words_.clear();
-  words_.shrink_to_fit();
-  dense_ = false;
 }
 
 TidSet Intersect(const TidSet& a, const TidSet& b) {
@@ -239,15 +213,27 @@ TidSet Intersect(const TidSet& a, const TidSet& b) {
     return out;
   }
   if (a.dense_ && b.dense_) {
-    out.words_.resize(a.words_.size());
-    std::size_t count = 0;
-    for (std::size_t w = 0; w < a.words_.size(); ++w) {
-      const std::uint64_t word = a.words_[w] & b.words_[w];
-      out.words_[w] = word;
-      count += static_cast<std::size_t>(std::popcount(word));
+    // Count first, then write the result straight into the representation
+    // its size calls for: no bitmap is built only to be converted.
+    const std::size_t num_words = a.words_.size();
+    out.size_ = IntersectSize(a, b);
+    if (ShouldBeDense(out.size_, out.universe_, out.mode_)) {
+      out.words_.resize(num_words);
+      for (std::size_t w = 0; w < num_words; ++w) {
+        out.words_[w] = a.words_[w] & b.words_[w];
+      }
+      out.dense_ = true;
+    } else {
+      out.sparse_.reserve(out.size_);
+      const auto append = [&out](Tid tid) {
+        out.sparse_.push_back(tid);
+        return true;
+      };
+      for (std::size_t w = 0; w < num_words; ++w) {
+        tidset_internal::ForEachBit(a.words_[w] & b.words_[w], w, append);
+      }
     }
-    out.size_ = count;
-    out.dense_ = true;
+    return out;
   } else if (a.dense_ != b.dense_) {
     const TidSet& sparse = a.dense_ ? b : a;
     const TidSet& dense = a.dense_ ? a : b;
@@ -271,108 +257,30 @@ std::size_t IntersectSize(const TidSet& a, const TidSet& b) {
   CombinedUniverse(a, b);  // Universe agreement DCHECK.
   if (a.empty() || b.empty()) return 0;
   if (a.dense_ && b.dense_) {
-    std::size_t count = 0;
-    for (std::size_t w = 0; w < a.words_.size(); ++w) {
-      count +=
-          static_cast<std::size_t>(std::popcount(a.words_[w] & b.words_[w]));
-    }
-    return count;
+    const std::size_t n = a.words_.size();
+#if defined(__x86_64__)
+    static const bool has_popcnt =
+        (__builtin_cpu_init(), __builtin_cpu_supports("popcnt"));
+    if (has_popcnt) return CountAndPopcnt(a.words_.data(), b.words_.data(), n);
+#endif
+    return CountAnd(a.words_.data(), b.words_.data(), n);
   }
   if (a.dense_ != b.dense_) {
     const TidSet& sparse = a.dense_ ? b : a;
     const TidSet& dense = a.dense_ ? a : b;
     std::size_t count = 0;
-    for (Tid tid : sparse.sparse_) {
-      if (dense.Contains(tid)) ++count;
-    }
+    for (Tid tid : sparse.sparse_) count += dense.Contains(tid);
     return count;
   }
   return tidset_internal::IntersectSorted(a.sparse_.data(), a.size_,
                                           b.sparse_.data(), b.size_, nullptr);
 }
 
-TidSet Difference(const TidSet& a, const TidSet& b) {
-  TidSet out;
-  out.universe_ = CombinedUniverse(a, b);
-  out.mode_ = a.mode_;
-  if (a.empty() || b.empty()) {
-    out.size_ = a.size_;
-    out.dense_ = a.dense_;
-    out.sparse_ = a.sparse_;
-    out.words_ = a.words_;
-    out.Normalize();
-    return out;
-  }
-  if (a.dense_ && b.dense_) {
-    out.words_.resize(a.words_.size());
-    std::size_t count = 0;
-    for (std::size_t w = 0; w < a.words_.size(); ++w) {
-      const std::uint64_t word = a.words_[w] & ~b.words_[w];
-      out.words_[w] = word;
-      count += static_cast<std::size_t>(std::popcount(word));
-    }
-    out.size_ = count;
-    out.dense_ = true;
-  } else if (a.dense_) {
-    // Dense minus sparse: copy the bitmap, clear the subtrahend's bits.
-    out.words_ = a.words_;
-    out.size_ = a.size_;
-    out.dense_ = true;
-    for (Tid tid : b.sparse_) {
-      if (tid >= out.universe_) continue;
-      std::uint64_t& word = out.words_[tid / kWordBits];
-      const std::uint64_t bit = std::uint64_t{1} << (tid % kWordBits);
-      if (word & bit) {
-        word &= ~bit;
-        --out.size_;
-      }
-    }
-  } else if (b.dense_) {
-    out.sparse_.reserve(a.size_);
-    for (Tid tid : a.sparse_) {
-      if (!b.Contains(tid)) out.sparse_.push_back(tid);
-    }
-    out.size_ = out.sparse_.size();
-  } else {
-    out.sparse_.reserve(a.size_);
-    std::set_difference(a.sparse_.begin(), a.sparse_.end(),
-                        b.sparse_.begin(), b.sparse_.end(),
-                        std::back_inserter(out.sparse_));
-    out.size_ = out.sparse_.size();
-  }
-  out.Normalize();
-  return out;
-}
-
 bool IsSubsetOf(const TidSet& a, const TidSet& b) {
   CombinedUniverse(a, b);  // Universe agreement DCHECK.
-  if (a.size_ > b.size_) return false;
-  if (a.empty()) return true;
-  if (a.dense_ && b.dense_) {
-    for (std::size_t w = 0; w < a.words_.size(); ++w) {
-      if ((a.words_[w] & ~b.words_[w]) != 0) return false;
-    }
-    return true;
-  }
-  if (!a.dense_ && b.dense_) {
-    for (Tid tid : a.sparse_) {
-      if (!b.Contains(tid)) return false;
-    }
-    return true;
-  }
-  if (a.dense_ && !b.dense_) {
-    // Rare mixed case (only under hand-built sets): check each member.
-    bool subset = true;
-    a.ForEach([&](Tid tid) {
-      if (subset && !std::binary_search(b.sparse_.begin(), b.sparse_.end(),
-                                        tid)) {
-        subset = false;
-      }
-    });
-    return subset;
-  }
-  return tidset_internal::SubsetSorted(a.sparse_.data(), a.size_,
-                                       b.sparse_.data(), b.size_);
+  // a ⊆ b iff the a \ b walk stops at nothing.
+  return a.size() <= b.size() &&
+         ForEachInDifference(a, b, [](Tid) { return false; });
 }
 
 bool operator==(const TidSet& a, const TidSet& b) {

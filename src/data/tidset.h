@@ -6,9 +6,9 @@
 // [0, |db|). A TidSet stores such a set either as a sorted Tid vector
 // (sparse) or as a word-aligned bitmap (dense), and picks the
 // representation adaptively by density: dense sets get popcount-based
-// counting and word-parallel intersect/difference/subset, sparse sets get
-// merge intersection with a galloping (exponential-search) fallback when
-// one side is much shorter than the other.
+// counting and word-parallel intersect/subset and a∖b walks, sparse sets
+// get merge intersection with a galloping (exponential-search) fallback
+// when one side is much shorter than the other.
 //
 // Determinism: the representation affects memory layout only, never the
 // set contents, iteration order (always ascending tid), or any derived
@@ -18,6 +18,7 @@
 #ifndef PFCI_DATA_TIDSET_H_
 #define PFCI_DATA_TIDSET_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -47,6 +48,42 @@ const char* TidSetModeName(TidSetMode mode);
 /// Parses "adaptive" | "sparse" | "dense"; returns false on anything else.
 bool ParseTidSetMode(const std::string& text, TidSetMode* mode);
 
+namespace tidset_internal {
+
+/// Size skew from which the sparse kernels switch from linear merge to
+/// galloping: per-element exponential search costs ~2 log2(skew)
+/// comparisons, which beats the merge's O(na + nb) scan when the long
+/// side is a few dozen times the short side.
+constexpr std::size_t kGallopSkewRatio = 32;
+
+/// Sparse intersection kernel: appends a ∩ b to `out` (when non-null) and
+/// returns |a ∩ b|. Exposed so the unit tests can exercise the merge and
+/// galloping paths directly on either side of the crossover.
+std::size_t IntersectSorted(const Tid* a, std::size_t na, const Tid* b,
+                            std::size_t nb, TidList* out);
+
+/// First index in [lo, nb) with b[index] >= key, found by exponential
+/// search from `lo` (doubling steps, then binary search in the bracketed
+/// range). O(log(result - lo)) — the whole point of galloping.
+std::size_t GallopLowerBound(const Tid* b, std::size_t lo, std::size_t nb,
+                             Tid key);
+
+/// Invokes `fn(Tid)` on the set bits of `bits`, ascending, as tids of word
+/// `w`; stops and returns false as soon as `fn` does.
+template <typename Fn>
+bool ForEachBit(std::uint64_t bits, std::size_t w, Fn& fn) {
+  while (bits != 0) {
+    if (!fn(static_cast<Tid>(w * 64 +
+                             static_cast<unsigned>(std::countr_zero(bits))))) {
+      return false;
+    }
+    bits &= bits - 1;
+  }
+  return true;
+}
+
+}  // namespace tidset_internal
+
 /// A set of transaction ids over the universe [0, universe()).
 ///
 /// Value type: copyable, movable. All operations keep the invariant that
@@ -71,7 +108,11 @@ class TidSet {
   bool dense() const { return dense_; }
 
   /// Membership test: O(1) dense, O(log size) sparse.
-  bool Contains(Tid tid) const;
+  bool Contains(Tid tid) const {
+    if (tid >= universe_) return false;
+    if (dense_) return (words_[tid / 64] >> (tid % 64)) & 1;
+    return std::binary_search(sparse_.begin(), sparse_.end(), tid);
+  }
 
   /// Invokes `fn(Tid)` for every member in ascending order.
   template <typename Fn>
@@ -80,13 +121,12 @@ class TidSet {
       for (Tid tid : sparse_) fn(tid);
       return;
     }
+    const auto visit = [&fn](Tid tid) {
+      fn(tid);
+      return true;
+    };
     for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t bits = words_[w];
-      while (bits != 0) {
-        fn(static_cast<Tid>(w * 64 +
-                            static_cast<unsigned>(std::countr_zero(bits))));
-        bits &= bits - 1;
-      }
+      tidset_internal::ForEachBit(words_[w], w, visit);
     }
   }
 
@@ -102,15 +142,14 @@ class TidSet {
 
   friend TidSet Intersect(const TidSet& a, const TidSet& b);
   friend std::size_t IntersectSize(const TidSet& a, const TidSet& b);
-  friend TidSet Difference(const TidSet& a, const TidSet& b);
-  friend bool IsSubsetOf(const TidSet& a, const TidSet& b);
+  template <typename Fn>
+  friend bool ForEachInDifference(const TidSet& a, const TidSet& b, Fn&& fn);
   friend bool operator==(const TidSet& a, const TidSet& b);
 
  private:
-  /// Converts to the representation the mode prescribes for size().
+  /// Converts a sparse set to the bitmap when the mode prescribes it for
+  /// size(). No operation ever builds a bitmap that must turn sparse.
   void Normalize();
-  void ToDense();
-  void ToSparse();
 
   std::size_t universe_ = 0;
   std::size_t size_ = 0;
@@ -127,9 +166,6 @@ TidSet Intersect(const TidSet& a, const TidSet& b);
 /// |a ∩ b| without materializing the intersection.
 std::size_t IntersectSize(const TidSet& a, const TidSet& b);
 
-/// a \ b.
-TidSet Difference(const TidSet& a, const TidSet& b);
-
 /// Whether a ⊆ b.
 bool IsSubsetOf(const TidSet& a, const TidSet& b);
 
@@ -139,25 +175,49 @@ bool operator==(const TidSet& a, const TidSet& b);
 /// Convenience for tests: compares contents against a sorted tid list.
 bool operator==(const TidSet& a, const TidList& b);
 
-namespace tidset_internal {
-
-/// Size skew from which the sparse kernels switch from linear merge to
-/// galloping: per-element exponential search costs ~2 log2(skew)
-/// comparisons, which beats the merge's O(na + nb) scan when the long
-/// side is a few dozen times the short side.
-constexpr std::size_t kGallopSkewRatio = 32;
-
-/// Sparse intersection kernel: appends a ∩ b to `out` (when non-null) and
-/// returns |a ∩ b|. Exposed so the unit tests can exercise the merge and
-/// galloping paths directly on either side of the crossover.
-std::size_t IntersectSorted(const Tid* a, std::size_t na, const Tid* b,
-                            std::size_t nb, TidList* out);
-
-/// Sparse subset kernel: whether sorted `a` ⊆ sorted `b`, galloping under
-/// the same skew rule.
-bool SubsetSorted(const Tid* a, std::size_t na, const Tid* b, std::size_t nb);
-
-}  // namespace tidset_internal
+/// Walks a \ b without materializing it: invokes `fn(Tid)` on each member
+/// in ascending tid order until `fn` returns false. Returns whether the
+/// walk reached the end. Allocates nothing, in every representation
+/// pairing; a sparse `a` much shorter than a sparse `b` gallops through
+/// `b` under the kGallopSkewRatio rule.
+template <typename Fn>
+bool ForEachInDifference(const TidSet& a, const TidSet& b, Fn&& fn) {
+  const Tid* bt = b.sparse_.data();
+  const std::size_t nb = b.size_;
+  const bool b_dense = b.dense_ && nb != 0;
+  if (a.dense_) {
+    std::size_t j = 0;  // Next tid of a sparse `b`.
+    for (std::size_t w = 0; w < a.words_.size(); ++w) {
+      std::uint64_t bits = a.words_[w];
+      if (b_dense) {
+        bits &= ~b.words_[w];
+      } else {
+        for (; j < nb && bt[j] < (w + 1) * 64; ++j) {
+          bits &= ~(std::uint64_t{1} << (bt[j] % 64));
+        }
+      }
+      if (!tidset_internal::ForEachBit(bits, w, fn)) return false;
+    }
+    return true;
+  }
+  const bool gallop =
+      !b_dense && a.size_ * tidset_internal::kGallopSkewRatio <= nb;
+  std::size_t j = 0;
+  for (const Tid tid : a.sparse_) {
+    if (b_dense) {
+      if ((b.words_[tid / 64] >> (tid % 64)) & 1) continue;
+    } else {
+      if (gallop) {
+        j = tidset_internal::GallopLowerBound(bt, j, nb, tid);
+      } else {
+        while (j < nb && bt[j] < tid) ++j;
+      }
+      if (j < nb && bt[j] == tid) continue;
+    }
+    if (!fn(tid)) return false;
+  }
+  return true;
+}
 
 }  // namespace pfci
 

@@ -1,5 +1,6 @@
 #include "src/data/vertical_index.h"
 
+#include <cmath>
 #include <utility>
 
 namespace pfci {
@@ -22,7 +23,11 @@ VerticalIndex::VerticalIndex(const UncertainDatabase& db,
   all_tids_ = TidSet::All(universe, mode_);
   empty_ = TidSet(TidList{}, universe, mode_);
   probs_.reserve(universe);
-  for (Tid tid = 0; tid < universe; ++tid) probs_.push_back(db.prob(tid));
+  log_absent_.reserve(universe);
+  for (Tid tid = 0; tid < universe; ++tid) {
+    probs_.push_back(db.prob(tid));
+    log_absent_.push_back(std::log1p(-db.prob(tid)));  // -inf at p = 1.
+  }
 }
 
 const TidSet& VerticalIndex::TidsOfItem(Item item) const {
@@ -39,10 +44,6 @@ TidSet VerticalIndex::TidsOf(const Itemset& x) const {
   return tids;
 }
 
-std::size_t VerticalIndex::Count(const Itemset& x) const {
-  return TidsOf(x).size();
-}
-
 void VerticalIndex::GatherProbs(const TidSet& tids,
                                 std::vector<double>* out) const {
   out->resize(tids.size());
@@ -57,15 +58,9 @@ std::vector<double> VerticalIndex::ProbsOf(const TidSet& tids) const {
   return probs;
 }
 
-std::vector<double> VerticalIndex::ProbsOf(const TidList& tids) const {
-  std::vector<double> probs;
-  probs.reserve(tids.size());
-  for (Tid tid : tids) probs.push_back(db_->prob(tid));
-  return probs;
-}
-
 std::size_t VerticalIndex::MemoryBytes() const {
-  std::size_t bytes = probs_.capacity() * sizeof(double) +
+  std::size_t bytes = (probs_.capacity() + log_absent_.capacity()) *
+                          sizeof(double) +
                       occurring_items_.capacity() * sizeof(Item) +
                       all_tids_.MemoryBytes();
   for (const TidSet& tids : tids_by_item_) bytes += tids.MemoryBytes();

@@ -38,9 +38,6 @@ class VerticalIndex {
   /// The empty itemset maps to all transactions.
   TidSet TidsOf(const Itemset& x) const;
 
-  /// count(X) = |Tids(X)| (Definition 4.2).
-  std::size_t Count(const Itemset& x) const;
-
   /// Items that occur in at least one transaction, ascending.
   const std::vector<Item>& occurring_items() const { return occurring_items_; }
 
@@ -55,14 +52,18 @@ class VerticalIndex {
   /// Existence probabilities of the given transactions, in tid order.
   /// Allocating convenience form of GatherProbs.
   std::vector<double> ProbsOf(const TidSet& tids) const;
-  std::vector<double> ProbsOf(const TidList& tids) const;
 
   /// Sum of existence probabilities over `tids`, accumulated in ascending
   /// tid order (bit-identical to summing ProbsOf(tids) left to right).
   double SumProbsOf(const TidSet& tids) const;
 
+  /// log Pr(transaction `tid` is absent) = log1p(-p): the term the
+  /// extension events' miss products sum. -infinity when p = 1 (a certain
+  /// transaction is never absent).
+  double LogAbsent(Tid tid) const { return log_absent_[tid]; }
+
   /// Heap bytes resident in the index (per-item tid-sets, the
-  /// probability column, the all-tids set). Miners charge this into the
+  /// probability and log-absence columns, the all-tids set). Miners charge this into the
   /// RunController's memory budget right after construction.
   std::size_t MemoryBytes() const;
 
@@ -77,6 +78,7 @@ class VerticalIndex {
   TidSet all_tids_;
   TidSet empty_;
   std::vector<double> probs_;  ///< probs_[tid] = Pr(transaction tid exists).
+  std::vector<double> log_absent_;  ///< log1p(-probs_[tid]); -inf at p = 1.
 };
 
 }  // namespace pfci

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <memory>
 #include <utility>
 
@@ -79,7 +82,18 @@ MiningSession& MiningSession::operator=(MiningSession&& other) {
 }
 
 MiningSession::~MiningSession() {
-  if (state_ != nullptr) DrainSubmitted(*state_);
+  if (state_ == nullptr) return;
+  DrainSubmitted(*state_);
+  state_.reset();
+#if defined(__GLIBC__)
+  // The cache's entries were allocated by whichever batch thread inserted
+  // them first, so they sit in that thread's malloc arena; which thread
+  // wins varies from run to run. Freed arena memory stays resident, and a
+  // later session whose inserts land in another arena would add to it.
+  // Return the freed pages now, so a closed session's memory does not
+  // outlive it.
+  malloc_trim(0);
+#endif
 }
 
 void MiningSession::DrainSubmitted(State& state) {

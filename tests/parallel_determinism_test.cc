@@ -347,6 +347,55 @@ TEST(ParallelDeterminismForks, NodeBudgetTruncationIdenticalAcrossThreads) {
   }
 }
 
+// The work counters are pinned, not only compared across settings:
+// `intersections` counts one per logical set operation and
+// `pruned_by_frequency` one per floor or exact-PrF rejection, whether or
+// not the search materializes the tid-set the operation describes.
+struct PinnedCounters {
+  const char* run;
+  std::uint64_t seed;
+  std::uint64_t intersections;
+  std::uint64_t pruned_by_frequency;
+};
+
+TEST(ParallelDeterminismCounters, IntersectionsAndFrequencyPrunesPinned) {
+  const PinnedCounters pinned[] = {
+      {"mpfci", 1, 110297, 1744}, {"bfs", 1, 128695, 801},
+      {"topk", 1, 24079, 862},    {"mpfci", 7, 43553, 1297},
+      {"bfs", 7, 80224, 1862},    {"topk", 7, 9707, 789},
+      {"mpfci", 42, 55713, 2821}, {"bfs", 42, 90979, 582},
+      {"topk", 42, 23692, 454},
+  };
+  for (const PinnedCounters& pin : pinned) {
+    SCOPED_TRACE(std::string(pin.run) + " seed=" + std::to_string(pin.seed));
+    MiningRequest request;
+    request.params.min_sup = 8;
+    request.params.pfct = 0.3;
+    request.params.seed = pin.seed;
+    if (std::string(pin.run) == "bfs") {
+      request.algorithm = Algorithm::kMpfciBfs;
+    } else if (std::string(pin.run) == "topk") {
+      request.algorithm = Algorithm::kTopK;
+      request.top_k = 5;
+      request.params.pfct = 0.0;
+    }
+    const MiningResult result =
+        MineWithThreads(MakeTestDb(pin.seed), request, 2);
+    EXPECT_EQ(result.stats.intersections, pin.intersections);
+    EXPECT_EQ(result.stats.pruned_by_frequency, pin.pruned_by_frequency);
+  }
+  // The forking input, where the DFS forks below the first level.
+  const UncertainDatabase db = MakeForkingDb();
+  MiningRequest request = ForkingRequest();
+  MiningResult result = MineWithThreads(db, request, 4);
+  EXPECT_EQ(result.stats.intersections, 49388u);
+  EXPECT_EQ(result.stats.pruned_by_frequency, 1689u);
+  request.algorithm = Algorithm::kMpfciBfs;
+  result = MineWithThreads(db, request, 4);
+  EXPECT_EQ(result.stats.intersections, 169874u);
+  EXPECT_EQ(result.stats.pruned_by_frequency, 1135u);
+}
+
 TEST(ParallelDeterminism, BruteForceIdenticalAcrossThreadCounts) {
   // 17 transactions → 2^17 worlds → 8 fixed ranges: the parallel oracle
   // must reproduce the sequential one exactly.

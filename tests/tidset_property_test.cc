@@ -1,7 +1,8 @@
 // Randomized cross-validation of the TidSet algebra against the plain
 // sorted-vector reference (tests/tidlist_reference.h) over seeded random
 // universes: sparse, dense, and densities straddling the adaptive
-// threshold, in every representation pairing.
+// threshold, in every representation pairing. The a \ b walk is checked
+// against the reference difference, including a stop after every prefix.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,6 +27,44 @@ TidList RandomTids(std::size_t universe, double density, Rng& rng) {
 constexpr TidSetMode kModes[] = {TidSetMode::kAdaptive, TidSetMode::kSparse,
                                  TidSetMode::kDense};
 
+/// Walks a \ b, asking to stop after `stop_after` members (never when 0);
+/// returns the members seen and stores the walk's result in `*completed`.
+TidList WalkDifference(const TidSet& a, const TidSet& b,
+                       std::size_t stop_after, bool* completed) {
+  TidList seen;
+  *completed = ForEachInDifference(a, b, [&](Tid tid) {
+    seen.push_back(tid);
+    return seen.size() != stop_after;
+  });
+  return seen;
+}
+
+/// The a \ b walk stopped after every prefix length 1..|a \ b|, and run
+/// to the end, in all nine representation pairings.
+void CheckDifferencePrefixes(const TidList& a_tids, const TidList& b_tids,
+                             std::size_t universe) {
+  const TidList ref_diff = DifferenceTids(a_tids, b_tids);
+  for (const TidSetMode ma : kModes) {
+    const TidSet a(a_tids, universe, ma);
+    for (const TidSetMode mb : kModes) {
+      SCOPED_TRACE(std::string(TidSetModeName(ma)) + " x " +
+                   TidSetModeName(mb) + " |a|=" +
+                   std::to_string(a_tids.size()) + " |b|=" +
+                   std::to_string(b_tids.size()));
+      const TidSet b(b_tids, universe, mb);
+      bool completed = false;
+      EXPECT_EQ(WalkDifference(a, b, 0, &completed), ref_diff);
+      EXPECT_TRUE(completed);
+      for (std::size_t k = 1; k <= ref_diff.size(); ++k) {
+        const TidList seen = WalkDifference(a, b, k, &completed);
+        ASSERT_EQ(seen, TidList(ref_diff.begin(), ref_diff.begin() + k))
+            << "stop after " << k;
+        EXPECT_FALSE(completed);
+      }
+    }
+  }
+}
+
 /// Checks every TidSet operation of (a, b) against the vector reference,
 /// in all nine representation pairings.
 void CrossValidate(const TidList& a_tids, const TidList& b_tids,
@@ -46,7 +85,9 @@ void CrossValidate(const TidList& a_tids, const TidList& b_tids,
       const TidSet b(b_tids, universe, mb);
       EXPECT_EQ(Intersect(a, b), ref_inter);
       EXPECT_EQ(IntersectSize(a, b), ref_inter.size());
-      EXPECT_EQ(Difference(a, b), ref_diff);
+      bool completed = false;
+      EXPECT_EQ(WalkDifference(a, b, 0, &completed), ref_diff);
+      EXPECT_TRUE(completed);
       EXPECT_EQ(IsSubsetOf(a, b), ref_subset);
       EXPECT_EQ(a == b, a_tids == b_tids);
     }
@@ -105,6 +146,42 @@ TEST(TidSetProperty, HeavySkewTriggersGalloping) {
     ASSERT_LE(small.size() * 32, big.size());
     CrossValidate(small, big, universe);
     CrossValidate(big, small, universe);
+  }
+}
+
+TEST(TidSetProperty, DifferenceWalkStopsAfterEveryPrefix) {
+  // Sparse, dense, mixed, nested, empty and galloping-skew pairs. Universe
+  // 1000 is not a multiple of 64, so the last bitmap word is partial.
+  Rng rng(20261018);
+  const std::size_t universe = 1000;
+  const double densities[] = {0.01, 0.05, 0.3, 0.9};
+  for (const double da : densities) {
+    for (const double db : densities) {
+      const TidList a = RandomTids(universe, da, rng);
+      const TidList b = RandomTids(universe, db, rng);
+      CheckDifferencePrefixes(a, b, universe);
+      CheckDifferencePrefixes(a, IntersectTids(a, b), universe);
+    }
+  }
+  const TidList some = RandomTids(universe, 0.2, rng);
+  CheckDifferencePrefixes(some, TidList{}, universe);
+  CheckDifferencePrefixes(TidList{}, some, universe);
+  CheckDifferencePrefixes(TidList{}, TidList{}, universe);
+  CheckDifferencePrefixes(some, some, universe);
+  // A default-constructed (universe 0) empty subtrahend is accepted.
+  bool completed = false;
+  EXPECT_EQ(WalkDifference(TidSet(some, universe, TidSetMode::kDense),
+                           TidSet(), 0, &completed),
+            some);
+  EXPECT_TRUE(completed);
+
+  // Galloping: a sparse `a` at least 32x shorter than a sparse `b`.
+  const std::size_t big_universe = 1 << 15;
+  const TidList big = RandomTids(big_universe, 0.5, rng);
+  for (int round = 0; round < 4; ++round) {
+    const TidList small = RandomTids(big_universe, 0.003, rng);
+    ASSERT_LE(small.size() * 32, big.size());
+    CheckDifferencePrefixes(small, big, big_universe);
   }
 }
 

@@ -13,6 +13,16 @@
 namespace pfci {
 namespace {
 
+/// a \ b as collected by the allocation-free walk.
+TidList DifferenceWalk(const TidSet& a, const TidSet& b) {
+  TidList out;
+  EXPECT_TRUE(ForEachInDifference(a, b, [&out](Tid tid) {
+    out.push_back(tid);
+    return true;
+  }));
+  return out;
+}
+
 TEST(TidSetMode, Names) {
   EXPECT_STREQ(TidSetModeName(TidSetMode::kAdaptive), "adaptive");
   EXPECT_STREQ(TidSetModeName(TidSetMode::kSparse), "sparse");
@@ -86,7 +96,8 @@ TEST(TidSet, AllAndEmpty) {
   const TidSet all = TidSet::All(64, TidSetMode::kDense);
   // Empty-set ops against any universe are accepted.
   EXPECT_TRUE(Intersect(all, empty).empty());
-  EXPECT_EQ(Difference(all, empty), all);
+  EXPECT_EQ(DifferenceWalk(all, empty), all.ToTidList());
+  EXPECT_EQ(DifferenceWalk(empty, all), TidList{});
   EXPECT_TRUE(IsSubsetOf(empty, all));
 }
 
@@ -103,12 +114,37 @@ TEST(TidSet, AlgebraAcrossMixedRepresentations) {
       const TidSet b(b_tids, 512, mb);
       EXPECT_EQ(Intersect(a, b), both);
       EXPECT_EQ(IntersectSize(a, b), both.size());
-      EXPECT_EQ(Difference(a, b), a_minus_b);
+      EXPECT_EQ(DifferenceWalk(a, b), a_minus_b);
       EXPECT_FALSE(IsSubsetOf(a, b));
       EXPECT_TRUE(IsSubsetOf(TidSet(both, 512, ma), b));
       EXPECT_TRUE(IsSubsetOf(a, a));
     }
   }
+}
+
+TEST(TidSet, DenseIntersectPicksTheRepresentationFromItsCount) {
+  // Two dense halves of a 1024-tid universe whose intersection is far
+  // below the 1/16 density rule: the adaptive result is written sparse
+  // straight from the AND-ed words, the forced-dense one stays a bitmap.
+  TidList low, high;
+  for (Tid t = 0; t < 1024; ++t) (t < 520 ? low : high).push_back(t);
+  low.push_back(1023);
+  const TidList both = IntersectTids(low, high);
+  ASSERT_LT(both.size() * 16, 1024u);
+  const TidSet a(low, 1024);
+  const TidSet b(high, 1024);
+  ASSERT_TRUE(a.dense() && b.dense());
+  const TidSet adaptive = Intersect(a, b);
+  EXPECT_FALSE(adaptive.dense());
+  EXPECT_EQ(adaptive, both);
+  EXPECT_EQ(adaptive.MemoryBytes(), both.size() * sizeof(Tid));
+  const TidSet forced = Intersect(TidSet(low, 1024, TidSetMode::kDense),
+                                  TidSet(high, 1024, TidSetMode::kDense));
+  EXPECT_TRUE(forced.dense());
+  EXPECT_EQ(forced, both);
+  // A large intersection stays dense.
+  EXPECT_TRUE(Intersect(a, a).dense());
+  EXPECT_EQ(Intersect(a, a), low);
 }
 
 TEST(TidSet, EqualityIsRepresentationIndependent) {
@@ -187,14 +223,18 @@ TEST(TidSetGalloping, SubsetKernelAgreesAcrossTheSkewCrossover) {
       outside.push_back(static_cast<Tid>(2 * i + (i == small_size / 2)));
     }
     SCOPED_TRACE(small_size);
-    EXPECT_TRUE(tidset_internal::SubsetSorted(inside.data(), inside.size(),
-                                              big.data(), big.size()));
-    EXPECT_FALSE(tidset_internal::SubsetSorted(outside.data(), outside.size(),
-                                               big.data(), big.size()));
-    EXPECT_EQ(tidset_internal::SubsetSorted(inside.data(), inside.size(),
-                                            big.data(), big.size()),
+    // Both sparse: the subset test is the a \ b walk, which gallops
+    // below the crossover and merges above it.
+    const TidSet big_set(big, universe, TidSetMode::kSparse);
+    const TidSet inside_set(inside, universe, TidSetMode::kSparse);
+    const TidSet outside_set(outside, universe, TidSetMode::kSparse);
+    EXPECT_TRUE(IsSubsetOf(inside_set, big_set));
+    EXPECT_FALSE(IsSubsetOf(outside_set, big_set));
+    EXPECT_EQ(IsSubsetOf(inside_set, big_set),
               std::includes(big.begin(), big.end(), inside.begin(),
                             inside.end()));
+    EXPECT_EQ(DifferenceWalk(outside_set, big_set),
+              DifferenceTids(outside, big));
   }
 }
 
@@ -212,6 +252,7 @@ TEST(TidSet, GallopingPathReachedThroughTidSetOps) {
   EXPECT_EQ(IntersectSize(big, small),
             IntersectTids(small_tids, big_tids).size());
   EXPECT_FALSE(IsSubsetOf(small, big));
+  EXPECT_EQ(DifferenceWalk(small, big), DifferenceTids(small_tids, big_tids));
   EXPECT_TRUE(IsSubsetOf(
       TidSet(TidList{0, 4, 4096, 65532}, universe, TidSetMode::kSparse),
       big));

@@ -49,9 +49,10 @@ TEST(VerticalIndex, TidListsMatchDatabase) {
   EXPECT_TRUE(index.TidsOfItem(99).empty());
   EXPECT_EQ(index.TidsOf(Itemset{0, 3}), (TidList{0, 3}));
   EXPECT_EQ(index.TidsOf(Itemset{}), (TidList{0, 1, 2, 3}));
-  EXPECT_EQ(index.Count(Itemset{0, 1, 2}), 4u);
+  EXPECT_EQ(index.TidsOf(Itemset{0, 1, 2}).size(), 4u);
   EXPECT_EQ(index.occurring_items(), (std::vector<Item>{0, 1, 2, 3}));
-  EXPECT_EQ(index.ProbsOf({0, 1}), (std::vector<double>{0.9, 0.6}));
+  EXPECT_EQ(index.ProbsOf(TidSet({0, 1}, db.size())),
+            (std::vector<double>{0.9, 0.6}));
 }
 
 TEST(PossibleWorld, SupportAndProbability) {
