@@ -3,12 +3,10 @@
 // (DESIGN.md §15).
 //
 // The workload interleaves MPFCI and PFI requests at six distinct
-// thresholds each, submitted in descending-threshold order — the worst
-// case for naive sequential reuse and exactly what BatchPlanner
-// normalizes: requests are grouped by (algorithm, tid-set mode), each
-// group is replanned onto an ascending threshold ladder, and the group
-// leader's Poisson-binomial tail tables are extended to the group
-// maximum so every follower answers from the shared tables.
+// thresholds each, submitted in descending-threshold order. BatchPlanner
+// groups the requests by algorithm and runs each group highest threshold
+// first (here, submission order), so every Poisson-binomial tail table a
+// member caches answers the lower thresholds behind it.
 //
 // Acceptance: batch wall-clock <= 1/2 of the sequential loop, with every
 // per-request result bit-identical to its cold standalone run.

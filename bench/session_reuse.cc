@@ -2,10 +2,10 @@
 // min_sup sweep versus ten independent cold Mine() calls (DESIGN.md §11).
 //
 // The warm path opens the session once (index built once) and serves the
-// per-threshold requests as one MineBatch, which runs the lowest
-// threshold first with Poisson-binomial tail tables extended to the sweep
-// maximum — the higher thresholds are then answered from the stored
-// tables without re-running the DP.
+// per-threshold requests as one MineBatch, which runs the highest
+// threshold first — every Poisson-binomial tail table a run caches
+// answers the lower thresholds without re-running the DP, and each
+// lower run computes only the tables its own threshold needs.
 //
 // Two workloads on the paper's synthetic Quest dataset: the flagship
 // MPFCI miner (PrF plus closedness work; the latter is per-run by design,

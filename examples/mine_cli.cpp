@@ -22,8 +22,9 @@
 // fields, and MIN_SUP becomes optional when the file provides one.
 //
 // --sweep serves one request per threshold as a single MineBatch on one
-// MiningSession (the batch runs lowest threshold first and later steps
-// reuse its DP tail tables) and prints each threshold's result count.
+// MiningSession (the batch runs highest threshold first and the lower
+// steps reuse its DP tail tables) and prints each threshold's result
+// count in the ascending order given.
 // It writes no CSV and binds no snapshot, so it cannot be combined with
 // --csv, --snapshot or --resume.
 //

@@ -103,13 +103,6 @@ void EvalCache::Insert(const TidSet& tids, double mu,
           entry.table_threshold = table_threshold;
           entry.table = std::move(table);
           bytes_.fetch_add(entry.Bytes(), std::memory_order_relaxed);
-          // An upgrade during a batch is the shared-DP prefill later
-          // members depend on — pin it for the batch lifetime.
-          if (!entry.pinned &&
-              pin_depth_.load(std::memory_order_relaxed) > 0) {
-            entry.pinned = true;
-            pinned_.fetch_add(1, std::memory_order_relaxed);
-          }
         }
       }
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
@@ -121,7 +114,6 @@ void EvalCache::Insert(const TidSet& tids, double mu,
   entry.tids = tids.ToTidList();
   entry.mu = mu;
   entry.table_threshold = table_threshold;
-  entry.pinned = pin_depth_.load(std::memory_order_relaxed) > 0;
   entry.table = std::move(table);
   // An entry that alone exceeds the whole budget can never become
   // resident; admitting it would evict the entire shard and still leave
@@ -137,15 +129,11 @@ void EvalCache::Insert(const TidSet& tids, double mu,
     // (the slot can only hold one) — rare, and only a perf event.
     bytes_.fetch_sub(it->second->second.Bytes(), std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
-    if (it->second->second.pinned) {
-      pinned_.fetch_sub(1, std::memory_order_relaxed);
-    }
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
   bytes_.fetch_add(entry.Bytes(), std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
-  if (entry.pinned) pinned_.fetch_add(1, std::memory_order_relaxed);
   shard.lru.emplace_front(fp, std::move(entry));
   shard.map[fp] = shard.lru.begin();
   EvictLocked(shard);
@@ -156,46 +144,14 @@ void EvalCache::EvictLocked(Shard& shard) {
   // tail while the aggregate is over budget. Never evicts the entry just
   // touched (front): it is the one the caller is actively using, and
   // over-budget pressure from other shards should not starve this one.
-  // Pinned entries are skipped — the batch that pinned them still needs
-  // their tables — so resident bytes may overshoot the budget by the
-  // pinned working set until the pin scope closes and re-evicts.
   while (bytes_.load(std::memory_order_relaxed) > options_.max_bytes &&
          shard.lru.size() > 1) {
     auto victim = std::prev(shard.lru.end());
-    while (victim != shard.lru.begin() && victim->second.pinned) {
-      --victim;
-    }
-    if (victim == shard.lru.begin()) return;  // Only pinned (or front) left.
     bytes_.fetch_sub(victim->second.Bytes(), std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     shard.map.erase(victim->first);
     shard.lru.erase(victim);
-  }
-}
-
-void EvalCache::BeginPinScope() {
-  pin_depth_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void EvalCache::EndPinScope() {
-  const std::uint64_t before =
-      pin_depth_.fetch_sub(1, std::memory_order_acq_rel);
-  PFCI_DCHECK(before > 0);
-  if (before != 1) return;  // An enclosing scope is still open.
-  // Last scope out: clear every pin, then re-enforce the byte budget the
-  // pins were allowed to overshoot. Entries inserted by a scope that
-  // races this sweep may stay pinned until the racer's own EndPinScope —
-  // pinning is a retention hint, not a correctness property.
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto& node : shard.lru) {
-      if (node.second.pinned) {
-        node.second.pinned = false;
-        pinned_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    EvictLocked(shard);
   }
 }
 

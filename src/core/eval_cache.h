@@ -16,7 +16,8 @@
 // 64-bit fingerprint of the tid contents and verified by exact tid
 // comparison — a fingerprint collision degrades to a miss, never to a
 // wrong answer. The cache is sharded (one mutex + LRU list per shard) and
-// bounded by a byte budget with least-recently-used eviction.
+// bounded by a byte budget with least-recently-used eviction; an evicted
+// table is recomputed by its next reader, which moves work, not results.
 //
 // The cache is the session's only cross-request reuse store: a later
 // request at an equal or lower min_sup answers from an entry's table, and
@@ -102,47 +103,11 @@ class EvalCache {
     return rejections_.load(std::memory_order_relaxed);
   }
 
-  /// Entries currently exempt from eviction (see PinScope).
-  std::uint64_t pinned_entries() const {
-    return pinned_.load(std::memory_order_relaxed);
-  }
-
-  /// Batch-lifetime pinning (DESIGN.md §15). Entries inserted or upgraded
-  /// while at least one pin scope is open are exempt from LRU eviction
-  /// until every scope closes: a batch group's lowest-threshold run
-  /// prefills tail tables that every later member depends on, and byte-
-  /// budget pressure from concurrent traffic must not evict them between
-  /// the prefill and the last consumer. Pinned bytes may overshoot
-  /// max_bytes by the pinned working set; unpinned entries keep being
-  /// evicted, and the oversized-entry rejection rule still applies. When
-  /// the last scope closes, pins are cleared and the budget re-enforced.
-  /// Scopes nest (a batch inside a batch just extends the pin window).
-  void BeginPinScope();
-  void EndPinScope();
-
-  /// RAII pin scope. Null-safe: constructing over a null cache is a
-  /// no-op, so callers can pin unconditionally.
-  class PinScope {
-   public:
-    explicit PinScope(EvalCache* cache) : cache_(cache) {
-      if (cache_ != nullptr) cache_->BeginPinScope();
-    }
-    ~PinScope() {
-      if (cache_ != nullptr) cache_->EndPinScope();
-    }
-    PinScope(const PinScope&) = delete;
-    PinScope& operator=(const PinScope&) = delete;
-
-   private:
-    EvalCache* cache_;
-  };
-
  private:
   struct Entry {
     TidList tids;               ///< Exact key (collision guard).
     double mu = 0.0;            ///< Sum of probs, ascending tid order.
     std::size_t table_threshold = 0;
-    bool pinned = false;        ///< Exempt from eviction while pins open.
     std::vector<double> table;  ///< table[t] = PrF at threshold t.
 
     std::size_t Bytes() const;
@@ -171,8 +136,6 @@ class EvalCache {
   std::atomic<std::uint64_t> entries_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> rejections_{0};
-  std::atomic<std::uint64_t> pinned_{0};
-  std::atomic<std::uint64_t> pin_depth_{0};
 };
 
 /// Content fingerprint of a tidset (FNV-1a over the ascending tids).

@@ -132,14 +132,6 @@ struct ExecutionContext {
   /// differ.
   EvalCache* eval_cache = nullptr;
 
-  /// Minimum threshold up to which freshly computed DP tail tables are
-  /// extended before being cached (0: just the run's min_sup). A sweep
-  /// sets this to its largest threshold so the first (lowest-threshold)
-  /// run prefills tables that answer every later threshold without
-  /// re-running the DP. Truncation-invariance keeps table[t] bit-identical
-  /// to a direct DP at t, so this affects work done, never results.
-  std::size_t table_floor = 0;
-
   /// Snapshot to resume the run from; null starts fresh. Owned by the
   /// caller (Mine() loads and fingerprint-checks it); the search driver
   /// hands it to the frontier policy's RestoreState (DESIGN.md §14).

@@ -1,6 +1,5 @@
 #include "src/core/frequent_probability.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -38,12 +37,8 @@ DpWorkspace& LocalDpWorkspace() {
 
 FrequentProbability::FrequentProbability(const VerticalIndex& index,
                                          std::size_t min_sup,
-                                         EvalCache* cache,
-                                         std::size_t table_floor)
-    : index_(&index),
-      min_sup_(min_sup),
-      cache_(cache),
-      table_floor_(table_floor) {
+                                         EvalCache* cache)
+    : index_(&index), min_sup_(min_sup), cache_(cache) {
   PFCI_CHECK(min_sup >= 1);
 }
 
@@ -89,24 +84,11 @@ double FrequentProbability::PrF(const TidSet& tids) const {
   const std::vector<double>& probs = workspace.probs;
   const std::size_t n = probs.size();
   const double mu = lookup.found ? lookup.mu : PoissonBinomialMean(probs);
-  const std::optional<double> settled =
-      lookup.found ? std::nullopt : ShortCircuit(mu, n);
-  if (settled.has_value()) {
-    if (cache_ == nullptr) return *settled;
-    // PrF ~ 0 stays short-circuited at every higher threshold, so the
-    // cached mu alone answers them. PrF ~ 1 may not: with a floor set
-    // (sweep), prefill the table a higher threshold will need — unless
-    // the short circuit still fires at the floor itself, in which case it
-    // fires at every threshold up to it (the lower-tail mass only grows
-    // with the threshold) and the table would never be read. The return
-    // value stays the short-circuit 1.0 either way.
-    const std::size_t floor = std::min(table_floor_, n);
-    const bool prefill =
-        *settled == 1.0 && floor > min_sup_ &&
-        ChernoffLowerTail(mu, static_cast<double>(floor) - 1.0) >=
-            kNegligible;
-    if (!prefill) {
-      cache_->Insert(tids, mu, 0, {1.0});
+  if (!lookup.found) {
+    if (const std::optional<double> settled = ShortCircuit(mu, n)) {
+      // Mu alone: later probes replay the short circuit off it, and a
+      // lower threshold where it does not fire runs its own DP.
+      if (cache_ != nullptr) cache_->Insert(tids, mu, 0, {1.0});
       return *settled;
     }
   }
@@ -116,16 +98,12 @@ double FrequentProbability::PrF(const TidSet& tids) const {
     return PoissonBinomialTailAtLeast(probs.data(), n, min_sup_,
                                       &workspace.dp);
   }
-  // Tabulate every threshold up to the floor (clamped to |tids|: any probe
-  // above that size is rejected by the tids.size() check before reaching
-  // the cache), so this and every smaller threshold are answered from the
-  // cache next time. table[t] is bit-identical to a direct DP at t for
-  // every t <= threshold, so the floor changes work done, never values.
-  const std::size_t threshold = std::max(min_sup_, std::min(table_floor_, n));
+  // table[t] is bit-identical to a direct DP at t for every t <= min_sup,
+  // so this entry answers this and every lower threshold from now on.
   std::vector<double> table;
-  PoissonBinomialTailTable(probs.data(), n, threshold, &workspace.dp, &table);
-  const double result = settled.value_or(table[min_sup_]);
-  cache_->Insert(tids, mu, threshold, std::move(table));
+  PoissonBinomialTailTable(probs.data(), n, min_sup_, &workspace.dp, &table);
+  const double result = table[min_sup_];
+  cache_->Insert(tids, mu, min_sup_, std::move(table));
   return result;
 }
 

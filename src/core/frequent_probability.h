@@ -30,16 +30,14 @@ struct MiningStats;
 /// cache: a stored tail table answers this min_sup bit-identically to a
 /// direct DP (see PoissonBinomialTailTable), and the cached mu replays
 /// the Chernoff short circuits exactly, so caching never changes a
-/// returned value — only the dp_runs / cache_* work counters. The same
-/// cache tier serves expected supports (ExpectedSupport).
+/// returned value — only the dp_runs / cache_* work counters. A DP run
+/// caches its table over [1, min_sup], which answers every lower
+/// threshold; a short circuit caches mu alone. The same cache tier serves
+/// expected supports (ExpectedSupport).
 class FrequentProbability {
  public:
-  /// `table_floor` (only meaningful with a cache): freshly computed tail
-  /// tables are extended to at least this threshold before caching, so a
-  /// sweep's lowest-threshold run prefills answers for the higher ones.
   FrequentProbability(const VerticalIndex& index, std::size_t min_sup,
-                      EvalCache* cache = nullptr,
-                      std::size_t table_floor = 0);
+                      EvalCache* cache = nullptr);
 
   /// Exact PrF over the transactions in `tids` (modulo the 1e-15 short
   /// circuits described above).
@@ -104,7 +102,6 @@ class FrequentProbability {
   const VerticalIndex* index_;
   std::size_t min_sup_;
   EvalCache* cache_ = nullptr;
-  std::size_t table_floor_ = 0;
   mutable std::atomic<std::uint64_t> dp_runs_{0};
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};

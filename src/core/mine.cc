@@ -349,7 +349,6 @@ MiningResult MineImpl(const UncertainDatabase& db,
     if (bindings != nullptr) {
       exec.shared_index = bindings->index;
       exec.eval_cache = bindings->eval_cache;
-      exec.table_floor = bindings->table_floor;
     }
     return Dispatch(db, request, exec);
   });

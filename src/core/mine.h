@@ -217,10 +217,6 @@ struct SessionBindings {
 
   /// Cross-request PrF/esup evaluation cache.
   EvalCache* eval_cache = nullptr;
-
-  /// Extend freshly cached DP tail tables to at least this threshold
-  /// (0: just the run's min_sup). See ExecutionContext::table_floor.
-  std::size_t table_floor = 0;
 };
 
 /// Mine() with session state attached. This is the primitive

@@ -148,8 +148,7 @@ auto RunFlatEnumeration(const UncertainDatabase& db, TidSetMode mode,
                         const ExecutionContext& exec,
                         Enumerate&& enumerate) {
   const IndexHandle index(db, mode, exec);
-  const FrequentProbability freq(index.get(), min_sup, exec.eval_cache,
-                                 exec.table_floor);
+  const FrequentProbability freq(index.get(), min_sup, exec.eval_cache);
   exec.runtime->Checkpoint();
   auto result = enumerate(index.get(), freq, *exec.runtime);
   if (stats != nullptr) freq.AddCountersTo(*stats);

@@ -18,8 +18,7 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   MiningResult result;
   const IndexHandle index_handle(db, params.tidset_mode, exec);
   const VerticalIndex& index = index_handle.get();
-  const FrequentProbability freq(index, params.min_sup, exec.eval_cache,
-                                 exec.table_floor);
+  const FrequentProbability freq(index, params.min_sup, exec.eval_cache);
   const FcpEngine engine(index, freq, params, exec);
   const CandidateOracle oracle(freq, params.pruning.chernoff);
   RunController& rt = *exec.runtime;

@@ -24,18 +24,15 @@ BatchPlan PlanBatch(std::span<const MiningRequest> requests) {
     if (inserted) plan.groups.emplace_back();
     plan.groups[it->second].members.push_back(i);
   }
-  // Ascending min_sup; stable_sort keeps equal thresholds in submission
+  // Descending min_sup; stable_sort keeps equal thresholds in submission
   // order, so the plan (and every counter downstream of it) is
-  // deterministic. The floor is the weakest (largest) member threshold.
-  const auto min_sup = [&requests](std::size_t index) {
-    return requests[index].params.min_sup;
-  };
+  // deterministic.
   for (BatchGroup& group : plan.groups) {
     std::stable_sort(group.members.begin(), group.members.end(),
-                     [&min_sup](std::size_t a, std::size_t b) {
-                       return min_sup(a) < min_sup(b);
+                     [&requests](std::size_t a, std::size_t b) {
+                       return requests[a].params.min_sup >
+                              requests[b].params.min_sup;
                      });
-    group.table_floor = min_sup(group.members.back());
   }
   return plan;
 }

@@ -4,15 +4,14 @@
 // Requests that differ only in min_sup share almost all of their work —
 // the candidate-index build, the CandidateOracle::Qualify tid-set
 // scans, and the Poisson-binomial tail tables are all computed over the
-// same tidsets, and a tail table computed at the group's WEAKEST
-// (largest) threshold answers every member via the EvalCache's monotone
-// reuse rule. The planner makes that sharing explicit: it partitions a
-// batch into groups keyed by algorithm, orders each group's members by
-// ascending min_sup (stable), and assigns the group the largest member
-// threshold as its table_floor so the first member's freshly computed
-// tables are extended far enough to answer everyone behind it. The
-// tid-set mode does not split a group: cache entries are keyed by tid
-// contents, so requests in different modes share them.
+// same tidsets, and a tail table computed at threshold T answers every
+// t <= T via the EvalCache's monotone reuse rule. The planner makes that
+// sharing explicit: it partitions a batch into groups keyed by algorithm
+// and orders each group's members by descending min_sup (stable), so the
+// leader runs the highest threshold and every table it caches already
+// answers everyone behind it. The tid-set mode does not split a group:
+// cache entries are keyed by tid contents, so requests in different
+// modes share them.
 //
 // Planning is pure and deterministic — same requests, same plan — and
 // never changes results: grouping only decides who pays for shared DP
@@ -33,14 +32,10 @@ namespace pfci {
 /// shared pass serves all of them.
 struct BatchGroup {
   /// Request indexes (positions in the planned span) in execution
-  /// order: ascending min_sup, ties in submission order. members[0] is
-  /// the group leader — the run that pays for the shared DP tables the
-  /// others reuse.
+  /// order: descending min_sup, ties in submission order. members[0] is
+  /// the group leader — the highest threshold, whose run pays for the
+  /// DP tables the others reuse.
   std::vector<std::size_t> members;
-
-  /// The group's weakest (largest) threshold: every member runs with
-  /// DP tail tables extended to it (SessionBindings::table_floor).
-  std::size_t table_floor = 0;
 };
 
 /// A planned batch: execution groups plus the requests rejected at plan

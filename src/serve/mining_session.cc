@@ -110,14 +110,14 @@ void MiningSession::DrainSubmitted(State& state) {
 }
 
 MiningResult MiningSession::Mine(const MiningRequest& request) {
-  return MineStep(*state_, request, /*table_floor=*/0);
+  return MineStep(*state_, request);
 }
 
 MiningResult MiningSession::ResumeFrom(const std::string& path,
                                        const MiningRequest& request) {
   MiningRequest resuming = request;
   resuming.snapshot.resume_path = path;
-  return MineStep(*state_, resuming, /*table_floor=*/0);
+  return MineStep(*state_, resuming);
 }
 
 bool MiningSession::Admit(State& s, double deadline_seconds) {
@@ -166,8 +166,7 @@ void MiningSession::Release(State& s) {
 }
 
 MiningResult MiningSession::MineStep(State& state,
-                                     const MiningRequest& request,
-                                     std::size_t table_floor) {
+                                     const MiningRequest& request) {
   if (!Admit(state, request.budget.deadline_seconds)) {
     return RejectedResult(state.options);
   }
@@ -180,7 +179,6 @@ MiningResult MiningSession::MineStep(State& state,
   SessionBindings bindings;
   bindings.index = state.index.get();
   bindings.eval_cache = state.cache.get();
-  bindings.table_floor = table_floor;
   MiningResult result = MineWithBindings(*state.db, request, bindings);
   result.stats.cache_bytes =
       state.cache != nullptr ? state.cache->bytes() : 0;
@@ -203,7 +201,7 @@ void MiningSession::RunSubmitted(State* state,
     result.status_message = "cancelled via RunHandle::Cancel before start";
   } else {
     request.cancel = &ticket->cancel;
-    result = MineStep(*state, request, /*table_floor=*/0);
+    result = MineStep(*state, request);
   }
   result.stats.queued_micros = queued_micros;
   ticket->result = std::move(result);
@@ -244,13 +242,7 @@ std::vector<MiningResult> MiningSession::MineBatch(
     results[plan.invalid[i]] = InvalidResult(plan.invalid_reasons[i]);
   }
 
-  // Pin everything the batch inserts into the eval cache until the last
-  // member finishes: the group leaders' extended tail tables are the
-  // shared pass later members answer from, and LRU pressure from
-  // concurrent traffic must not evict them mid-batch.
-  EvalCache::PinScope pin(state.cache.get());
-
-  // One runner per group, executing its members in ladder order; groups
+  // One runner per group, executing its members highest threshold first; groups
   // beyond the first get their own thread so their work units interleave
   // on the shared work-stealing pool (fair-share UnitQuota keeps
   // per-request budgets scheduling-independent). The first group runs on
@@ -263,8 +255,7 @@ std::vector<MiningResult> MiningSession::MineBatch(
       const std::size_t index = group.members[position];
       const std::uint64_t queued_micros =
           Micros(batch_clock.ElapsedSeconds());
-      MiningResult result =
-          MineStep(state, requests[index], group.table_floor);
+      MiningResult result = MineStep(state, requests[index]);
       result.stats.queued_micros = queued_micros;
       // The leader pays for the shared tables; followers' DP reuse is
       // the batch's shared-scan dividend.

@@ -26,10 +26,10 @@
 // Beyond one-at-a-time Mine(), the session serves whole workloads
 // (DESIGN.md §15): MineBatch() plans a set of requests into shared-scan
 // groups (BatchPlanner) so compatible requests pay for DP tail tables
-// once at the group's weakest threshold, and
-// Submit() runs one request asynchronously behind a RunHandle. Both
-// compose with admission control and keep every per-request result
-// bit-identical to a standalone Mine() of the same request.
+// once, highest threshold first, and Submit() runs one request
+// asynchronously behind a RunHandle. Both compose with admission control
+// and keep every per-request result bit-identical to a standalone Mine()
+// of the same request.
 //
 // Thread safety: one session may serve concurrent Mine() calls; the
 // cache is internally synchronized and the index is read-only.
@@ -132,8 +132,8 @@ class MiningSession {
 
   /// Serves a whole batch with shared-scan planning (DESIGN.md §15):
   /// PlanBatch groups compatible requests (same algorithm), each group
-  /// runs ascending-threshold with DP tail tables
-  /// extended to the group's weakest threshold, and distinct groups run
+  /// runs highest threshold first so every DP tail table a member caches
+  /// answers the lower thresholds behind it, and distinct groups run
   /// concurrently (their work units interleave on the shared
   /// work-stealing pool under fair-share UnitQuota). Results come back
   /// in submission order, each bit-identical to a standalone Mine() of
@@ -183,16 +183,13 @@ class MiningSession {
   explicit MiningSession(std::unique_ptr<State> state)
       : state_(std::move(state)) {}
 
-  /// One request with session bindings attached; `table_floor` extends
-  /// freshly cached DP tables for sweep/batch prefilling (0 outside
-  /// planned execution).
+  /// One request with session bindings attached.
   ///
   /// These helpers are static over State rather than members: Submit()
   /// workers and batch group threads outlast any particular `this` (the
   /// session is movable), so everything they touch goes through the
   /// stable State address.
-  static MiningResult MineStep(State& state, const MiningRequest& request,
-                               std::size_t table_floor);
+  static MiningResult MineStep(State& state, const MiningRequest& request);
 
   /// Takes an execution slot (possibly waiting up to `deadline_seconds`
   /// in the admission queue); false means rejected. Always true with

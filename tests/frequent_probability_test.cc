@@ -114,46 +114,49 @@ TEST(FrequentProbability, MatchesBruteForceOnRandomDb) {
 }
 
 TEST(FrequentProbability, CacheTiersPinValuesAndCounters) {
-  // Four disjoint 200-transaction tid-sets, each steering the cached
+  // Three disjoint 200-transaction tid-sets, each steering the cached
   // evaluation down one tier: item 0 (mu = 120) always needs the DP,
-  // items 1 and 2 (p = .9, mu = 180) short-circuit to 1 at min_sup 60,
-  // item 3 (p = .1, mu = 20) short-circuits to 0 at min_sup 80.
+  // item 1 (p = .9, mu = 180) short-circuits to 1 at min_sup 60 but not
+  // at 140 or 150, item 2 (p = .1, mu = 20) short-circuits to 0 at 80.
+  // A DP caches its table over [1, min_sup] and a short circuit caches
+  // mu alone, so a lower threshold hits and a higher one upgrades.
   UncertainDatabase db;
   for (int k = 0; k < 200; ++k) db.Add(Itemset{0}, 0.3 + 0.6 * (k % 10) / 9.0);
   for (int k = 0; k < 200; ++k) db.Add(Itemset{1}, 0.9);
-  for (int k = 0; k < 200; ++k) db.Add(Itemset{2}, 0.9);
-  for (int k = 0; k < 200; ++k) db.Add(Itemset{3}, 0.1);
+  for (int k = 0; k < 200; ++k) db.Add(Itemset{2}, 0.1);
   const VerticalIndex index(db);
   EvalCache cache(EvalCache::Options{});
 
+  // Entry bytes: 128 overhead + 200 tids * 4 + (threshold + 1) * 8.
   struct Step {
     const char* what;
     Item item;
     std::size_t min_sup;
-    std::size_t table_floor;
     double value;  // Exact short-circuit answer, or -1 for a DP value.
     std::uint64_t dp_runs, cache_hits, cache_misses, dp_reused;
     std::uint64_t entries, bytes;
   };
   const Step steps[] = {
-      {"miss, table to the floor", 0, 120, 130, -1, 1, 0, 1, 0, 1, 1976},
-      {"table hit", 0, 125, 130, -1, 0, 1, 0, 1, 1, 1976},
-      {"truncated table upgrade", 0, 140, 130, -1, 1, 0, 1, 0, 1, 2056},
-      {"upper short circuit, mu-only insert", 3, 80, 130, 0.0, 0, 0, 1, 0, 2,
+      {"miss, table over [1, 130]", 0, 130, -1, 1, 0, 1, 0, 1, 1976},
+      {"lower threshold hits the table", 0, 125, -1, 0, 1, 0, 1, 1, 1976},
+      {"lowest threshold hits the table", 0, 120, -1, 0, 1, 0, 1, 1, 1976},
+      {"higher threshold upgrades the entry", 0, 140, -1, 1, 0, 1, 0, 1,
+       2056},
+      {"upgraded table hits", 0, 130, -1, 0, 1, 0, 1, 1, 2056},
+      {"upper short circuit, mu-only insert", 2, 80, 0.0, 0, 0, 1, 0, 2,
        2992},
-      {"upper short-circuit replay", 3, 80, 0, 0.0, 0, 1, 0, 0, 2, 2992},
-      {"lower short circuit, floor prefill", 1, 60, 150, 1.0, 1, 0, 1, 0, 3,
-       5128},
-      {"prefilled table hit", 1, 150, 150, -1, 0, 1, 0, 1, 3, 5128},
-      {"lower short circuit, floor short-circuits too", 2, 60, 65, 1.0, 0, 0,
-       1, 0, 4, 6064},
-      {"lower short-circuit replay", 2, 60, 0, 1.0, 0, 1, 0, 0, 4, 6064},
+      {"upper short-circuit replay", 2, 80, 0.0, 0, 1, 0, 0, 2, 2992},
+      {"lower short circuit, mu-only insert", 1, 60, 1.0, 0, 0, 1, 0, 3,
+       3928},
+      {"lower short-circuit replay", 1, 60, 1.0, 0, 1, 0, 0, 3, 3928},
+      {"mu-only entry, DP upgrades it", 1, 150, -1, 1, 0, 1, 0, 3, 5128},
+      {"lower threshold hits the upgrade", 1, 140, -1, 0, 1, 0, 1, 3, 5128},
+      {"short circuit still replays first", 1, 60, 1.0, 0, 1, 0, 0, 3, 5128},
   };
   for (const Step& step : steps) {
     SCOPED_TRACE(step.what);
     const TidSet tids = index.TidsOfItem(step.item);
-    const FrequentProbability cached(index, step.min_sup, &cache,
-                                     step.table_floor);
+    const FrequentProbability cached(index, step.min_sup, &cache);
     const FrequentProbability direct(index, step.min_sup);
     const double got = cached.PrF(tids);
     const double want = direct.PrF(tids);

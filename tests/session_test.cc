@@ -22,6 +22,7 @@
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
 #include "src/harness/dataset_factory.h"
+#include "src/serve/batch_planner.h"
 #include "src/serve/mining_session.h"
 #include "src/util/failpoint.h"
 
@@ -155,10 +156,47 @@ TEST(MiningSession, SweepReusesDpTablesAcrossThresholds) {
     EXPECT_EQ(sweep[i].stats.batch_groups, 1u);
     dp_reused += sweep[i].stats.dp_reused;
   }
-  // The batch runs lowest-threshold-first with tables extended to the
-  // sweep maximum, so the higher thresholds were answered from stored
-  // tables without re-running the DP.
+  // The batch runs highest threshold first, so the lower thresholds were
+  // answered from the tables it stored without re-running the DP.
   EXPECT_GT(dp_reused, 0u);
+}
+
+TEST(MiningSession, SweepWorkCountersArePinned) {
+  // One group, one thread: members run 8, 6, 4 in turn, so the counters
+  // are deterministic. The leader runs every DP it needs cold; each
+  // follower reuses the tables cached above its threshold and runs DPs
+  // only for tid-sets the higher thresholds never reached (or settled
+  // by a short circuit).
+  const UncertainDatabase db = MakeQuestDb(11);
+  MiningSession session = MiningSession::Open(db);
+  std::vector<MiningRequest> steps;
+  for (const std::size_t min_sup : {4u, 6u, 8u}) {
+    steps.push_back(BaseRequest(Algorithm::kMpfci, min_sup));
+    steps.back().execution.num_threads = 1;
+  }
+  struct Pinned {
+    std::uint64_t dp_runs;
+    std::uint64_t dp_reused;
+    std::uint64_t shared_dp_hits;
+  };
+  // In submission order: min_sup 4, 6, 8. The leader's dp_reused are
+  // repeats within its own run.
+  const Pinned pinned[] = {
+      {99, 22084, 22084},
+      {94, 8832, 8832},
+      {295, 3828, 0},
+  };
+  const std::vector<MiningResult> sweep = session.MineBatch(steps);
+  ASSERT_EQ(sweep.size(), steps.size());
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    SCOPED_TRACE("min_sup=" + std::to_string(steps[i].params.min_sup));
+    ASSERT_EQ(sweep[i].outcome(), Outcome::kComplete)
+        << sweep[i].status_message;
+    ExpectIdenticalResults(Mine(db, steps[i]), sweep[i]);
+    EXPECT_EQ(sweep[i].stats.dp_runs, pinned[i].dp_runs);
+    EXPECT_EQ(sweep[i].stats.dp_reused, pinned[i].dp_reused);
+    EXPECT_EQ(sweep[i].stats.shared_dp_hits, pinned[i].shared_dp_hits);
+  }
 }
 
 TEST(MiningSession, EvictionKeepsResultsExactUnderTinyByteBudget) {
@@ -905,85 +943,87 @@ TEST(MiningSession, MineBatchOnEmptySpanReturnsEmpty) {
 
 TEST(MiningSession, BatchFollowersShareTheLeadersTables) {
   const UncertainDatabase db = MakeQuestDb(67);
-  MiningSession session = MiningSession::Open(db);
-  // Submitted descending; the planner reorders the group onto an
-  // ascending ladder, so the min_sup=4 member is the leader paying for
-  // the shared tables and the higher thresholds answer from them.
-  std::vector<MiningRequest> requests;
+  // Submitted descending, which is already the planner's order: the
+  // min_sup=8 member is the leader, paying for the tables the lower
+  // thresholds answer from. One thread, so the counters are
+  // deterministic and the two submissions below can be compared.
+  std::vector<MiningRequest> descending;
   for (const std::size_t min_sup : {8u, 6u, 4u}) {
-    requests.push_back(BaseRequest(Algorithm::kMpfci, min_sup));
+    descending.push_back(BaseRequest(Algorithm::kMpfci, min_sup));
+    descending.back().execution.num_threads = 1;
   }
-  const std::vector<MiningResult> batch = session.MineBatch(requests);
+  MiningSession session = MiningSession::Open(db);
+  const std::vector<MiningResult> batch = session.MineBatch(descending);
   ASSERT_EQ(batch.size(), 3u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE("min_sup=" + std::to_string(requests[i].params.min_sup));
+    SCOPED_TRACE("min_sup=" + std::to_string(descending[i].params.min_sup));
     ASSERT_EQ(batch[i].outcome(), Outcome::kComplete)
         << batch[i].status_message;
-    ExpectIdenticalResults(Mine(db, requests[i]), batch[i]);
+    ExpectIdenticalResults(Mine(db, descending[i]), batch[i]);
   }
-  EXPECT_EQ(batch[2].stats.shared_dp_hits, 0u) << "the leader pays cold";
-  EXPECT_GT(batch[0].stats.shared_dp_hits + batch[1].stats.shared_dp_hits, 0u)
-      << "followers must answer from the leader's extended tables";
+  EXPECT_EQ(batch[0].stats.shared_dp_hits, 0u) << "the leader pays cold";
+  EXPECT_GT(batch[1].stats.shared_dp_hits + batch[2].stats.shared_dp_hits, 0u)
+      << "followers must answer from the leader's tables";
+
+  // The same batch submitted ascending is reordered onto the same plan:
+  // every member does exactly the work of its descending counterpart.
+  const std::vector<MiningRequest> ascending(descending.rbegin(),
+                                             descending.rend());
+  MiningSession fresh = MiningSession::Open(db);
+  const std::vector<MiningResult> reordered = fresh.MineBatch(ascending);
+  ASSERT_EQ(reordered.size(), 3u);
+  for (std::size_t i = 0; i < reordered.size(); ++i) {
+    const MiningResult& twin = batch[batch.size() - 1 - i];
+    SCOPED_TRACE("min_sup=" + std::to_string(ascending[i].params.min_sup));
+    ExpectIdenticalResults(twin, reordered[i]);
+    EXPECT_EQ(reordered[i].stats.dp_runs, twin.stats.dp_runs);
+    EXPECT_EQ(reordered[i].stats.dp_reused, twin.stats.dp_reused);
+    EXPECT_EQ(reordered[i].stats.shared_dp_hits, twin.stats.shared_dp_hits);
+  }
+  EXPECT_EQ(reordered[2].stats.shared_dp_hits, 0u) << "8 leads again";
 }
 
-/// ---- EvalCache pin scopes (the batch working-set retention hint) ----
+/// ---- PlanBatch (the batch planner, exercised without a session) ----
 
-TEST(EvalCache, PinScopeExemptsTheBatchWorkingSetFromEviction) {
-  EvalCache::Options options;
-  options.max_bytes = 512;  // A couple of entries' worth.
-  options.shards = 1;
-  EvalCache cache(options);
+TEST(PlanBatch, GroupsByAlgorithmAndOrdersEachGroupTopDown) {
+  std::vector<MiningRequest> requests;
+  requests.push_back(BaseRequest(Algorithm::kMpfci, 4));  // 0
+  requests.push_back(BaseRequest(Algorithm::kPfi, 6));    // 1
+  requests.push_back(BaseRequest(Algorithm::kMpfci, 8));  // 2
+  MiningRequest bad_pfct = BaseRequest(Algorithm::kMpfci, 9);
+  bad_pfct.params.pfct = 2.0;
+  requests.push_back(bad_pfct);                           // 3: invalid
+  requests.push_back(BaseRequest(Algorithm::kMpfci, 8));  // 4: ties 2
+  MiningRequest sparse = BaseRequest(Algorithm::kPfi, 7);
+  sparse.params.tidset_mode = TidSetMode::kSparse;        // Same group.
+  requests.push_back(sparse);                             // 5
+  MiningRequest bad_top_k = BaseRequest(Algorithm::kPfi, 9);
+  bad_top_k.top_k = 3;
+  requests.push_back(bad_top_k);                          // 6: invalid
+  requests.push_back(BaseRequest(Algorithm::kMpfci, 6));  // 7
 
-  cache.BeginPinScope();
-  std::vector<TidSet> tidsets;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    tidsets.emplace_back(TidList{i, i + 10}, 32);
-    cache.Insert(tidsets.back(), 1.0, 3, {1.0, 0.9, 0.5, 0.1});
+  const BatchPlan plan = PlanBatch(requests);
+  EXPECT_EQ(plan.size, requests.size());
+  // Groups in first-appearance order of their algorithm; members by
+  // descending min_sup, equal thresholds in submission order.
+  ASSERT_EQ(plan.groups.size(), 2u);
+  EXPECT_EQ(plan.groups[0].members, (std::vector<std::size_t>{2, 4, 7, 0}));
+  EXPECT_EQ(plan.groups[1].members, (std::vector<std::size_t>{5, 1}));
+  // Invalid members, in submission order, with ValidateRequest's reason.
+  EXPECT_EQ(plan.invalid, (std::vector<std::size_t>{3, 6}));
+  ASSERT_EQ(plan.invalid_reasons.size(), 2u);
+  EXPECT_EQ(plan.invalid_reasons[0], ValidateRequest(requests[3]));
+  EXPECT_EQ(plan.invalid_reasons[1], ValidateRequest(requests[6]));
+  EXPECT_NE(plan.invalid_reasons[0].find("pfct"), std::string::npos);
+  EXPECT_NE(plan.invalid_reasons[1].find("top_k"), std::string::npos);
+
+  // Deterministic: the same requests give the same plan.
+  const BatchPlan again = PlanBatch(requests);
+  ASSERT_EQ(again.groups.size(), plan.groups.size());
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    EXPECT_EQ(again.groups[g].members, plan.groups[g].members);
   }
-  // Pinned entries may overshoot the byte budget but never leave.
-  EXPECT_EQ(cache.pinned_entries(), 8u);
-  EXPECT_GT(cache.bytes(), cache.max_bytes());
-  for (const TidSet& tids : tidsets) {
-    EXPECT_TRUE(cache.Probe(tids, 3).found);
-  }
-  const std::uint64_t pinned_bytes = cache.bytes();
-
-  cache.EndPinScope();
-  // Last scope out: pins clear and the byte budget is re-enforced.
-  EXPECT_EQ(cache.pinned_entries(), 0u);
-  EXPECT_LT(cache.bytes(), pinned_bytes);
-  EXPECT_GT(cache.evictions(), 0u);
-}
-
-TEST(EvalCache, PinScopesNestAndTheRaiiWrapperIsNullSafe) {
-  EvalCache::Options options;
-  options.max_bytes = 512;
-  options.shards = 1;
-  EvalCache cache(options);
-
-  cache.BeginPinScope();
-  cache.BeginPinScope();
-  std::vector<TidSet> tidsets;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    tidsets.emplace_back(TidList{i, i + 10}, 32);
-    cache.Insert(tidsets.back(), 1.0, 3, {1.0, 0.9, 0.5, 0.1});
-  }
-  cache.EndPinScope();
-  // An enclosing scope is still open: nothing is swept yet.
-  EXPECT_EQ(cache.pinned_entries(), 8u);
-  cache.EndPinScope();
-  EXPECT_EQ(cache.pinned_entries(), 0u);
-
-  // The RAII wrapper over a null cache is a no-op (callers pin
-  // unconditionally; a cache-off session passes nullptr).
-  { EvalCache::PinScope scope(nullptr); }
-  {
-    EvalCache::PinScope scope(&cache);
-    const TidSet tids(TidList{1, 2, 3}, 8);
-    cache.Insert(tids, 1.0, 1, {1.0, 0.5});
-    EXPECT_EQ(cache.pinned_entries(), 1u);
-  }
-  EXPECT_EQ(cache.pinned_entries(), 0u);
+  EXPECT_TRUE(PlanBatch(std::span<const MiningRequest>{}).groups.empty());
 }
 
 }  // namespace
