@@ -38,7 +38,7 @@ void RunDataset(const char* name, const UncertainDatabase& db,
         FrequencyMode::kRefinedNormal, FrequencyMode::kPoisson}) {
     std::vector<PfiEntry> result;
     const double seconds = TimeRun([&] {
-      result = MinePfiApproximate(db, min_sup, 0.8, mode);
+      result = internal::MinePfiApproximate(db, min_sup, 0.8, mode);
     });
     std::vector<Itemset> found, truth;
     for (const PfiEntry& entry : result) found.push_back(entry.items);

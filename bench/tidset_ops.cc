@@ -1,8 +1,9 @@
 // TidSet kernel microbenchmark: per-op cost of the sparse (sorted vector)
 // and dense (bitmap) representations across a density x universe sweep,
-// plus the galloping skewed-intersection case and the Mushroom-shaped
+// plus the galloping skewed-intersection case, the Mushroom-shaped
 // extension-event cases (count-then-skip against materializing, the
-// allocation-free miss walk against a materialized a \ b). Prints a table
+// allocation-free miss walk against a materialized a \ b) and the
+// session cache's key cost (fingerprint, equality). Prints a table
 // and emits BENCH_tidset.json (one object per measurement) so the perf
 // trajectory of the data layer is machine-readable across commits.
 //
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/eval_cache.h"
 #include "src/data/tidlist.h"
 #include "src/data/tidset.h"
 #include "src/harness/dataset_factory.h"
@@ -186,6 +188,28 @@ void SweepMushroomShaped(std::size_t reps, Rng& rng) {
   }
 }
 
+/// The session cache's key work on a Mushroom-shaped tid-set (universe
+/// 8124, 600 members): TidSetFingerprint, and the exact comparison of a
+/// probe against a stored key with the same contents (a hit's full
+/// compare), in either representation and across the two.
+void SweepCacheKey(std::size_t reps, Rng& rng) {
+  const std::size_t universe = 8124;
+  const TidList tids = RandomTids(universe, 600.0 / universe, rng);
+  const double density = static_cast<double>(tids.size()) / universe;
+  const TidSet sparse(tids, universe, TidSetMode::kSparse);
+  const TidSet dense(tids, universe, TidSetMode::kDense);
+  for (const TidSet* key : {&sparse, &dense}) {
+    const char* name = key->dense() ? "dense" : "sparse";
+    const TidSet stored = *key;
+    Measure("fingerprint", universe, density, name, reps, key->size(),
+            [&] { g_sink += TidSetFingerprint(*key); });
+    Measure("equal", universe, density, name, reps, key->size(),
+            [&] { g_sink += *key == stored ? 1 : 0; });
+  }
+  Measure("equal_mixed", universe, density, "sparse_vs_dense", reps,
+          tids.size(), [&] { g_sink += sparse == dense ? 1 : 0; });
+}
+
 void WriteJson(const char* path) {
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -231,6 +255,7 @@ int main() {
     SweepSkew(universe, budget / universe, rng);
   }
   SweepMushroomShaped(budget / 8192, rng);
+  SweepCacheKey(budget / 1024, rng);
 
   TablePrinter table;
   table.SetHeader(

@@ -14,35 +14,36 @@ namespace {
 /// the budget bounds the order of magnitude, not malloc's exact ledger.
 constexpr std::size_t kEntryOverheadBytes = 128;
 
-/// Whether the stored tids equal the probe's contents. Walks the TidSet
-/// in ascending order against the stored list without materializing.
-bool SameTids(const TidSet& tids, const TidList& stored) {
-  if (tids.size() != stored.size()) return false;
-  std::size_t i = 0;
-  bool equal = true;
-  tids.ForEach([&](Tid tid) {
-    if (equal && stored[i++] != tid) equal = false;
-  });
-  return equal;
+/// 2^64 / golden ratio, odd: spreads consecutive word indices apart.
+constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ull;
+
+/// MurmurHash3's 64-bit finalizer: a bijection in which every input bit
+/// reaches every output bit.
+std::uint64_t Mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return x;
 }
 
 }  // namespace
 
 std::uint64_t TidSetFingerprint(const TidSet& tids) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis.
-  tids.ForEach([&h](Tid tid) {
-    h ^= static_cast<std::uint64_t>(tid) + 1;  // +1 keeps tid 0 mixing.
-    h *= 1099511628211ull;
+  // A sum of independently mixed (word index, word) pairs: no pair waits
+  // on the one before, so a dense key's ~127 mixes pipeline instead of
+  // forming one multiply chain. The index enters each mix, so moving a
+  // word's contents to another index changes the sum.
+  std::uint64_t h = 0;
+  tids.ForEachWord([&h](std::size_t w, std::uint64_t bits) {
+    h += Mix64(bits ^ (static_cast<std::uint64_t>(w) * kGoldenGamma));
   });
-  // Finalize so the low bits (shard selector) depend on every tid.
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
   return h;
 }
 
 std::size_t EvalCache::Entry::Bytes() const {
-  return kEntryOverheadBytes + tids.capacity() * sizeof(Tid) +
+  return kEntryOverheadBytes + tids.MemoryBytes() +
          table.capacity() * sizeof(double);
 }
 
@@ -66,12 +67,13 @@ EvalCache::Lookup EvalCache::Probe(const TidSet& tids,
   const Entry& entry = it->second->second;
   // A fingerprint collision is treated as a miss: correctness never
   // depends on the hash.
-  if (!SameTids(tids, entry.tids)) return lookup;
+  if (!(tids == entry.tids)) return lookup;
   lookup.found = true;
   lookup.mu = entry.mu;
   if (entry.table_threshold >= threshold) {
     lookup.has_table = true;
     lookup.tail = entry.table[threshold];
+    lookup.table_run = entry.table_run;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // Touch.
   return lookup;
@@ -79,7 +81,7 @@ EvalCache::Lookup EvalCache::Probe(const TidSet& tids,
 
 void EvalCache::Insert(const TidSet& tids, double mu,
                        std::size_t table_threshold,
-                       std::vector<double> table) {
+                       std::vector<double> table, std::uint64_t run) {
   PFCI_DCHECK(table.size() == table_threshold + 1);
   const std::uint64_t fp = TidSetFingerprint(tids);
   Shard& shard = ShardFor(fp);
@@ -87,20 +89,21 @@ void EvalCache::Insert(const TidSet& tids, double mu,
   auto it = shard.map.find(fp);
   if (it != shard.map.end()) {
     Entry& entry = it->second->second;
-    if (SameTids(tids, entry.tids)) {
+    if (tids == entry.tids) {
       // Upgrade in place only when the new table answers more thresholds
       // AND the upgraded entry still fits the budget on its own; an
       // over-budget upgrade is rejected and the smaller entry kept (it
       // keeps answering what it already answered).
       if (table_threshold > entry.table_threshold) {
         const std::size_t upgraded_bytes =
-            kEntryOverheadBytes + entry.tids.capacity() * sizeof(Tid) +
+            kEntryOverheadBytes + entry.tids.MemoryBytes() +
             table.capacity() * sizeof(double);
         if (upgraded_bytes > options_.max_bytes) {
           rejections_.fetch_add(1, std::memory_order_relaxed);
         } else {
           bytes_.fetch_sub(entry.Bytes(), std::memory_order_relaxed);
           entry.table_threshold = table_threshold;
+          entry.table_run = run;
           entry.table = std::move(table);
           bytes_.fetch_add(entry.Bytes(), std::memory_order_relaxed);
         }
@@ -111,9 +114,10 @@ void EvalCache::Insert(const TidSet& tids, double mu,
     }
   }
   Entry entry;
-  entry.tids = tids.ToTidList();
+  entry.tids = tids;
   entry.mu = mu;
   entry.table_threshold = table_threshold;
+  entry.table_run = run;
   entry.table = std::move(table);
   // An entry that alone exceeds the whole budget can never become
   // resident; admitting it would evict the entire shard and still leave

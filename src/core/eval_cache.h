@@ -15,9 +15,14 @@
 // re-running the DP (monotonicity-aware reuse). Entries are keyed by a
 // 64-bit fingerprint of the tid contents and verified by exact tid
 // comparison — a fingerprint collision degrades to a miss, never to a
-// wrong answer. The cache is sharded (one mutex + LRU list per shard) and
-// bounded by a byte budget with least-recently-used eviction; an evicted
-// table is recomputed by its next reader, which moves work, not results.
+// wrong answer. Both work on 64-bit words: the fingerprint hashes the
+// (word index, word) pairs of the set's bitmap image, and the stored key
+// is a TidSet copy in the probe's representation, so a dense key costs
+// |universe| / 8 bytes and compares in |universe| / 64 word compares
+// (127 for Mushroom-like 8124). The cache is sharded (one mutex + LRU
+// list per shard) and bounded by a byte budget with least-recently-used
+// eviction; an evicted table is recomputed by its next reader, which
+// moves work, not results.
 //
 // The cache is the session's only cross-request reuse store: a later
 // request at an equal or lower min_sup answers from an entry's table, and
@@ -33,7 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/data/tidlist.h"
 #include "src/data/tidset.h"
 
 namespace pfci {
@@ -61,6 +65,9 @@ class EvalCache {
     bool has_table = false;  ///< Its tail table covers the threshold.
     double mu = 0.0;         ///< Cached expected support (when found).
     double tail = 0.0;       ///< PrF at `threshold` (when has_table).
+    /// The run id that stored the entry's table (when has_table); 0 for
+    /// an insert that named no run.
+    std::uint64_t table_run = 0;
   };
 
   explicit EvalCache(const Options& options);
@@ -80,8 +87,16 @@ class EvalCache {
   /// entry (or upgrade) that would alone exceed max_bytes is rejected —
   /// counted in rejections(), existing entries untouched — so the cache
   /// never admits something it would have to evict everything for.
+  /// `run` (from NewRunId, or 0) is recorded as the stored table's
+  /// origin; an upgrade records the upgrading run.
   void Insert(const TidSet& tids, double mu, std::size_t table_threshold,
-              std::vector<double> table);
+              std::vector<double> table, std::uint64_t run = 0);
+
+  /// A fresh, non-zero id for one run's inserts, so that its probes can
+  /// tell its own tables from tables another run stored.
+  std::uint64_t NewRunId() {
+    return next_run_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
   /// Current resident bytes across all shards (tids + tables + entry
   /// overhead; the value MiningStats reports as cache_bytes).
@@ -105,10 +120,11 @@ class EvalCache {
 
  private:
   struct Entry {
-    TidList tids;               ///< Exact key (collision guard).
+    TidSet tids;                ///< Exact key (collision guard).
     double mu = 0.0;            ///< Sum of probs, ascending tid order.
     std::size_t table_threshold = 0;
-    std::vector<double> table;  ///< table[t] = PrF at threshold t.
+    std::uint64_t table_run = 0;  ///< The run that stored `table`.
+    std::vector<double> table;    ///< table[t] = PrF at threshold t.
 
     std::size_t Bytes() const;
   };
@@ -136,11 +152,13 @@ class EvalCache {
   std::atomic<std::uint64_t> entries_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> rejections_{0};
+  std::atomic<std::uint64_t> next_run_id_{0};
 };
 
-/// Content fingerprint of a tidset (FNV-1a over the ascending tids).
-/// Representation-independent: sparse and dense sets with equal contents
-/// hash equal.
+/// Content fingerprint of a tidset: the sum, mod 2^64, of a 64-bit mix
+/// of each (word index, word) pair of its non-zero bitmap words
+/// (TidSet::ForEachWord). Representation-independent: sparse and dense
+/// sets with equal contents hash equal.
 std::uint64_t TidSetFingerprint(const TidSet& tids);
 
 }  // namespace pfci

@@ -38,7 +38,10 @@ DpWorkspace& LocalDpWorkspace() {
 FrequentProbability::FrequentProbability(const VerticalIndex& index,
                                          std::size_t min_sup,
                                          EvalCache* cache)
-    : index_(&index), min_sup_(min_sup), cache_(cache) {
+    : index_(&index),
+      min_sup_(min_sup),
+      cache_(cache),
+      run_id_(cache != nullptr ? cache->NewRunId() : 0) {
   PFCI_CHECK(min_sup >= 1);
 }
 
@@ -72,6 +75,9 @@ double FrequentProbability::PrF(const TidSet& tids) const {
       if (lookup.has_table) {
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         dp_reused_.fetch_add(1, std::memory_order_relaxed);
+        if (lookup.table_run != run_id_) {
+          shared_dp_reused_.fetch_add(1, std::memory_order_relaxed);
+        }
         return lookup.tail;
       }
     }
@@ -88,7 +94,7 @@ double FrequentProbability::PrF(const TidSet& tids) const {
     if (const std::optional<double> settled = ShortCircuit(mu, n)) {
       // Mu alone: later probes replay the short circuit off it, and a
       // lower threshold where it does not fire runs its own DP.
-      if (cache_ != nullptr) cache_->Insert(tids, mu, 0, {1.0});
+      if (cache_ != nullptr) cache_->Insert(tids, mu, 0, {1.0}, run_id_);
       return *settled;
     }
   }
@@ -103,7 +109,7 @@ double FrequentProbability::PrF(const TidSet& tids) const {
   std::vector<double> table;
   PoissonBinomialTailTable(probs.data(), n, min_sup_, &workspace.dp, &table);
   const double result = table[min_sup_];
-  cache_->Insert(tids, mu, min_sup_, std::move(table));
+  cache_->Insert(tids, mu, min_sup_, std::move(table), run_id_);
   return result;
 }
 
@@ -116,7 +122,7 @@ double FrequentProbability::ExpectedSupport(const TidSet& tids) const {
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   const double mu = index_->SumProbsOf(tids);
-  cache_->Insert(tids, mu, 0, {1.0});
+  cache_->Insert(tids, mu, 0, {1.0}, run_id_);
   return mu;
 }
 
@@ -131,6 +137,7 @@ void FrequentProbability::AddCountersTo(MiningStats& stats) const {
   stats.cache_hits += cache_hits();
   stats.cache_misses += cache_misses();
   stats.dp_reused += dp_reused();
+  stats.shared_dp_hits += shared_dp_reused();
 }
 
 }  // namespace pfci

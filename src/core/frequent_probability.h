@@ -87,10 +87,19 @@ class FrequentProbability {
     return dp_reused_.load(std::memory_order_relaxed);
   }
 
-  /// Adds the four counters above into `stats`: the one fold a run makes
-  /// of its evaluator, once, on the coordinating thread. Added (not
-  /// assigned): a resumed run's base counters already hold the suspended
-  /// sessions' counts.
+  /// The subset of dp_reused served from tables another evaluator stored
+  /// (an earlier run of the session, or a batch's other members); repeats
+  /// of this evaluator's own tables are not counted. Each cached
+  /// evaluator draws its own run id from the cache (EvalCache::NewRunId).
+  std::uint64_t shared_dp_reused() const {
+    return shared_dp_reused_.load(std::memory_order_relaxed);
+  }
+
+  /// Adds the counters above into `stats` (shared_dp_reused into
+  /// shared_dp_hits, which the serving layer keeps only on batch
+  /// followers): the one fold a run makes of its evaluator, once, on the
+  /// coordinating thread. Added (not assigned): a resumed run's base
+  /// counters already hold the suspended sessions' counts.
   void AddCountersTo(MiningStats& stats) const;
 
  private:
@@ -102,10 +111,12 @@ class FrequentProbability {
   const VerticalIndex* index_;
   std::size_t min_sup_;
   EvalCache* cache_ = nullptr;
+  std::uint64_t run_id_ = 0;  ///< This evaluator's inserts into cache_.
   mutable std::atomic<std::uint64_t> dp_runs_{0};
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};
   mutable std::atomic<std::uint64_t> dp_reused_{0};
+  mutable std::atomic<std::uint64_t> shared_dp_reused_{0};
 };
 
 }  // namespace pfci

@@ -22,7 +22,8 @@ void EnumerateItemLevel(const ItemUncertainDatabase& db,
   const std::size_t bytes = columns.MemoryBytes();
   rt.ChargeBytes(bytes);
   rt.Checkpoint();
-  EnumerateFrequent(columns, measure, failpoint, stats, rt, emit);
+  EnumerateFrequent(columns, measure, /*count_floor=*/0, failpoint, stats,
+                    rt, emit);
   rt.ReleaseBytes(bytes);
 }
 

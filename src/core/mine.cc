@@ -189,7 +189,7 @@ MiningResult Dispatch(const UncertainDatabase& db,
               const CandidateOracle oracle(freq, params.pruning.chernoff);
               std::vector<PfciEntry> entries;
               EnumerateFrequent(index, PrFAbove(oracle, params.pfct),
-                                "pfi/node", stats, rt,
+                                params.min_sup, "pfi/node", stats, rt,
                                 CollectInto<TidSet>(&entries));
               return entries;
             });
@@ -205,7 +205,8 @@ MiningResult Dispatch(const UncertainDatabase& db,
               std::vector<PfciEntry> entries;
               EnumerateFrequent(
                   index, ExpectedSupportAtLeast(freq, EffectiveMinEsup(request)),
-                  "esup/node", stats, rt, CollectInto<TidSet>(&entries));
+                  /*count_floor=*/0, "esup/node", stats, rt,
+                  CollectInto<TidSet>(&entries));
               return entries;
             });
       });

@@ -221,7 +221,9 @@ struct SessionBindings {
 
 /// Mine() with session state attached. This is the primitive
 /// MiningSession::Mine is built on; standalone callers can use it to
-/// share caches across hand-rolled request loops.
+/// share caches across hand-rolled request loops. With a cache bound,
+/// stats.shared_dp_hits counts the run's hits on tables other runs
+/// stored (MiningSession keeps it only on batch followers).
 MiningResult MineWithBindings(const UncertainDatabase& db,
                               const MiningRequest& request,
                               const SessionBindings& bindings);

@@ -99,10 +99,12 @@ struct MiningStats {
   /// MergeCounters (they describe the batch around the run, not work
   /// inside it). batch_size/batch_groups are the planned batch's totals,
   /// identical on every member result; shared_dp_hits is this member's
-  /// DP-table reuse attributable to the batch's shared pass (dp_reused
-  /// for non-leader group members, 0 for the group leader that paid for
-  /// the tables); queued_micros is the wall time from batch submission
-  /// (or Submit()) to this member starting to execute.
+  /// DP-table reuse attributable to the batch's shared pass: the subset
+  /// of dp_reused served from tables another run stored (the run's
+  /// evaluator counts it, FrequentProbability::shared_dp_reused), kept
+  /// for non-leader group members and 0 for the group leader that paid
+  /// for the tables; queued_micros is the wall time from batch
+  /// submission (or Submit()) to this member starting to execute.
   std::uint64_t batch_size = 0;
   std::uint64_t batch_groups = 0;
   std::uint64_t shared_dp_hits = 0;

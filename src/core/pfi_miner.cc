@@ -7,6 +7,7 @@
 #include "src/util/check.h"
 
 namespace pfci {
+namespace internal {
 
 std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
                                          std::size_t min_sup, double pft,
@@ -24,7 +25,7 @@ std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
         // it prunes); the tail approximation replaces the exact stage.
         const CandidateOracle oracle(freq, /*use_chernoff=*/true);
         if (mode == FrequencyMode::kExactDp) {
-          return EnumeratePfis(index, PrFAbove(oracle, pft),
+          return EnumeratePfis(index, PrFAbove(oracle, pft), min_sup,
                                /*stats=*/nullptr, rt);
         }
         QualifyRequest bounds;
@@ -42,8 +43,10 @@ std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
           if (pr_f <= pft) return std::nullopt;
           return pr_f;
         };
-        return EnumeratePfis(index, approximate, /*stats=*/nullptr, rt);
+        return EnumeratePfis(index, approximate, min_sup, /*stats=*/nullptr,
+                             rt);
       });
 }
 
+}  // namespace internal
 }  // namespace pfci

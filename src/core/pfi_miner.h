@@ -2,8 +2,9 @@
 // ablation of the [22] baseline.
 //
 // The exact PFI baseline (PrF(X) > pft, Definition 3.5) is
-// Algorithm::kPfi of Mine(); no Algorithm reaches the approximation, so
-// it keeps this one standalone entry point.
+// Algorithm::kPfi of Mine(). No Algorithm reaches the approximation: it
+// is an experiment building block for tests and benches, in internal::
+// and outside the umbrella header.
 #ifndef PFCI_CORE_PFI_MINER_H_
 #define PFCI_CORE_PFI_MINER_H_
 
@@ -14,6 +15,7 @@
 #include "src/prob/tail_approximations.h"
 
 namespace pfci {
+namespace internal {
 
 /// Approximate PFI mining in the spirit of [3]: the exact frequent-
 /// probability DP is replaced by a distributional approximation of the
@@ -26,6 +28,7 @@ std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
                                          std::size_t min_sup, double pft,
                                          FrequencyMode mode);
 
+}  // namespace internal
 }  // namespace pfci
 
 #endif  // PFCI_CORE_PFI_MINER_H_

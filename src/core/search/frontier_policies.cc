@@ -456,7 +456,7 @@ void FlatCheckFrontier::BuildCandidates(const SearchContext& ctx,
   const CandidateOracle oracle(*ctx.freq, /*use_chernoff=*/true);
   const std::uint64_t nodes_before = result.stats.nodes_visited;
   pfis_ = EnumeratePfis(*ctx.index, PrFAbove(oracle, ctx.params->pfct),
-                        &result.stats, ctx.rt);
+                        ctx.params->min_sup, &result.stats, ctx.rt);
   enumerated_nodes_ = result.stats.nodes_visited - nodes_before;
 }
 

@@ -29,9 +29,9 @@ FrequentnessMeasure<TidSet> ExpectedSupportAtLeast(
 
 std::vector<PfiEntry> EnumeratePfis(
     const VerticalIndex& index, const FrequentnessMeasure<TidSet>& measure,
-    MiningStats* stats, RunController& rt) {
+    std::size_t min_sup, MiningStats* stats, RunController& rt) {
   std::vector<PfiEntry> pfis;
-  EnumerateFrequent(index, measure, "pfi/node", stats, rt,
+  EnumerateFrequent(index, measure, min_sup, "pfi/node", stats, rt,
                     [&pfis](const Itemset& items, const TidSet& tids,
                             double pr_f) {
                       pfis.push_back(PfiEntry{items, pr_f, tids});

@@ -7,18 +7,23 @@
 // U-Apriori model [9] — are all anti-monotone, so one enumeration is
 // complete for each. The walk is generic over the node cover: Tids(X)
 // for the tuple model (VerticalIndex), X's containment probabilities for
-// the item model (ItemColumns). This is the engine behind the PFI
-// baseline miner, the approximate PFI miner, the expected-support
-// miners of both models, the item-level PFI miner and the candidate
-// stage of the Naive checker (Fig. 5); it lives in the kernel
-// so frontier policies can call it without depending on any miner entry
-// point.
+// the item model (ItemColumns). Over tid-sets it counts before it
+// builds: a measure with a support-count floor (Definition 3.4) has each
+// extension's |Tids(X) ∩ Tids(e)| decided by IntersectSize before Extend
+// materializes Tids(X+e), as ClosedDfs does, so the candidates the floor
+// rejects cost one popcount pass and no allocation. This is the engine
+// behind the PFI baseline miner, the approximate PFI miner, the
+// expected-support miners of both models, the item-level PFI miner and
+// the candidate stage of the Naive checker (Fig. 5); it lives in the
+// kernel so frontier policies can call it without depending on any
+// miner entry point.
 #ifndef PFCI_CORE_SEARCH_PFI_ENUMERATION_H_
 #define PFCI_CORE_SEARCH_PFI_ENUMERATION_H_
 
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/execution.h"
@@ -29,6 +34,7 @@
 #include "src/data/tidset.h"
 #include "src/data/uncertain_database.h"
 #include "src/data/vertical_index.h"
+#include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/runtime.h"
 
@@ -63,19 +69,26 @@ using FrequentEmit = std::function<void(const Itemset& items,
 /// Enumerates, depth-first, every itemset over `covers` that `measure`
 /// admits, passing each to `emit` in visit order. `Covers` is
 /// VerticalIndex or ItemColumns; each extension is one `covers.Extend`,
-/// dispatched at compile time. The caller owns the covers and
-/// evaluators: it charges the covers to the memory budget, checkpoints
-/// before calling, and folds the evaluator's work counters. `failpoint`
-/// names the node-expansion site; `stats` (optional) accumulates node,
-/// intersection and pruning counters. The DFS polls `rt` at node
-/// expansion and winds down with a verified prefix when a limit trips.
+/// dispatched at compile time. `count_floor` (0 = none; tid-set covers
+/// only) is the measure's own support-count floor, decided first: an
+/// extension whose IntersectSize falls below it is rejected without
+/// Extend and counted as one intersection and one pruned_by_frequency,
+/// the counts the measure's rejection would have made. The caller owns
+/// the covers and evaluators: it charges the covers to the memory
+/// budget, checkpoints before calling, and folds the evaluator's work
+/// counters. `failpoint` names the node-expansion site; `stats`
+/// (optional) accumulates node, intersection and pruning counters. The
+/// DFS polls `rt` at node expansion and winds down with a verified
+/// prefix when a limit trips.
 template <typename Covers>
 void EnumerateFrequent(
     const Covers& covers,
     const FrequentnessMeasure<typename Covers::Cover>& measure,
-    const char* failpoint, MiningStats* stats, RunController& rt,
-    const FrequentEmit<typename Covers::Cover>& emit) {
+    std::size_t count_floor, const char* failpoint, MiningStats* stats,
+    RunController& rt, const FrequentEmit<typename Covers::Cover>& emit) {
   using Cover = typename Covers::Cover;
+  constexpr bool kTidSetCovers = std::is_same_v<Cover, TidSet>;
+  PFCI_DCHECK(count_floor == 0 || kTidSetCovers);
   // Sequential enumeration: one logical work unit owns the whole budget.
   WorkUnitBudget unit = rt.UnitBudget(0, 1);
   // Whether the run should wind down (budget cut or global stop).
@@ -102,8 +115,17 @@ void EnumerateFrequent(
     for (std::size_t c = candidate_pos + 1; c < candidates.size(); ++c) {
       if (stopped()) return;
       const Item item = candidates[c];
-      const Cover child_cover = covers.Extend(cover, item);
       if (stats != nullptr) ++stats->intersections;
+      if constexpr (kTidSetCovers) {
+        // Count before building: Tids(X+item) is materialized only once
+        // it passes the count floor.
+        if (count_floor > 0 &&
+            IntersectSize(cover, covers.CoverOf(item)) < count_floor) {
+          if (stats != nullptr) ++stats->pruned_by_frequency;
+          continue;
+        }
+      }
+      const Cover child_cover = covers.Extend(cover, item);
       const std::optional<double> value = measure(child_cover, stats);
       if (!value.has_value()) continue;
       const Itemset child = x.WithItem(item);
@@ -128,13 +150,14 @@ FrequentnessMeasure<TidSet> PrFAbove(const CandidateOracle& oracle,
 FrequentnessMeasure<TidSet> ExpectedSupportAtLeast(
     const FrequentProbability& freq, double min_esup);
 
-/// The PFIs under `measure` (PrFAbove or an approximation of it): every
-/// admitted itemset with its tid-set, sorted canonically. Node site
-/// "pfi/node". For the callers that need the tid-sets: the Naive
-/// checker's candidate stage and MinePfiApproximate.
+/// The PFIs under `measure` (PrFAbove or an approximation of it, whose
+/// count floor is min_sup): every admitted itemset with its tid-set,
+/// sorted canonically. Node site "pfi/node". For the callers that need
+/// the tid-sets: the Naive checker's candidate stage and
+/// internal::MinePfiApproximate.
 std::vector<PfiEntry> EnumeratePfis(
     const VerticalIndex& index, const FrequentnessMeasure<TidSet>& measure,
-    MiningStats* stats, RunController& rt);
+    std::size_t min_sup, MiningStats* stats, RunController& rt);
 
 /// The one run setup of the tuple-level flat miners: borrows or builds
 /// the index (charged to the run's memory budget) and the evaluator,

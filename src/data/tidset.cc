@@ -285,11 +285,15 @@ bool IsSubsetOf(const TidSet& a, const TidSet& b) {
 
 bool operator==(const TidSet& a, const TidSet& b) {
   if (a.size_ != b.size_) return false;
+  if (a.size_ == 0) return true;
+  CombinedUniverse(a, b);  // Universe agreement DCHECK.
+  if (a.dense_ && b.dense_) return a.words_ == b.words_;
   if (!a.dense_ && !b.dense_) return a.sparse_ == b.sparse_;
-  if (a.dense_ && b.dense_ && a.words_.size() == b.words_.size()) {
-    return a.words_ == b.words_;
-  }
-  return a.ToTidList() == b.ToTidList();
+  // Equal sizes: equal iff every sparse member is set in the bitmap.
+  const TidSet& sparse = a.dense_ ? b : a;
+  const TidSet& dense = a.dense_ ? a : b;
+  return std::all_of(sparse.sparse_.begin(), sparse.sparse_.end(),
+                     [&dense](Tid tid) { return dense.Contains(tid); });
 }
 
 bool operator==(const TidSet& a, const TidList& b) {

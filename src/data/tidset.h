@@ -130,6 +130,32 @@ class TidSet {
     }
   }
 
+  /// Invokes `fn(std::size_t w, std::uint64_t bits)` for every non-zero
+  /// word of the set's bitmap image, in ascending word index: bit b of
+  /// `bits` is tid 64 * w + b. The sequence is the same in either
+  /// representation; a sparse set packs its tids into words as it goes.
+  template <typename Fn>
+  void ForEachWord(Fn&& fn) const {
+    if (dense_) {
+      for (std::size_t w = 0; w < words_.size(); ++w) {
+        if (words_[w] != 0) fn(w, words_[w]);
+      }
+      return;
+    }
+    if (size_ == 0) return;
+    std::size_t w = sparse_[0] / 64;
+    std::uint64_t bits = 0;
+    for (const Tid tid : sparse_) {
+      if (tid / 64 != w) {
+        fn(w, bits);
+        w = tid / 64;
+        bits = 0;
+      }
+      bits |= std::uint64_t{1} << (tid % 64);
+    }
+    fn(w, bits);
+  }
+
   /// Materializes the members as a sorted tid list.
   TidList ToTidList() const;
 
@@ -169,7 +195,9 @@ std::size_t IntersectSize(const TidSet& a, const TidSet& b);
 /// Whether a ⊆ b.
 bool IsSubsetOf(const TidSet& a, const TidSet& b);
 
-/// Content equality (representation-independent).
+/// Content equality (representation-independent). Allocates nothing: two
+/// bitmaps compare word by word, and a sparse set against a bitmap is a
+/// membership walk over the sparse side.
 bool operator==(const TidSet& a, const TidSet& b);
 
 /// Convenience for tests: compares contents against a sorted tid list.

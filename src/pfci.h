@@ -24,10 +24,9 @@
 //  * Mining:     Mine, the one front door: every algorithm (MPFCI, BFS,
 //                Naive, top-k, PFI, expected support, the brute-force
 //                oracle, the item-level miners) is an Algorithm value of
-//                a MiningRequest. Two experiment building blocks no
-//                Algorithm reaches stay callable on raw parameters:
-//                MinePfiApproximate (the [3]-style tail approximation)
-//                and MinePsupClosed.
+//                a MiningRequest. MinePsupClosed, an experiment building
+//                block no Algorithm reaches, stays callable on raw
+//                parameters.
 //  * Serving:    MiningSession (repeated requests over one database:
 //                shared index, cross-request evaluation caches; Mine,
 //                Submit, and MineBatch — a threshold sweep is a batch of
@@ -56,7 +55,6 @@
 #include "src/core/mine.h"
 #include "src/core/mining_params.h"
 #include "src/core/mining_result.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/probabilistic_support.h"
 #include "src/core/stream_miner.h"
 #include "src/data/database_io.h"

@@ -166,7 +166,8 @@ void MiningSession::Release(State& s) {
 }
 
 MiningResult MiningSession::MineStep(State& state,
-                                     const MiningRequest& request) {
+                                     const MiningRequest& request,
+                                     bool batch_follower) {
   if (!Admit(state, request.budget.deadline_seconds)) {
     return RejectedResult(state.options);
   }
@@ -180,6 +181,7 @@ MiningResult MiningSession::MineStep(State& state,
   bindings.index = state.index.get();
   bindings.eval_cache = state.cache.get();
   MiningResult result = MineWithBindings(*state.db, request, bindings);
+  if (!batch_follower) result.stats.shared_dp_hits = 0;
   result.stats.cache_bytes =
       state.cache != nullptr ? state.cache->bytes() : 0;
   return result;
@@ -255,12 +257,11 @@ std::vector<MiningResult> MiningSession::MineBatch(
       const std::size_t index = group.members[position];
       const std::uint64_t queued_micros =
           Micros(batch_clock.ElapsedSeconds());
-      MiningResult result = MineStep(state, requests[index]);
+      // The leader pays for the shared tables; a follower's hits on
+      // tables another run stored are the batch's shared-scan dividend.
+      MiningResult result =
+          MineStep(state, requests[index], /*batch_follower=*/position > 0);
       result.stats.queued_micros = queued_micros;
-      // The leader pays for the shared tables; followers' DP reuse is
-      // the batch's shared-scan dividend.
-      result.stats.shared_dp_hits =
-          position > 0 ? result.stats.dp_reused : 0;
       results[index] = std::move(result);
     }
   };

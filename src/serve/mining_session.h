@@ -183,13 +183,16 @@ class MiningSession {
   explicit MiningSession(std::unique_ptr<State> state)
       : state_(std::move(state)) {}
 
-  /// One request with session bindings attached.
+  /// One request with session bindings attached. The run's
+  /// shared_dp_hits (DP-table hits on tables other runs stored) are kept
+  /// only for a `batch_follower`; any other run reports 0.
   ///
   /// These helpers are static over State rather than members: Submit()
   /// workers and batch group threads outlast any particular `this` (the
   /// session is movable), so everything they touch goes through the
   /// stable State address.
-  static MiningResult MineStep(State& state, const MiningRequest& request);
+  static MiningResult MineStep(State& state, const MiningRequest& request,
+                               bool batch_follower = false);
 
   /// Takes an execution slot (possibly waiting up to `deadline_seconds`
   /// in the admission queue); false means rejected. Always true with

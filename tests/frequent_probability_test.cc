@@ -8,6 +8,7 @@
 
 #include "src/core/brute_force.h"
 #include "src/core/eval_cache.h"
+#include "src/core/mining_result.h"
 #include "src/data/vertical_index.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/random.h"
@@ -127,7 +128,8 @@ TEST(FrequentProbability, CacheTiersPinValuesAndCounters) {
   const VerticalIndex index(db);
   EvalCache cache(EvalCache::Options{});
 
-  // Entry bytes: 128 overhead + 200 tids * 4 + (threshold + 1) * 8.
+  // Entry bytes: 128 overhead + the key, a dense 600-tid bitmap of 10
+  // words * 8, + the table, (threshold + 1) * 8.
   struct Step {
     const char* what;
     Item item;
@@ -137,21 +139,21 @@ TEST(FrequentProbability, CacheTiersPinValuesAndCounters) {
     std::uint64_t entries, bytes;
   };
   const Step steps[] = {
-      {"miss, table over [1, 130]", 0, 130, -1, 1, 0, 1, 0, 1, 1976},
-      {"lower threshold hits the table", 0, 125, -1, 0, 1, 0, 1, 1, 1976},
-      {"lowest threshold hits the table", 0, 120, -1, 0, 1, 0, 1, 1, 1976},
+      {"miss, table over [1, 130]", 0, 130, -1, 1, 0, 1, 0, 1, 1256},
+      {"lower threshold hits the table", 0, 125, -1, 0, 1, 0, 1, 1, 1256},
+      {"lowest threshold hits the table", 0, 120, -1, 0, 1, 0, 1, 1, 1256},
       {"higher threshold upgrades the entry", 0, 140, -1, 1, 0, 1, 0, 1,
-       2056},
-      {"upgraded table hits", 0, 130, -1, 0, 1, 0, 1, 1, 2056},
+       1336},
+      {"upgraded table hits", 0, 130, -1, 0, 1, 0, 1, 1, 1336},
       {"upper short circuit, mu-only insert", 2, 80, 0.0, 0, 0, 1, 0, 2,
-       2992},
-      {"upper short-circuit replay", 2, 80, 0.0, 0, 1, 0, 0, 2, 2992},
+       1552},
+      {"upper short-circuit replay", 2, 80, 0.0, 0, 1, 0, 0, 2, 1552},
       {"lower short circuit, mu-only insert", 1, 60, 1.0, 0, 0, 1, 0, 3,
-       3928},
-      {"lower short-circuit replay", 1, 60, 1.0, 0, 1, 0, 0, 3, 3928},
-      {"mu-only entry, DP upgrades it", 1, 150, -1, 1, 0, 1, 0, 3, 5128},
-      {"lower threshold hits the upgrade", 1, 140, -1, 0, 1, 0, 1, 3, 5128},
-      {"short circuit still replays first", 1, 60, 1.0, 0, 1, 0, 0, 3, 5128},
+       1768},
+      {"lower short-circuit replay", 1, 60, 1.0, 0, 1, 0, 0, 3, 1768},
+      {"mu-only entry, DP upgrades it", 1, 150, -1, 1, 0, 1, 0, 3, 2968},
+      {"lower threshold hits the upgrade", 1, 140, -1, 0, 1, 0, 1, 3, 2968},
+      {"short circuit still replays first", 1, 60, 1.0, 0, 1, 0, 0, 3, 2968},
   };
   for (const Step& step : steps) {
     SCOPED_TRACE(step.what);
@@ -171,10 +173,52 @@ TEST(FrequentProbability, CacheTiersPinValuesAndCounters) {
     EXPECT_EQ(cached.cache_hits(), step.cache_hits);
     EXPECT_EQ(cached.cache_misses(), step.cache_misses);
     EXPECT_EQ(cached.dp_reused(), step.dp_reused);
+    // Each step is its own evaluator: every table it reuses was stored
+    // by an earlier one.
+    EXPECT_EQ(cached.shared_dp_reused(), step.dp_reused);
     EXPECT_EQ(cache.entries(), step.entries);
     EXPECT_EQ(cache.bytes(), step.bytes);
   }
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(FrequentProbability, SharedReuseCountsOnlyOtherRunsTables) {
+  UncertainDatabase db;
+  for (int k = 0; k < 200; ++k) db.Add(Itemset{0}, 0.3 + 0.6 * (k % 10) / 9.0);
+  const VerticalIndex index(db);
+  const TidSet& tids = index.TidsOfItem(0);
+  EvalCache cache(EvalCache::Options{});
+
+  // The run that stores a table and then reuses it shares nothing.
+  const FrequentProbability leader(index, 130, &cache);
+  const double at130 = leader.PrF(tids);
+  EXPECT_EQ(leader.PrF(tids), at130);
+  EXPECT_EQ(leader.dp_runs(), 1u);
+  EXPECT_EQ(leader.dp_reused(), 1u);
+  EXPECT_EQ(leader.shared_dp_reused(), 0u);
+
+  // Another run over the same cache reuses the leader's table.
+  const FrequentProbability follower(index, 120, &cache);
+  follower.PrF(tids);
+  follower.PrF(tids);
+  EXPECT_EQ(follower.dp_runs(), 0u);
+  EXPECT_EQ(follower.dp_reused(), 2u);
+  EXPECT_EQ(follower.shared_dp_reused(), 2u);
+
+  // An upgrade makes the upgrading run the table's owner.
+  const FrequentProbability upgrader(index, 140, &cache);
+  upgrader.PrF(tids);
+  const FrequentProbability again(index, 140, &cache);
+  again.PrF(tids);
+  upgrader.PrF(tids);
+  EXPECT_EQ(upgrader.dp_runs(), 1u);
+  EXPECT_EQ(upgrader.shared_dp_reused(), 0u);
+  EXPECT_EQ(again.shared_dp_reused(), 1u);
+
+  MiningStats stats;
+  follower.AddCountersTo(stats);
+  EXPECT_EQ(stats.dp_reused, 2u);
+  EXPECT_EQ(stats.shared_dp_hits, 2u);
 }
 
 }  // namespace

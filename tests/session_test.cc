@@ -180,10 +180,12 @@ TEST(MiningSession, SweepWorkCountersArePinned) {
     std::uint64_t shared_dp_hits;
   };
   // In submission order: min_sup 4, 6, 8. The leader's dp_reused are
-  // repeats within its own run.
+  // repeats within its own run. A follower's shared_dp_hits count only
+  // its hits on tables an earlier member stored; the rest of its
+  // dp_reused are repeats of tables it stored itself.
   const Pinned pinned[] = {
-      {99, 22084, 22084},
-      {94, 8832, 8832},
+      {99, 22084, 9274},
+      {94, 8832, 4373},
       {295, 3828, 0},
   };
   const std::vector<MiningResult> sweep = session.MineBatch(steps);
@@ -573,15 +575,70 @@ TEST(EvalCache, ProbeInsertAndMonotoneTableReuse) {
 }
 
 TEST(EvalCache, FingerprintIsRepresentationIndependent) {
-  const TidList contents = {2, 4, 6, 9};
-  const TidSet a(contents, 12, TidSetMode::kSparse);
-  const TidSet b(contents, 12, TidSetMode::kDense);
-  EXPECT_EQ(TidSetFingerprint(a), TidSetFingerprint(b));
+  // A one-word universe, a multi-word one with members on both sides of
+  // every word boundary, and the empty set.
+  const struct {
+    TidList contents;
+    std::size_t universe;
+  } keys[] = {
+      {{2, 4, 6, 9}, 12},
+      {{0, 63, 64, 127, 128, 299}, 300},
+      {{}, 300},
+  };
+  for (const auto& key : keys) {
+    SCOPED_TRACE("universe=" + std::to_string(key.universe) +
+                 " size=" + std::to_string(key.contents.size()));
+    const TidSet a(key.contents, key.universe, TidSetMode::kSparse);
+    const TidSet b(key.contents, key.universe, TidSetMode::kDense);
+    EXPECT_EQ(TidSetFingerprint(a), TidSetFingerprint(b));
 
-  // One cache serves both representations of the same contents.
+    // One cache serves both representations of the same contents, in
+    // either direction.
+    EvalCache sparse_key(EvalCache::Options{});
+    sparse_key.Insert(a, 2.5, 0, {1.0});
+    EXPECT_TRUE(sparse_key.Probe(b, 0).found);
+    EvalCache dense_key(EvalCache::Options{});
+    dense_key.Insert(b, 2.5, 0, {1.0});
+    EXPECT_TRUE(dense_key.Probe(a, 0).found);
+  }
+
+  // A set that differs from a stored key by one bit (grown) or by one
+  // moved tid misses, in every pairing.
+  const TidList stored = {0, 63, 64, 127, 128, 299};
+  const TidList moved = {0, 63, 65, 127, 128, 299};
+  const TidList grown = {0, 63, 64, 127, 128, 200, 299};
+  for (const TidSetMode stored_mode : {TidSetMode::kSparse,
+                                       TidSetMode::kDense}) {
+    EvalCache cache(EvalCache::Options{});
+    cache.Insert(TidSet(stored, 300, stored_mode), 2.5, 0, {1.0});
+    for (const TidSetMode probe_mode : {TidSetMode::kSparse,
+                                        TidSetMode::kDense}) {
+      for (const TidList& other : {moved, grown}) {
+        const TidSet probe(other, 300, probe_mode);
+        EXPECT_NE(TidSetFingerprint(probe),
+                  TidSetFingerprint(TidSet(stored, 300, stored_mode)));
+        EXPECT_FALSE(cache.Probe(probe, 0).found);
+      }
+      EXPECT_TRUE(cache.Probe(TidSet(stored, 300, probe_mode), 0).found);
+    }
+  }
+}
+
+TEST(EvalCache, ProbeReportsTheRunThatStoredTheTable) {
   EvalCache cache(EvalCache::Options{});
-  cache.Insert(a, 2.5, 0, {1.0});
-  EXPECT_TRUE(cache.Probe(b, 1).found);
+  const std::uint64_t first = cache.NewRunId();
+  const std::uint64_t second = cache.NewRunId();
+  EXPECT_NE(first, 0u);
+  EXPECT_NE(first, second);
+  const TidSet tids(TidList{1, 3, 5}, 10);
+  cache.Insert(tids, 1.5, 2, {1.0, 0.9, 0.6}, first);
+  EXPECT_EQ(cache.Probe(tids, 2).table_run, first);
+  // A smaller table leaves the owner; an upgrade takes it over.
+  cache.Insert(tids, 1.5, 1, {1.0, 0.9}, second);
+  EXPECT_EQ(cache.Probe(tids, 1).table_run, first);
+  cache.Insert(tids, 1.5, 3, {1.0, 0.9, 0.6, 0.2}, second);
+  EXPECT_EQ(cache.Probe(tids, 1).table_run, second);
+  EXPECT_EQ(cache.Probe(tids, 3).table_run, second);
 }
 
 TEST(EvalCache, OversizedEntryIsRejectedWithoutEvictingResidents) {

@@ -109,7 +109,7 @@ TEST(ApproximatePfiMiner, ExactModeReproducesThePfiAlgorithm) {
   const UncertainDatabase db = MakePaperExampleDb();
   const auto exact = MineExactPfis(db, 2, 0.8);
   const auto via_mode =
-      MinePfiApproximate(db, 2, 0.8, FrequencyMode::kExactDp);
+      internal::MinePfiApproximate(db, 2, 0.8, FrequencyMode::kExactDp);
   ASSERT_EQ(via_mode.size(), exact.size());
   for (std::size_t i = 0; i < exact.size(); ++i) {
     EXPECT_EQ(via_mode[i].items, exact[i].items);
@@ -122,7 +122,7 @@ TEST(ApproximatePfiMiner, NormalModeNearExactAtScale) {
   const std::size_t min_sup = AbsoluteMinSup(db.size(), 0.2);
   const auto exact = MineExactPfis(db, min_sup, 0.8);
   const auto approx =
-      MinePfiApproximate(db, min_sup, 0.8, FrequencyMode::kNormal);
+      internal::MinePfiApproximate(db, min_sup, 0.8, FrequencyMode::kNormal);
   // The symmetric difference must be a small fraction of the answer: only
   // borderline itemsets (PrF within the CLT error of 0.8) can flip.
   std::size_t common = 0;
@@ -183,7 +183,7 @@ TEST(ApproximatePfiMiner, ApproximateModesAreBitStable) {
            Pinned{FrequencyMode::kPoisson, 101, 0x3e4342917b229d1dULL},
        }) {
     const std::vector<PfiEntry> pfis =
-        MinePfiApproximate(db, min_sup, 0.8, pinned.mode);
+        internal::MinePfiApproximate(db, min_sup, 0.8, pinned.mode);
     EXPECT_EQ(pfis.size(), pinned.size) << FrequencyModeName(pinned.mode);
     EXPECT_EQ(PfiDigest(pfis), pinned.digest)
         << FrequencyModeName(pinned.mode);

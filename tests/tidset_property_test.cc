@@ -5,8 +5,11 @@
 // against the reference difference, including a stop after every prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/data/tidset.h"
@@ -182,6 +185,81 @@ TEST(TidSetProperty, DifferenceWalkStopsAfterEveryPrefix) {
     const TidList small = RandomTids(big_universe, 0.003, rng);
     ASSERT_LE(small.size() * 32, big.size());
     CheckDifferencePrefixes(small, big, big_universe);
+  }
+}
+
+/// The (word index, bits) sequence of ForEachWord.
+std::vector<std::pair<std::size_t, std::uint64_t>> Words(const TidSet& set) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> words;
+  set.ForEachWord([&words](std::size_t w, std::uint64_t bits) {
+    words.emplace_back(w, bits);
+  });
+  return words;
+}
+
+TEST(TidSetProperty, WordWalkIsRepresentationIndependent) {
+  // The reference image: the non-zero words of the bitmap built from
+  // the tid list by hand, ascending.
+  const std::size_t universes[] = {1, 63, 64, 65, 300, 1024, 8124};
+  const double densities[] = {0.0, 0.005, 0.05, 0.5, 1.0};
+  Rng rng(20261020);
+  for (const std::size_t universe : universes) {
+    for (const double density : densities) {
+      const TidList tids = RandomTids(universe, density, rng);
+      std::vector<std::uint64_t> bitmap((universe + 63) / 64, 0);
+      for (const Tid t : tids) bitmap[t / 64] |= std::uint64_t{1} << (t % 64);
+      std::vector<std::pair<std::size_t, std::uint64_t>> want;
+      for (std::size_t w = 0; w < bitmap.size(); ++w) {
+        if (bitmap[w] != 0) want.emplace_back(w, bitmap[w]);
+      }
+      for (const TidSetMode mode : kModes) {
+        SCOPED_TRACE(std::string(TidSetModeName(mode)) + " universe=" +
+                     std::to_string(universe) + " |tids|=" +
+                     std::to_string(tids.size()));
+        EXPECT_EQ(Words(TidSet(tids, universe, mode)), want);
+      }
+    }
+  }
+}
+
+TEST(TidSetProperty, EqualSizeSetsCompareByContentInEveryPairing) {
+  // Equal sizes defeat the size check, so equality must look at the
+  // members: the same contents, one tid moved across a word boundary,
+  // and one tid moved within a word, in all nine pairings.
+  Rng rng(7);
+  for (const std::size_t universe : {300u, 4096u}) {
+    for (const double density : {0.02, 0.3}) {
+      const TidList base = RandomTids(universe, density, rng);
+      ASSERT_FALSE(base.empty());
+      TidList across = base;  // Last tid moved to the universe's end.
+      TidList within = base;  // First tid moved to a free bit in its word.
+      if (across.back() + 1 < universe) {
+        across.back() = static_cast<Tid>(universe - 1);
+      } else {
+        across.erase(across.begin());
+        across.insert(across.begin(), 0);
+      }
+      for (Tid t = base.front() / 64 * 64; t < base.front() / 64 * 64 + 64;
+           ++t) {
+        if (t < universe && !TidsSubset({t}, base)) {
+          within.front() = t;
+          std::sort(within.begin(), within.end());
+          break;
+        }
+      }
+      for (const TidSetMode ma : kModes) {
+        const TidSet a(base, universe, ma);
+        for (const TidSetMode mb : kModes) {
+          SCOPED_TRACE(std::string(TidSetModeName(ma)) + " x " +
+                       TidSetModeName(mb) + " universe=" +
+                       std::to_string(universe) + " density=" +
+                       std::to_string(density));
+          EXPECT_TRUE(a == TidSet(base, universe, mb));
+          EXPECT_EQ(a == TidSet(across, universe, mb), across == base);
+          EXPECT_EQ(a == TidSet(within, universe, mb), within == base);
+        }
+      }
+    }
   }
 }
 
