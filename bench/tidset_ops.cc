@@ -92,8 +92,6 @@ void SweepPair(std::size_t universe, double density, std::size_t reps,
                 return true;
               });
             });
-    Measure("subset", universe, density, name, reps, isize,
-            [&] { g_sink += IsSubsetOf(a, b) ? 1 : 0; });
   }
 }
 
@@ -131,6 +129,8 @@ TidList Sample(const TidList& tids, std::size_t count, Rng& rng) {
 /// count falls below min_sup, and a correlated one that survives.
 ///   - count_skip / materialize: deciding the count floor with
 ///     IntersectSize, against building Tids(X+e) and reading its size.
+///   - materialize_known: building Tids(X+e) once the count is known
+///     (Intersect with a count: two bitmaps are not counted again).
 ///   - miss_walk / miss_materialize: log Π (1 - p) over X \ e summed by
 ///     the allocation-free walk, against the materialize-then-sum path
 ///     (the a \ b set built as a TidSet, then summed in tid order).
@@ -164,6 +164,8 @@ void SweepMushroomShaped(std::size_t reps, Rng& rng) {
       Measure("mushroom_materialize" + tag, universe, density, name, reps,
               count,
               [&] { g_sink += Intersect(x, e).size() < min_sup ? 1 : 0; });
+      Measure("mushroom_materialize_known" + tag, universe, density, name,
+              reps, count, [&] { g_sink += Intersect(x, e, count).size(); });
       Measure("mushroom_miss_walk" + tag, universe, density, name, reps,
               x.size() - count, [&] {
                 double sum = 0.0;

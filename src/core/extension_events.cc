@@ -29,22 +29,39 @@ double LogMiss(const VerticalIndex& index, const TidSet& a, const TidSet& b) {
   return log_miss;
 }
 
+/// Every occurring item outside X, uncounted: the default item list.
+std::vector<EventItem> AllItemsOutside(const VerticalIndex& index,
+                                       const Itemset& x) {
+  std::vector<EventItem> items;
+  items.reserve(index.occurring_items().size());
+  for (Item item : index.occurring_items()) {
+    if (!x.Contains(item)) items.push_back(EventItem{item});
+  }
+  return items;
+}
+
 }  // namespace
 
 ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
                                      const FrequentProbability& freq,
                                      const Itemset& x, const TidSet& x_tids,
-                                     MiningStats* stats)
+                                     MiningStats* stats,
+                                     const std::vector<EventItem>* items)
     : index_(&index), freq_(&freq), x_tids_(&x_tids) {
-  for (Item item : index.occurring_items()) {
-    if (x.Contains(item)) continue;
+  const std::vector<EventItem> all =
+      items == nullptr ? AllItemsOutside(index, x) : std::vector<EventItem>{};
+  for (const EventItem& candidate : items == nullptr ? all : *items) {
+    const Item item = candidate.item;
     const TidSet& item_tids = index.TidsOfItem(item);
-    // Count before building: support(X+e) can never reach min_sup >= 1,
-    // so C_i is impossible, and nothing is materialized for it.
-    const std::size_t count = item_tids.size() < freq.min_sup()
-                                  ? 0
-                                  : IntersectSize(x_tids, item_tids);
-    if (stats != nullptr) ++stats->intersections;
+    std::size_t count = candidate.count;
+    if (count == EventItem::kUncounted) {
+      // Count before building: support(X+e) can never reach min_sup >= 1,
+      // so C_i is impossible, and nothing is materialized for it.
+      count = item_tids.size() < freq.min_sup()
+                  ? 0
+                  : IntersectSize(x_tids, item_tids);
+      if (stats != nullptr) ++stats->intersections;
+    }
     if (count < freq.min_sup()) continue;
     if (count == x_tids.size()) has_same_count_extension_ = true;
     // Tids(X) \ Tids(X+e) = Tids(X) \ Tids(e): the miss walk needs no
@@ -52,8 +69,9 @@ ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
     const double log_miss = LogMiss(index, x_tids, item_tids);
     if (stats != nullptr) ++stats->intersections;
     if (log_miss < kDeadLogMiss) continue;
-    TidSet tids = Intersect(x_tids, item_tids);
-    const double pr_freq = freq.PrF(tids);
+    TidSet tids = Intersect(x_tids, item_tids, count);
+    const double pr_freq =
+        candidate.pr_f >= 0.0 ? candidate.pr_f : freq.PrF(tids);
     const double prob = std::exp(log_miss) * pr_freq;
     if (prob > 0.0) {
       events_.push_back({item, std::move(tids), log_miss, pr_freq, prob});

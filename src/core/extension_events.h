@@ -9,9 +9,11 @@
 //                     * Pr{ PoissonBinomial(Tids(X∪S)) >= min_sup }
 //
 // because the forced-absent transactions and the support-carrying ones are
-// disjoint. Events are built over ALL other items of the database —
-// frequency pruning restricts what is enumerated, never what can destroy
-// closedness.
+// disjoint. Events are built over ALL other items of the database whose
+// joint count with X can reach min_sup — frequency pruning restricts what
+// is enumerated, never what can destroy closedness. A DFS that carries
+// the items still count-live down its path passes that list, with the
+// counts and PrFs it already has.
 #ifndef PFCI_CORE_EXTENSION_EVENTS_H_
 #define PFCI_CORE_EXTENSION_EVENTS_H_
 
@@ -36,14 +38,30 @@ struct ExtensionEvent {
   double prob = 0;      ///< Pr(C_i) = exp(log_miss) * pr_freq.
 };
 
+/// An item an event of X may extend it with, and what the caller already
+/// knows about X+item.
+struct EventItem {
+  /// `count` value of an item whose joint count with X is not known yet.
+  static constexpr std::size_t kUncounted = static_cast<std::size_t>(-1);
+
+  Item item = 0;
+  std::size_t count = kUncounted;  ///< |Tids(X+item)|, or kUncounted.
+  double pr_f = -1.0;              ///< PrF(X+item) once computed, else -1.
+};
+
 /// The set of active (positive-probability) extension events of X.
 class ExtensionEventSet {
  public:
-  /// Builds the events. `x_tids` must equal index.TidsOf(x). When given,
-  /// `stats` counts the tid-set operations performed.
+  /// Builds the events. `x_tids` must equal index.TidsOf(x). `items`, when
+  /// given, lists every occurring item outside X whose count with X can
+  /// reach min_sup, ascending (a search that carries its count-live items
+  /// down a path); by default every occurring item outside X is tried.
+  /// Known counts are not counted again and known PrFs not recomputed.
+  /// When given, `stats` counts the tid-set operations performed.
   ExtensionEventSet(const VerticalIndex& index,
                     const FrequentProbability& freq, const Itemset& x,
-                    const TidSet& x_tids, MiningStats* stats = nullptr);
+                    const TidSet& x_tids, MiningStats* stats = nullptr,
+                    const std::vector<EventItem>* items = nullptr);
 
   const std::vector<ExtensionEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

@@ -38,28 +38,30 @@ FcpEngine::FcpEngine(const VerticalIndex& index,
 FcpComputation FcpEngine::Evaluate(const Itemset& x, const TidSet& tids,
                                    double pr_f, Rng& rng, MiningStats* stats,
                                    WorkUnitBudget* unit) const {
-  return EvaluateInternal(x, tids, pr_f, params_.pfct, rng, stats, unit);
+  return EvaluateInternal(x, tids, pr_f, params_.pfct, rng, stats, unit,
+                          /*event_items=*/nullptr);
 }
 
-FcpComputation FcpEngine::EvaluateAt(double threshold, const Itemset& x,
-                                     const TidSet& tids, double pr_f, Rng& rng,
-                                     MiningStats* stats,
-                                     WorkUnitBudget* unit) const {
-  return EvaluateInternal(x, tids, pr_f, threshold, rng, stats, unit);
+FcpComputation FcpEngine::EvaluateAt(
+    double threshold, const Itemset& x, const TidSet& tids, double pr_f,
+    Rng& rng, MiningStats* stats, WorkUnitBudget* unit,
+    const std::vector<EventItem>* event_items) const {
+  return EvaluateInternal(x, tids, pr_f, threshold, rng, stats, unit,
+                          event_items);
 }
 
 FcpComputation FcpEngine::ComputeFcp(const Itemset& x, Rng& rng) const {
   const TidSet tids = index_->TidsOf(x);
   const double pr_f = freq_->PrF(tids);
   // pfct = -1 disables every threshold-based early exit.
-  return EvaluateInternal(x, tids, pr_f, -1.0, rng, nullptr, nullptr);
+  return EvaluateInternal(x, tids, pr_f, -1.0, rng, nullptr, nullptr,
+                          nullptr);
 }
 
-FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
-                                           const TidSet& tids, double pr_f,
-                                           double pfct, Rng& rng,
-                                           MiningStats* stats,
-                                           WorkUnitBudget* unit) const {
+FcpComputation FcpEngine::EvaluateInternal(
+    const Itemset& x, const TidSet& tids, double pr_f, double pfct, Rng& rng,
+    MiningStats* stats, WorkUnitBudget* unit,
+    const std::vector<EventItem>* event_items) const {
   FcpComputation out;
   out.pr_f = pr_f;
   // PrFC <= PrF: an infrequent itemset can never qualify.
@@ -68,7 +70,8 @@ FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
     return out;
   }
 
-  const ExtensionEventSet events(*index_, *freq_, x, tids, stats);
+  const ExtensionEventSet events(*index_, *freq_, x, tids, stats,
+                                 event_items);
 
   // Lemmas 4.2/4.3 endgame: a same-count superset forces PrFC(X) = 0.
   if (events.HasSameCountExtension()) {

@@ -10,6 +10,7 @@
 #define PFCI_CORE_FCP_ENGINE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/core/execution.h"
 #include "src/core/extension_events.h"
@@ -74,21 +75,23 @@ class FcpEngine {
   /// As Evaluate, but with the decision threshold supplied per call
   /// instead of read from params.pfct. This is what a rising top-k floor
   /// needs: the same pipeline, early-exiting against the k-th best FCP in
-  /// hand rather than the request's static threshold.
-  FcpComputation EvaluateAt(double threshold, const Itemset& x,
-                            const TidSet& tids, double pr_f, Rng& rng,
-                            MiningStats* stats,
-                            WorkUnitBudget* unit = nullptr) const;
+  /// hand rather than the request's static threshold. `event_items`, when
+  /// given, is the ExtensionEventSet item list: the items a search found
+  /// count-live at X, with their counts and any PrFs it computed.
+  FcpComputation EvaluateAt(
+      double threshold, const Itemset& x, const TidSet& tids, double pr_f,
+      Rng& rng, MiningStats* stats, WorkUnitBudget* unit = nullptr,
+      const std::vector<EventItem>* event_items = nullptr) const;
 
   /// Computes PrFC(X) to full available precision regardless of pfct
   /// (bounds are still used to report [lower, upper]).
   FcpComputation ComputeFcp(const Itemset& x, Rng& rng) const;
 
  private:
-  FcpComputation EvaluateInternal(const Itemset& x, const TidSet& tids,
-                                  double pr_f, double pfct, Rng& rng,
-                                  MiningStats* stats,
-                                  WorkUnitBudget* unit) const;
+  FcpComputation EvaluateInternal(
+      const Itemset& x, const TidSet& tids, double pr_f, double pfct,
+      Rng& rng, MiningStats* stats, WorkUnitBudget* unit,
+      const std::vector<EventItem>* event_items) const;
 
   const VerticalIndex* index_;
   const FrequentProbability* freq_;

@@ -32,10 +32,13 @@ std::vector<PfiEntry> MinePfiApproximate(const UncertainDatabase& db,
         bounds.threshold = pft;
         bounds.exact_check = false;
         std::vector<double> probs;
-        // This miner reports no counters, so the measure keeps none.
+        // This miner reports no counters, so the measure keeps none. Its
+        // rejections never speak for supersets: the approximation is not
+        // anti-monotone (a superset's smaller variance can lift it back
+        // above pft), so the enumeration keeps every rejected sibling.
         const FrequentnessMeasure<TidSet> approximate =
             [&](const TidSet& tids, MiningStats*) -> std::optional<double> {
-          if (oracle.Qualify(tids, bounds, /*stats=*/nullptr) <= pft) {
+          if (!oracle.Qualify(tids, bounds, /*stats=*/nullptr).admitted) {
             return std::nullopt;
           }
           index.GatherProbs(tids, &probs);

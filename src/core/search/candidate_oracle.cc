@@ -12,28 +12,51 @@ bool CandidateOracle::PassesCountFloor(std::size_t count,
   return false;
 }
 
-double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
-                                MiningStats* stats) const {
-  if (!PassesCountFloor(tids.size(), req, stats)) return 0.0;
-
+Qualification CandidateOracle::Qualify(const TidSet& tids,
+                                      const QualifyRequest& req,
+                                      MiningStats* stats) const {
+  Qualification q;
+  if (!PassesCountFloor(tids.size(), req, stats)) {
+    q.rejects_supersets = true;  // Counts only fall down a path.
+    return q;
+  }
   // Lemma 4.1: the Chernoff-Hoeffding upper bound settles most
   // rejections without a DP.
   if (use_chernoff_) {
-    const double upper = freq_->PrFUpperBound(tids);
-    if (upper <= req.threshold) {
+    q.upper = freq_->PrFUpperBound(tids);
+    if (q.upper <= req.threshold) {
       if (stats != nullptr) ++stats->pruned_by_chernoff;
-      return 0.0;
+      q.rejects_supersets = ClearsSiblingMargin(q.upper, req.threshold);
+      return q;
     }
   }
 
-  if (!req.exact_check) return kAdmittedByBounds;
+  if (!req.exact_check) {
+    q.admitted = true;
+    return q;
+  }
 
   // The frequent probability itself: the exact Poisson-binomial DP.
-  const double pr_f = freq_->PrF(tids);
-  if (pr_f <= req.threshold && stats != nullptr) {
-    ++stats->pruned_by_frequency;
+  q.pr_f = freq_->PrF(tids);
+  q.admitted = q.pr_f > req.threshold;
+  if (!q.admitted) {
+    if (stats != nullptr) ++stats->pruned_by_frequency;
+    q.rejects_supersets = ClearsSiblingMargin(q.pr_f, req.threshold);
   }
-  return pr_f;
+  return q;
+}
+
+bool CandidateOracle::Readmits(const Qualification& q, double threshold,
+                               MiningStats* stats) const {
+  if (q.upper <= threshold) {
+    if (stats != nullptr) ++stats->pruned_by_chernoff;
+    return false;
+  }
+  if (q.pr_f <= threshold) {
+    if (stats != nullptr) ++stats->pruned_by_frequency;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace pfci

@@ -33,11 +33,11 @@ void WorkStealingDfsFrontier::BuildCandidates(const SearchContext& ctx,
   for (Item item : ctx.index->occurring_items()) {
     QualifyRequest req;
     req.threshold = ctx.params->pfct;
-    const double pr_f =
+    const Qualification q =
         ctx.oracle->Qualify(ctx.index->TidsOfItem(item), req, &result.stats);
-    if (pr_f > req.threshold) {
+    if (q.admitted) {
       candidates_.push_back(item);
-      candidate_pr_f_.push_back(pr_f);
+      candidate_pr_f_.push_back(q.pr_f);
     }
   }
 }
@@ -49,6 +49,8 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
   subtree_.resize(n);
   done_.assign(n, 0);
   const double pfct = ctx.params->pfct;
+  const std::vector<LiveItem> roots =
+      RootLiveItems(*ctx.index, ctx.freq->min_sup(), candidates_);
   const auto mine_subtree = [&](std::size_t c) {
     if (restored_done_.size() == n && restored_done_[c]) return;
     if (DrainPending(ctx.rt)) return;
@@ -75,7 +77,7 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     dfs.may_fork = true;
     dfs.fork_pool = unit.Unlimited() ? ctx.exec->pool : nullptr;
     ClosedDfs(dfs, root, ctx.index->TidsOfItem(candidates_[c]),
-              candidate_pr_f_[c], c);
+              candidate_pr_f_[c], roots);
     if (unit.truncated) ctx.rt.RecordTruncation(Outcome::kBudgetExhausted);
     // Suspend mode: a drained unit ran to its natural end (armed
     // checkpoints never stop mid-unit), so it is complete by
@@ -142,8 +144,9 @@ void LevelSyncBfsFrontier::BuildCandidates(const SearchContext& ctx,
     entry.tids = ctx.index->TidsOfItem(item);
     QualifyRequest req;
     req.threshold = ctx.params->pfct;
-    entry.pr_f = ctx.oracle->Qualify(entry.tids, req, &result.stats);
-    if (entry.pr_f > req.threshold) level_.push_back(std::move(entry));
+    const Qualification q = ctx.oracle->Qualify(entry.tids, req, &result.stats);
+    entry.pr_f = q.pr_f;
+    if (q.admitted) level_.push_back(std::move(entry));
   }
 }
 
@@ -247,18 +250,18 @@ void LevelSyncBfsFrontier::Search(const SearchContext& ctx,
         req.threshold = params.pfct;
         // Count before building: a join below the support-count floor
         // materializes nothing.
-        if (!ctx.oracle->PassesCountFloor(
-                IntersectSize(level_[a].tids, level_[b].tids), req,
-                &result.stats)) {
+        const std::size_t count =
+            IntersectSize(level_[a].tids, level_[b].tids);
+        if (!ctx.oracle->PassesCountFloor(count, req, &result.stats)) {
           continue;
         }
         LevelEntry child;
         child.items = level_[a].items.WithItem(ib.back());
-        child.tids = Intersect(level_[a].tids, level_[b].tids);
-        child.pr_f = ctx.oracle->Qualify(child.tids, req, &result.stats);
-        if (child.pr_f > req.threshold) {
-          next_level.push_back(std::move(child));
-        }
+        child.tids = Intersect(level_[a].tids, level_[b].tids, count);
+        const Qualification q =
+            ctx.oracle->Qualify(child.tids, req, &result.stats);
+        child.pr_f = q.pr_f;
+        if (q.admitted) next_level.push_back(std::move(child));
       }
     }
     level_.swap(next_level);
@@ -352,8 +355,8 @@ void TopKFrontier::BuildCandidates(const SearchContext& ctx,
     req.threshold = ctx.params->pfct;
     req.count_floor = false;
     req.exact_check = false;
-    if (ctx.oracle->Qualify(ctx.index->TidsOfItem(item), req, &result.stats) >
-        req.threshold) {
+    if (ctx.oracle->Qualify(ctx.index->TidsOfItem(item), req, &result.stats)
+            .admitted) {
       candidates_.push_back(item);
     }
   }
@@ -370,6 +373,8 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
   if (have_rng_state_) rng.RestoreState(rng_state_);
   WorkUnitBudget unit = ctx.rt.UnitBudget(0, 1);
 
+  const std::vector<LiveItem> roots =
+      RootLiveItems(*ctx.index, ctx.freq->min_sup(), candidates_);
   ClosedDfsContext dfs;
   dfs.ctx = &ctx;
   dfs.candidates = &candidates_;
@@ -391,7 +396,7 @@ void TopKFrontier::Search(const SearchContext& ctx, MiningResult& result) {
     const TidSet& tids = ctx.index->TidsOfItem(item);
     const double pr_f = ctx.freq->PrF(tids);
     if (pr_f > Threshold(floor)) {
-      ClosedDfs(dfs, Itemset{item}, tids, pr_f, c);
+      ClosedDfs(dfs, Itemset{item}, tids, pr_f, roots);
     }
     ctx.rt.NoteUnitWork(result.stats.nodes_visited - nodes_before,
                         result.stats.total_samples - samples_before);

@@ -7,12 +7,14 @@ namespace pfci {
 FrequentnessMeasure<TidSet> PrFAbove(const CandidateOracle& oracle,
                                      double pft) {
   return [&oracle, pft](const TidSet& tids,
-                        MiningStats* stats) -> std::optional<double> {
+                        MiningStats* stats) -> MeasureVerdict {
     QualifyRequest req;
     req.threshold = pft;
-    const double pr_f = oracle.Qualify(tids, req, stats);
-    if (pr_f <= pft) return std::nullopt;
-    return pr_f;
+    const Qualification q = oracle.Qualify(tids, req, stats);
+    if (q.admitted) return MeasureVerdict(q.pr_f);
+    // Exact PrF is anti-monotone: the oracle says when a rejection
+    // clears the margin that makes it hold for every superset.
+    return {std::nullopt, q.rejects_supersets};
   };
 }
 

@@ -1,10 +1,12 @@
 #include "src/core/search/search_driver.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/core/index_handle.h"
+#include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
@@ -82,24 +84,6 @@ std::uint64_t SubtreeSeed(std::uint64_t seed, const Itemset& x) {
 
 namespace {
 
-/// Lemma 4.2: some item e < last(X), e not in X, has count(X+e) ==
-/// count(X) -> X and its whole prefix subtree have frequent closed
-/// probability 0. Charges the subset tests to stats.intersections; the
-/// caller bumps pruned_by_superset on a hit.
-bool SupersetPruned(const VerticalIndex& index, const Itemset& x,
-                    const TidSet& tids, MiningStats& stats) {
-  const Item last = x.LastItem();
-  for (Item item : index.occurring_items()) {
-    if (item >= last) break;
-    if (x.Contains(item)) continue;
-    const TidSet& item_tids = index.TidsOfItem(item);
-    if (item_tids.size() < tids.size()) continue;
-    ++stats.intersections;
-    if (IsSubsetOf(tids, item_tids)) return true;
-  }
-  return false;
-}
-
 /// One forked child subtree: its own RNG scope and partial result, folded
 /// into the parent in spawn order. A spawned fork also gets a private
 /// (unlimited) ledger; an inline fork shares its unit's quota ledger.
@@ -121,9 +105,26 @@ struct Fork {
 
 }  // namespace
 
+std::vector<LiveItem> RootLiveItems(const VerticalIndex& index,
+                                    std::size_t min_sup,
+                                    const std::vector<Item>& candidates) {
+  std::vector<LiveItem> live;
+  std::size_t c = 0;
+  for (Item item : index.occurring_items()) {
+    const std::size_t count = index.TidsOfItem(item).size();
+    if (count < min_sup) continue;
+    const bool candidate = c < candidates.size() && candidates[c] == item;
+    c += candidate ? 1 : 0;
+    live.push_back({item, static_cast<std::uint32_t>(count), candidate});
+  }
+  PFCI_CHECK(c == candidates.size());
+  return live;
+}
+
 void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
-               double pr_f, std::size_t last_candidate_pos) {
+               double pr_f, std::span<const LiveItem> parent_live) {
   const SearchContext& ctx = *dfs.ctx;
+  const PruningToggles& pruning = ctx.params->pruning;
   MiningStats& stats = *dfs.stats;
   // Node-expansion checkpoint (DESIGN.md §10). After any truncation the
   // unit winds down without evaluating anything further: a later sampled
@@ -135,55 +136,100 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
   ++stats.nodes_visited;
   if (ctx.exec->progress != nullptr) ctx.exec->progress->AddNodes();
 
-  if (ctx.params->pruning.superset &&
-      SupersetPruned(*ctx.index, x, tids, stats)) {
-    ++stats.pruned_by_superset;
-    return;
-  }
-
-  bool x_may_be_closed = true;
-  std::vector<std::unique_ptr<Fork>> forks;
-  ThreadPool::TaskGroup group(dfs.fork_pool);
-  const std::size_t num_candidates = dfs.candidates->size();
-  for (std::size_t c = last_candidate_pos + 1; c < num_candidates; ++c) {
-    if (dfs.unit->truncated || ctx.rt.StopRequested()) break;
-    const Item item = (*dfs.candidates)[c];
-    const TidSet& item_tids = ctx.index->TidsOfItem(item);
-    const std::size_t count = IntersectSize(tids, item_tids);
+  // One count per item live at X's parent. It serves Lemma 4.2's
+  // superset test, Lemma 4.3's same-count break, the children's count
+  // floor, and X's extension events.
+  const Item last = x.LastItem();
+  QualifyRequest req;
+  req.threshold = dfs.threshold();
+  req.count_floor = dfs.count_floor;
+  std::vector<LiveItem> live;
+  for (const LiveItem& parent : parent_live) {
+    const Item item = parent.item;
+    if (item == last) continue;
+    const std::size_t count =
+        IntersectSize(tids, ctx.index->TidsOfItem(item));
     ++stats.intersections;
-    const bool same_count = count == tids.size();
-    if (ctx.params->pruning.subset && same_count) {
-      // Lemma 4.3: X always co-occurs with X+item, so X is never closed;
-      // and any sibling X+e_k (e_k > item) always co-occurs with
-      // X+e_k+item, so the remaining branches are dead too.
-      x_may_be_closed = false;
+    if (pruning.superset && item < last && count == tids.size()) {
+      // Lemma 4.2: an earlier item always co-occurs with X, so X and its
+      // whole prefix subtree have frequent closed probability 0.
+      ++stats.pruned_by_superset;
+      return;
     }
-
-    QualifyRequest req;
-    req.threshold = dfs.threshold();
-    req.count_floor = dfs.count_floor;
-    // Count before building: Tids(X+item) is materialized only once it
-    // passes the oracle's support-count floor.
-    if (!ctx.oracle->PassesCountFloor(count, req, &stats)) {
-      if (ctx.params->pruning.subset && same_count) break;
+    // X's candidate children: the items after X's last one that its
+    // parent kept as extensions. Only their count-floor rejections are
+    // counted, as child rejections.
+    const bool extends = parent.extends && item > last;
+    if (!ctx.oracle->PassesCountFloor(count, req,
+                                      extends ? &stats : nullptr)) {
       continue;
     }
-    TidSet child_tids = Intersect(tids, item_tids);
-    const double child_pr_f = ctx.oracle->Qualify(child_tids, req, &stats);
-    if (child_pr_f > req.threshold) {
-      Itemset child = x.WithItem(item);
-      if (dfs.may_fork &&
-          ForksSubtree(child_tids.size(), num_candidates - c - 1)) {
-        forks.push_back(std::make_unique<Fork>(dfs, child));
-        group.Spawn([fork = forks.back().get(), child = std::move(child),
-                     child_tids = std::move(child_tids), child_pr_f, c] {
-          ClosedDfs(fork->dfs, child, child_tids, child_pr_f, c);
-        });
-      } else {
-        ClosedDfs(dfs, child, child_tids, child_pr_f, c);
-      }
+    live.push_back({item, static_cast<std::uint32_t>(count), extends});
+  }
+
+  // Qualify every child before descending into any. A rejected child
+  // X+e' leaves the later children's lists only when the rejection holds
+  // for every superset (exact count floor, or a bound kSiblingMargin
+  // clear of the threshold): X+e+e' would be rejected too. The children
+  // whose PrF was computed are kept, admitted or not: X's events reuse
+  // it.
+  struct Child {
+    std::size_t pos;  ///< In `live`.
+    Qualification q;
+  };
+  std::vector<Child> children;
+  bool x_may_be_closed = true;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    LiveItem& entry = live[i];
+    if (!entry.extends) continue;
+    if (ctx.rt.StopRequested()) return;
+    const TidSet child_tids =
+        Intersect(tids, ctx.index->TidsOfItem(entry.item), entry.count);
+    const Qualification q = ctx.oracle->Qualify(child_tids, req, &stats);
+    if (q.pr_f >= 0.0) children.push_back({i, q});
+    if (!q.admitted) entry.extends = !q.rejects_supersets;
+    if (pruning.subset && entry.count == tids.size()) {
+      // Lemma 4.3: X always co-occurs with X+item, so X is never closed;
+      // and any sibling X+e_k (e_k > item) always co-occurs with
+      // X+e_k+item, so the remaining branches are dead too. The items
+      // after this one stay extensions of the earlier children.
+      x_may_be_closed = false;
+      break;
     }
-    if (ctx.params->pruning.subset && same_count) break;
+  }
+
+  std::vector<std::unique_ptr<Fork>> forks;
+  ThreadPool::TaskGroup group(dfs.fork_pool);
+  for (const Child& child : children) {
+    if (!child.q.admitted) continue;
+    if (dfs.unit->truncated || ctx.rt.StopRequested()) break;
+    // Top-k's floor may have risen since the qualification: replay the
+    // oracle's decision at the current threshold. A constant pfct always
+    // readmits.
+    if (!ctx.oracle->Readmits(child.q, dfs.threshold(), &stats)) continue;
+    const LiveItem& entry = live[child.pos];
+    const TidSet& item_tids = ctx.index->TidsOfItem(entry.item);
+    Itemset child_x = x.WithItem(entry.item);
+    const double child_pr_f = child.q.pr_f;
+    const std::vector<Item>& candidates = *dfs.candidates;
+    const std::size_t candidates_after = static_cast<std::size_t>(
+        candidates.end() -
+        std::upper_bound(candidates.begin(), candidates.end(), entry.item));
+    // Tids(X+e) is rebuilt from its count rather than kept from the
+    // qualification, so that a node holds one child's tid-set at a time;
+    // a fork builds it when it runs, not while it waits in the queue.
+    if (dfs.may_fork && ForksSubtree(entry.count, candidates_after)) {
+      forks.push_back(std::make_unique<Fork>(dfs, child_x));
+      group.Spawn([fork = forks.back().get(), child_x = std::move(child_x),
+                   &tids, &item_tids, count = entry.count, child_pr_f,
+                   &live] {
+        ClosedDfs(fork->dfs, child_x, Intersect(tids, item_tids, count),
+                  child_pr_f, live);
+      });
+    } else {
+      ClosedDfs(dfs, child_x, Intersect(tids, item_tids, entry.count),
+                child_pr_f, live);
+    }
   }
   group.Wait();
   for (const std::unique_ptr<Fork>& fork : forks) {
@@ -196,8 +242,21 @@ void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
     ++stats.pruned_by_subset;
     return;
   }
-  const FcpComputation comp = ctx.engine->EvaluateAt(
-      dfs.threshold(), x, tids, pr_f, *dfs.rng, &stats, dfs.unit);
+  // X's extension events come from the same counts, and reuse the PrFs
+  // its children's qualification computed.
+  std::vector<EventItem> event_items;
+  event_items.reserve(live.size());
+  auto computed = children.begin();
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EventItem item{live[i].item, live[i].count};
+    if (computed != children.end() && computed->pos == i) {
+      item.pr_f = computed++->q.pr_f;
+    }
+    event_items.push_back(item);
+  }
+  const FcpComputation comp =
+      ctx.engine->EvaluateAt(dfs.threshold(), x, tids, pr_f, *dfs.rng, &stats,
+                             dfs.unit, &event_items);
   if (comp.undecided || !comp.is_pfci) return;
   if (ctx.exec->progress != nullptr) ctx.exec->progress->AddItemsets();
   dfs.emit(MakePfciEntry(x, comp));

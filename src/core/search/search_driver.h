@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "src/core/execution.h"
 #include "src/core/fcp_engine.h"
@@ -113,12 +115,33 @@ inline bool ForksSubtree(std::size_t num_tids,
 /// so a first-level subtree {i} draws from DeriveSeed(seed, i).
 std::uint64_t SubtreeSeed(std::uint64_t seed, const Itemset& x);
 
+/// An item still count-live at a DFS node X: X+item has at least min_sup
+/// possible occurrences. Tids(X) only shrinks down a path, so an item
+/// dead at X stays dead in X's whole subtree, and each node tests only
+/// the items live at its parent. A node owns its list; its children
+/// (forks included: a node waits for its forks) read it.
+struct LiveItem {
+  Item item;
+  std::uint32_t count;  ///< |Tids(X+item)|.
+  /// Whether X's children may extend with the item: a first-level
+  /// candidate after X's last item that X's qualification did not reject
+  /// for every superset.
+  bool extends;
+};
+
+/// The live list of the empty itemset, parent of every first-level
+/// subtree: each occurring item with at least `min_sup` tids, ascending,
+/// with the first-level `candidates` (ascending) marked as extensions.
+std::vector<LiveItem> RootLiveItems(const VerticalIndex& index,
+                                    std::size_t min_sup,
+                                    const std::vector<Item>& candidates);
+
 /// Per-call state of one closed-itemset DFS work unit (an MPFCI
 /// first-level subtree, or the top-k run's single unit). The stats/rng/
 /// unit objects are owned by the caller and mutated in place.
 struct ClosedDfsContext {
   const SearchContext* ctx;
-  const std::vector<Item>* candidates;  ///< First-level extension items.
+  const std::vector<Item>* candidates;  ///< First-level candidates.
   MiningStats* stats;
   Rng* rng;
   WorkUnitBudget* unit;
@@ -144,12 +167,14 @@ struct ClosedDfsContext {
 /// frontiers: checkpoint, superset pruning (Lemma 4.2), child
 /// qualification through the oracle, subset pruning (Lemma 4.3), and
 /// endgame certification through the engine (Fig. 1's
-/// Bounding-Pruning-Checking per node). `x` extends only with candidate
-/// items after position `last_candidate_pos`. A node waits for its forked
-/// children and folds their partials, in spawn order, before certifying
-/// itself.
+/// Bounding-Pruning-Checking per node). `parent_live` is the live list of
+/// X's parent (RootLiveItems for a first-level subtree): X counts each of
+/// its items once, qualifies every child before descending into any, and
+/// extends only with the items its parent marked as extensions. A node
+/// waits for its forked children and folds their partials, in spawn
+/// order, before certifying itself.
 void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
-               double pr_f, std::size_t last_candidate_pos);
+               double pr_f, std::span<const LiveItem> parent_live);
 
 }  // namespace pfci
 

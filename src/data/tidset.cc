@@ -204,7 +204,47 @@ void TidSet::Normalize() {
   dense_ = true;
 }
 
+TidSet TidSet::IntersectBitmaps(const TidSet& a, const TidSet& b,
+                                std::size_t count) {
+  TidSet out;
+  out.universe_ = CombinedUniverse(a, b);
+  out.mode_ = a.mode_;
+  out.size_ = count;
+  const std::size_t num_words = a.words_.size();
+  if (ShouldBeDense(count, out.universe_, out.mode_)) {
+    out.words_.resize(num_words);
+    for (std::size_t w = 0; w < num_words; ++w) {
+      out.words_[w] = a.words_[w] & b.words_[w];
+    }
+    out.dense_ = true;
+  } else {
+    out.sparse_.reserve(count);
+    const auto append = [&out](Tid tid) {
+      out.sparse_.push_back(tid);
+      return true;
+    };
+    for (std::size_t w = 0; w < num_words; ++w) {
+      tidset_internal::ForEachBit(a.words_[w] & b.words_[w], w, append);
+    }
+  }
+  return out;
+}
+
+TidSet Intersect(const TidSet& a, const TidSet& b, std::size_t count) {
+  PFCI_DCHECK(count == IntersectSize(a, b));
+  if (a.dense_ && b.dense_ && !a.empty() && !b.empty()) {
+    return TidSet::IntersectBitmaps(a, b, count);
+  }
+  return Intersect(a, b);
+}
+
 TidSet Intersect(const TidSet& a, const TidSet& b) {
+  // Two bitmaps are counted first, and the result is written straight
+  // into the representation its size calls for: no bitmap is built only
+  // to be converted.
+  if (a.dense_ && b.dense_ && !a.empty() && !b.empty()) {
+    return TidSet::IntersectBitmaps(a, b, IntersectSize(a, b));
+  }
   TidSet out;
   out.universe_ = CombinedUniverse(a, b);
   out.mode_ = a.mode_;
@@ -212,29 +252,7 @@ TidSet Intersect(const TidSet& a, const TidSet& b) {
     out.Normalize();
     return out;
   }
-  if (a.dense_ && b.dense_) {
-    // Count first, then write the result straight into the representation
-    // its size calls for: no bitmap is built only to be converted.
-    const std::size_t num_words = a.words_.size();
-    out.size_ = IntersectSize(a, b);
-    if (ShouldBeDense(out.size_, out.universe_, out.mode_)) {
-      out.words_.resize(num_words);
-      for (std::size_t w = 0; w < num_words; ++w) {
-        out.words_[w] = a.words_[w] & b.words_[w];
-      }
-      out.dense_ = true;
-    } else {
-      out.sparse_.reserve(out.size_);
-      const auto append = [&out](Tid tid) {
-        out.sparse_.push_back(tid);
-        return true;
-      };
-      for (std::size_t w = 0; w < num_words; ++w) {
-        tidset_internal::ForEachBit(a.words_[w] & b.words_[w], w, append);
-      }
-    }
-    return out;
-  } else if (a.dense_ != b.dense_) {
+  if (a.dense_ != b.dense_) {
     const TidSet& sparse = a.dense_ ? b : a;
     const TidSet& dense = a.dense_ ? a : b;
     out.sparse_.reserve(sparse.size_);
@@ -274,13 +292,6 @@ std::size_t IntersectSize(const TidSet& a, const TidSet& b) {
   }
   return tidset_internal::IntersectSorted(a.sparse_.data(), a.size_,
                                           b.sparse_.data(), b.size_, nullptr);
-}
-
-bool IsSubsetOf(const TidSet& a, const TidSet& b) {
-  CombinedUniverse(a, b);  // Universe agreement DCHECK.
-  // a ⊆ b iff the a \ b walk stops at nothing.
-  return a.size() <= b.size() &&
-         ForEachInDifference(a, b, [](Tid) { return false; });
 }
 
 bool operator==(const TidSet& a, const TidSet& b) {

@@ -2,11 +2,11 @@
 //
 // Every vertical-mining operation (count(X) of Definition 4.2, the
 // tid-list intersection that extends an itemset, Lemma 4.2's superset
-// check) runs over sets of transaction ids drawn from one fixed universe
-// [0, |db|). A TidSet stores such a set either as a sorted Tid vector
-// (sparse) or as a word-aligned bitmap (dense), and picks the
+// check by count) runs over sets of transaction ids drawn from one fixed
+// universe [0, |db|). A TidSet stores such a set either as a sorted Tid
+// vector (sparse) or as a word-aligned bitmap (dense), and picks the
 // representation adaptively by density: dense sets get popcount-based
-// counting and word-parallel intersect/subset and a∖b walks, sparse sets
+// counting and word-parallel intersect and a∖b walks, sparse sets
 // get merge intersection with a galloping (exponential-search) fallback
 // when one side is much shorter than the other.
 //
@@ -167,6 +167,8 @@ class TidSet {
   }
 
   friend TidSet Intersect(const TidSet& a, const TidSet& b);
+  friend TidSet Intersect(const TidSet& a, const TidSet& b,
+                          std::size_t count);
   friend std::size_t IntersectSize(const TidSet& a, const TidSet& b);
   template <typename Fn>
   friend bool ForEachInDifference(const TidSet& a, const TidSet& b, Fn&& fn);
@@ -176,6 +178,11 @@ class TidSet {
   /// Converts a sparse set to the bitmap when the mode prescribes it for
   /// size(). No operation ever builds a bitmap that must turn sparse.
   void Normalize();
+
+  /// a ∩ b of two bitmaps whose intersection has `count` members, written
+  /// straight into the representation that count calls for.
+  static TidSet IntersectBitmaps(const TidSet& a, const TidSet& b,
+                                 std::size_t count);
 
   std::size_t universe_ = 0;
   std::size_t size_ = 0;
@@ -189,11 +196,13 @@ class TidSet {
 /// is also accepted); the result carries `a`'s mode.
 TidSet Intersect(const TidSet& a, const TidSet& b);
 
+/// a ∩ b for a caller that has just counted it: `count` must equal
+/// IntersectSize(a, b). The same set, in the same representation, as
+/// Intersect(a, b), but two bitmaps are not counted again to pick it.
+TidSet Intersect(const TidSet& a, const TidSet& b, std::size_t count);
+
 /// |a ∩ b| without materializing the intersection.
 std::size_t IntersectSize(const TidSet& a, const TidSet& b);
-
-/// Whether a ⊆ b.
-bool IsSubsetOf(const TidSet& a, const TidSet& b);
 
 /// Content equality (representation-independent). Allocates nothing: two
 /// bitmaps compare word by word, and a sparse set against a bitmap is a

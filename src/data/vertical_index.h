@@ -33,6 +33,10 @@ class VerticalIndex {
   TidSet Extend(const TidSet& tids, Item item) const {
     return Intersect(tids, TidsOfItem(item));
   }
+  /// As Extend, when the caller has counted |Tids(X ∪ {item})|.
+  TidSet Extend(const TidSet& tids, Item item, std::size_t count) const {
+    return Intersect(tids, TidsOfItem(item), count);
+  }
 
   /// Tids(X): transactions possibly containing the whole itemset.
   /// The empty itemset maps to all transactions.

@@ -20,6 +20,8 @@
 #include "src/core/mine.h"
 #include "src/core/mining_result.h"
 #include "src/data/uncertain_database.h"
+#include "src/datagen/mushroom_generator.h"
+#include "src/datagen/probability_assigner.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/string_util.h"
 #include "src/util/trace.h"
@@ -67,6 +69,19 @@ std::string Serialize(const MiningResult& result,
   return out;
 }
 
+/// The full-size Mushroom-like database of `pfci_datagen mushroom
+/// --transactions=8124 --seed=1` (mean 0.5, spread 0.25).
+UncertainDatabase MakeDatagenMushroom() {
+  MushroomParams exact;
+  exact.num_transactions = 8124;
+  exact.seed = 1;
+  GaussianAssignerParams assign;
+  assign.mean = 0.5;
+  assign.spread = 0.25;
+  assign.seed = 2;
+  return AssignGaussianProbabilities(GenerateMushroomLike(exact), assign);
+}
+
 struct Scenario {
   std::string name;
   const UncertainDatabase* db;
@@ -80,6 +95,7 @@ std::vector<Scenario> BuildScenarios() {
   static const UncertainDatabase paper = MakePaperExampleDb();
   static const UncertainDatabase table4 = MakeTable4Db();
   static const UncertainDatabase quest = MakeUncertainQuest(BenchScale::kQuick);
+  static const UncertainDatabase mushroom = MakeDatagenMushroom();
 
   const Algorithm kTupleAlgos[] = {
       Algorithm::kMpfci,           Algorithm::kMpfciBfs,
@@ -137,6 +153,20 @@ std::vector<Scenario> BuildScenarios() {
               std::to_string(threads),
           quest, request);
     }
+  }
+
+  // Top-k among many fcp = 1 ties on full-size Mushroom-like data. The
+  // k-th best fcp rounds above 1, so the rising floor reaches 1: a child
+  // whose DP PrF rounds above 1 but whose Lemma 4.1 bound is clamped to
+  // 1 is rejected by the bound, and every decision at the k-boundary
+  // hangs on exact PrF and bound values.
+  for (std::size_t k : {std::size_t{20}, std::size_t{50}}) {
+    MiningRequest request;
+    request.algorithm = Algorithm::kTopK;
+    request.params.min_sup = 450;
+    request.params.pfct = 0.8;
+    request.top_k = k;
+    add("mushroom-ties/topk/k" + std::to_string(k), mushroom, request);
   }
 
   // Forced-sampling MPFCI (the degraded/sampled FCP path) on Table IV.

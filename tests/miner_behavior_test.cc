@@ -3,9 +3,17 @@
 // semantics, naive).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "src/core/brute_force.h"
 #include "src/core/mine.h"
 #include "src/core/probabilistic_support.h"
+#include "src/core/search/candidate_oracle.h"
+#include "src/core/search/pfi_enumeration.h"
+#include "src/data/vertical_index.h"
 #include "src/harness/dataset_factory.h"
 #include "src/harness/variants.h"
 #include "src/util/random.h"
@@ -132,6 +140,93 @@ TEST(MpfciMiner, CertainDataMatchesExactClosedSemantics) {
   for (const PfciEntry& entry : result.itemsets) {
     EXPECT_DOUBLE_EQ(entry.fcp, 1.0);
   }
+}
+
+TEST(MpfciMiner, ItemsAfterASameCountBreakStayExtensionsOfEarlierChildren) {
+  // c always co-occurs with a, so at {a} the qualification breaks at c
+  // (Lemma 4.3) and never qualifies {a,d}. d must stay an extension of
+  // the earlier child {a,b} (and of {a,b}'s own break child {a,b,c}):
+  // {a,b,c,d} is reachable only through them.
+  UncertainDatabase db;
+  db.Add(Itemset{0, 1, 2, 3}, 0.9);
+  db.Add(Itemset{0, 1, 2, 3}, 0.9);
+  db.Add(Itemset{0, 2}, 0.9);
+  db.Add(Itemset{1, 3}, 0.9);
+  MiningParams params;
+  params.min_sup = 2;
+  params.pfct = 0.5;
+  const MiningResult mpfci = MineWith(Algorithm::kMpfci, db, params);
+  const std::vector<FcpGroundTruth> truth =
+      internal::BruteForceMinePfci(db, params.min_sup, params.pfct);
+  ASSERT_EQ(mpfci.itemsets.size(), truth.size());
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_EQ(mpfci.itemsets[i].items, truth[i].items);
+    EXPECT_NEAR(mpfci.itemsets[i].fcp, truth[i].fcp, 1e-12);
+  }
+  EXPECT_TRUE(std::any_of(
+      mpfci.itemsets.begin(), mpfci.itemsets.end(),
+      [](const PfciEntry& entry) { return entry.items == Itemset{0, 1, 2, 3}; }));
+  EXPECT_GT(mpfci.stats.pruned_by_subset, 0u);
+
+  // Top-k walks the same lists.
+  MiningRequest topk;
+  topk.algorithm = Algorithm::kTopK;
+  topk.params = params;
+  topk.top_k = truth.size() + 2;
+  const MiningResult ranked = Mine(db, topk);
+  EXPECT_EQ(ranked.itemsets.size(), truth.size());
+  EXPECT_TRUE(std::any_of(
+      ranked.itemsets.begin(), ranked.itemsets.end(),
+      [](const PfciEntry& entry) { return entry.items == Itemset{0, 1, 2, 3}; }));
+}
+
+TEST(FrequentEnumeration, OnlyARejectionClearOfTheMarginDropsASibling) {
+  // Tids: a {0,1,2,3}, b {0,2,4}, c {0,1,5}; ab {0,2}, ac {0,1},
+  // abc {0}. The measure admits everything but {a,c}, which it rejects
+  // with a bound `gap` below the threshold, declaring anti-monotonicity
+  // through ClearsSiblingMargin (or not at all).
+  UncertainDatabase db;
+  db.Add(Itemset{0, 1, 2}, 0.9);
+  db.Add(Itemset{0, 2}, 0.9);
+  db.Add(Itemset{0, 1}, 0.9);
+  db.Add(Itemset{0}, 0.9);
+  db.Add(Itemset{1}, 0.9);
+  db.Add(Itemset{2}, 0.9);
+  const VerticalIndex index(db);
+  const TidSet ac = Intersect(index.TidsOfItem(0), index.TidsOfItem(2));
+  constexpr double kThreshold = 0.5;
+  const auto enumerate = [&](double gap, bool declares) {
+    std::size_t evaluations = 0;
+    const FrequentnessMeasure<TidSet> measure =
+        [&](const TidSet& tids, MiningStats*) -> MeasureVerdict {
+      ++evaluations;
+      if (!(tids == ac)) return MeasureVerdict(1.0);
+      const double bound = kThreshold - gap;
+      return {std::nullopt,
+              declares && ClearsSiblingMargin(bound, kThreshold)};
+    };
+    std::vector<Itemset> emitted;
+    RunController rt;
+    EnumerateFrequent(index, measure, /*count_floor=*/0, "test/node",
+                      /*stats=*/nullptr, rt,
+                      [&](const Itemset& items, const TidSet&, double) {
+                        emitted.push_back(items);
+                      });
+    std::sort(emitted.begin(), emitted.end());
+    return std::make_pair(emitted, evaluations);
+  };
+  const std::vector<Itemset> with_abc = {{0}, {0, 1}, {0, 1, 2}, {1},
+                                         {1, 2},  {2}};
+  // Rejected 1e-12 below the threshold: inside the margin, so {a,b}
+  // still extends with c.
+  EXPECT_EQ(enumerate(1e-12, true).first, with_abc);
+  // A measure that does not declare itself anti-monotone never drops.
+  EXPECT_EQ(enumerate(0.25, false).first, with_abc);
+  // Clear of the margin: c leaves {a,b}'s list, and {a,b,c} is never
+  // evaluated.
+  const auto [dropped, evaluations] = enumerate(0.25, true);
+  EXPECT_EQ(dropped, (std::vector<Itemset>{{0}, {0, 1}, {1}, {1, 2}, {2}}));
+  EXPECT_EQ(evaluations + 1, enumerate(0.25, false).second);
 }
 
 TEST(BfsMiner, LevelwiseMatchesDfsOnQuest) {

@@ -360,11 +360,11 @@ struct PinnedCounters {
 
 TEST(ParallelDeterminismCounters, IntersectionsAndFrequencyPrunesPinned) {
   const PinnedCounters pinned[] = {
-      {"mpfci", 1, 110297, 1744}, {"bfs", 1, 128695, 801},
-      {"topk", 1, 24079, 862},    {"mpfci", 7, 43553, 1297},
-      {"bfs", 7, 80224, 1862},    {"topk", 7, 9707, 789},
-      {"mpfci", 42, 55713, 2821}, {"bfs", 42, 90979, 582},
-      {"topk", 42, 23692, 454},
+      {"mpfci", 1, 61096, 411},  {"bfs", 1, 128695, 801},
+      {"topk", 1, 14269, 645},   {"mpfci", 7, 26716, 545},
+      {"bfs", 7, 80224, 1862},   {"topk", 7, 6795, 563},
+      {"mpfci", 42, 25560, 376}, {"bfs", 42, 90979, 582},
+      {"topk", 42, 12447, 353},
   };
   for (const PinnedCounters& pin : pinned) {
     SCOPED_TRACE(std::string(pin.run) + " seed=" + std::to_string(pin.seed));
@@ -388,8 +388,8 @@ TEST(ParallelDeterminismCounters, IntersectionsAndFrequencyPrunesPinned) {
   const UncertainDatabase db = MakeForkingDb();
   MiningRequest request = ForkingRequest();
   MiningResult result = MineWithThreads(db, request, 4);
-  EXPECT_EQ(result.stats.intersections, 49388u);
-  EXPECT_EQ(result.stats.pruned_by_frequency, 1689u);
+  EXPECT_EQ(result.stats.intersections, 14720u);
+  EXPECT_EQ(result.stats.pruned_by_frequency, 554u);
   request.algorithm = Algorithm::kMpfciBfs;
   result = MineWithThreads(db, request, 4);
   EXPECT_EQ(result.stats.intersections, 169874u);

@@ -120,8 +120,8 @@ TEST(MiningSession, EsupAndPfiWorkCountersArePinned) {
   const Pinned runs[] = {
       {&esup, 37, 6, 38, 0, 0},    // esup cold
       {&esup, 37, 44, 0, 0, 0},    // esup warm
-      {&pfi, 91, 46, 49, 49, 46},  // pfi cold
-      {&pfi, 91, 95, 0, 0, 95},    // pfi warm
+      {&pfi, 91, 44, 49, 49, 44},  // pfi cold
+      {&pfi, 91, 93, 0, 0, 93},    // pfi warm
   };
   for (std::size_t i = 0; i < std::size(runs); ++i) {
     SCOPED_TRACE("run " + std::to_string(i));
@@ -184,9 +184,9 @@ TEST(MiningSession, SweepWorkCountersArePinned) {
   // its hits on tables an earlier member stored; the rest of its
   // dp_reused are repeats of tables it stored itself.
   const Pinned pinned[] = {
-      {99, 22084, 9274},
-      {94, 8832, 4373},
-      {295, 3828, 0},
+      {99, 21601, 8927},
+      {94, 8559, 4149},
+      {295, 3640, 0},
   };
   const std::vector<MiningResult> sweep = session.MineBatch(steps);
   ASSERT_EQ(sweep.size(), steps.size());

@@ -145,6 +145,26 @@ TEST(ApproximatePfiMiner, NormalModeNearExactAtScale) {
       << "exact=" << exact.size() << " approx=" << approx.size();
 }
 
+TEST(ApproximatePfiMiner, NormalModeKeepsEveryRejectedSibling) {
+  // The normal approximation is not anti-monotone. {a,c} covers three
+  // near-certain transactions and 50 unlikely ones: mean 3.5, sigma 0.71,
+  // so Pr{S >= 3} ~ 1 - Phi(-1.41) = 0.92, rejected at pft 0.95 by far
+  // more than kSiblingMargin. Its superset {a,b,c} keeps only the three
+  // near-certain transactions (sigma 0.05), and the approximation admits
+  // it. The enumeration must still extend {a,b} with c.
+  UncertainDatabase db;
+  for (int i = 0; i < 3; ++i) db.Add(Itemset{0, 1, 2}, 0.999);
+  for (int i = 0; i < 50; ++i) db.Add(Itemset{0, 2}, 0.01);
+  for (int i = 0; i < 3; ++i) db.Add(Itemset{0}, 0.999);
+  for (int i = 0; i < 3; ++i) db.Add(Itemset{2}, 0.999);
+  const std::vector<PfiEntry> pfis =
+      internal::MinePfiApproximate(db, 3, 0.95, FrequencyMode::kNormal);
+  std::vector<Itemset> items;
+  for (const PfiEntry& entry : pfis) items.push_back(entry.items);
+  EXPECT_EQ(items, (std::vector<Itemset>{
+                       {0}, {0, 1}, {0, 1, 2}, {1}, {1, 2}, {2}}));
+}
+
 /// FNV-1a over the itemsets and the bit patterns of their pr_f values, in
 /// result order.
 std::uint64_t PfiDigest(const std::vector<PfiEntry>& pfis) {

@@ -74,7 +74,6 @@ void CrossValidate(const TidList& a_tids, const TidList& b_tids,
                    std::size_t universe) {
   const TidList ref_inter = IntersectTids(a_tids, b_tids);
   const TidList ref_diff = DifferenceTids(a_tids, b_tids);
-  const bool ref_subset = TidsSubset(a_tids, b_tids);
   for (const TidSetMode ma : kModes) {
     const TidSet a(a_tids, universe, ma);
     ASSERT_EQ(a, a_tids) << "construction roundtrip";
@@ -86,12 +85,16 @@ void CrossValidate(const TidList& a_tids, const TidList& b_tids,
                    std::to_string(a_tids.size()) + " |b|=" +
                    std::to_string(b_tids.size()));
       const TidSet b(b_tids, universe, mb);
-      EXPECT_EQ(Intersect(a, b), ref_inter);
+      const TidSet inter = Intersect(a, b);
+      EXPECT_EQ(inter, ref_inter);
       EXPECT_EQ(IntersectSize(a, b), ref_inter.size());
+      // With the count known: the same set in the same representation.
+      const TidSet known = Intersect(a, b, ref_inter.size());
+      EXPECT_EQ(known, ref_inter);
+      EXPECT_EQ(known.dense(), inter.dense());
       bool completed = false;
       EXPECT_EQ(WalkDifference(a, b, 0, &completed), ref_diff);
       EXPECT_TRUE(completed);
-      EXPECT_EQ(IsSubsetOf(a, b), ref_subset);
       EXPECT_EQ(a == b, a_tids == b_tids);
     }
   }

@@ -11,10 +11,10 @@ Python-stdlib only. Usage:
 Exits 0 when the file parses and matches schema 1 of its kind, 1
 otherwise with a diagnostic per violation. Checks structure and internal
 consistency (strictly increasing sweep grid, aggregate-vs-workload
-timing sums), and it fails any "identical": false flag of either kind —
-bit-identity is deterministic, unlike wall-clock time. Performance
-thresholds are not checked: the bench binaries themselves gate on the
-1/2-wall-clock acceptance.
+timing sums), and it fails any "identical": false flag of either kind,
+and a session sweep whose warm batch ran a DP (a "warm_dp_free": false
+flag or a non-zero "warm_dp_runs") — both are deterministic, unlike
+wall-clock time. Wall-clock ratios are recorded, not checked.
 """
 
 import json
@@ -42,12 +42,15 @@ def require(obj, key, types, errors, where):
 
 
 def check_threshold(entry, where, errors):
-    for key in ("min_sup", "itemsets", "cold_dp_runs", "warm_dp_runs",
-                "cache_hits", "dp_reused"):
+    for key in ("min_sup", "itemsets", "cold_dp_runs", "first_dp_runs",
+                "warm_dp_runs", "cache_hits", "dp_reused"):
         value = require(entry, key, int, errors, where)
         if value is not None and value < 0:
             errors.append(f"{where}: '{key}' is negative")
-    for key in ("cold_seconds", "warm_seconds"):
+    if entry.get("warm_dp_runs", 0) != 0:
+        errors.append(f"{where}: the warm batch ran "
+                      f"{entry['warm_dp_runs']} DPs")
+    for key in ("cold_seconds", "first_seconds", "warm_seconds"):
         value = require(entry, key, (int, float), errors, where)
         if value is not None and value < 0:
             errors.append(f"{where}: '{key}' is negative")
@@ -57,12 +60,15 @@ def check_workload(workload, index, errors):
     where = f"workloads[{index}]"
     require(workload, "algorithm", str, errors, where)
     require(workload, "cold_seconds", (int, float), errors, where)
+    require(workload, "first_seconds", (int, float), errors, where)
     require(workload, "warm_seconds", (int, float), errors, where)
     if require(workload, "identical", bool, errors, where) is False:
         errors.append(
             f"{where}: identical is false (warm session results diverged "
             f"from cold runs)"
         )
+    if require(workload, "warm_dp_free", bool, errors, where) is False:
+        errors.append(f"{where}: warm_dp_free is false")
 
     cache = require(workload, "cache", dict, errors, where)
     if cache is not None:
@@ -175,6 +181,9 @@ def main(argv):
             f"{path}: identical is false (warm session results diverged "
             f"from cold runs)"
         )
+    if require(doc, "warm_dp_free", bool, errors, path) is False:
+        errors.append(f"{path}: warm_dp_free is false (a warm batch member "
+                      f"ran a DP)")
 
     workloads = require(doc, "workloads", list, errors, path)
     if workloads is not None:
